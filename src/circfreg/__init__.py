@@ -2,7 +2,7 @@
 regression, with a seeded Monte Carlo harness verifying its convergence-rate
 behavior."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .basis import (
     CoefVector,

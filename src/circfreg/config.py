@@ -8,6 +8,7 @@ bound, and ``parse_config(serialize_config(cfg))`` round-trips exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .sequences import SequenceSpec
@@ -20,6 +21,7 @@ _FIELDS = _REQUIRED + (
     "pen_const_unknown", "enforce_pair", "j_max", "out_dir",
 )
 _VARIANTS = ("known", "data_driven", "both")
+_FLOAT_FIELDS = ("a", "p", "s", "sigma", "rho", "eta", "pen_const_known", "pen_const_unknown")
 
 # grid defaults keep desk-scale runtimes of minutes
 _DEFAULT_GRID = {
@@ -65,7 +67,11 @@ class RunConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.replications is None:
             object.__setattr__(self, "replications", _DEFAULT_REPLICATIONS)
-        errors = []
+        errors = [
+            f"{key}: must be finite, got {getattr(self, key)}"
+            for key in _FLOAT_FIELDS
+            if not math.isfinite(getattr(self, key))
+        ]
         if self.regime not in ("PP", "EP", "PE"):
             errors.append(f"regime: must be one of PP, EP, PE, got {self.regime!r}")
         else:

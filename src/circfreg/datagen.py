@@ -17,6 +17,10 @@ so each unit i owns one contiguous block of draws (its regressor
 coefficients followed by its noise variable).  Two calls with identical
 arguments therefore produce bit-identical samples regardless of how many
 worker processes run elsewhere.
+
+:func:`simulate` is the per-unit reference.  The experiment harness
+(:func:`circfreg.risk.replicate_moments`) draws the sample moments directly,
+with the same law and the same (seed, n, r) key but other realized draws.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ __all__ = [
     "SampleMoments",
     "SelectionTrace",
     "moments",
-    "moment_sums",
     "estimate_beta",
     "contrast",
     "contrast_curve",
@@ -36,15 +35,6 @@ __all__ = [
     "select_data_driven",
     "write_trace_csv",
 ]
-
-# Row budget for chunked moment accumulation.  Fixed as a pure function of the
-# coefficient count so streamed and in-memory paths sum in identical order.
-_CHUNK_BUDGET = 1 << 20
-
-
-def chunk_rows(n_coef: int) -> int:
-    return max(1, _CHUNK_BUDGET // (n_coef + 1))
-
 
 @dataclass(frozen=True)
 class SampleMoments:
@@ -65,32 +55,17 @@ class SampleMoments:
         return int(self.ghat.size)
 
 
-def moment_sums(y: np.ndarray, x: np.ndarray):
-    """Accumulate (sum y_i x_ij, sum x_ij^2, sum y_i, sum y_i^2) in fixed chunks."""
-    n, n_coef = x.shape
-    rows = chunk_rows(n_coef)
-    g = np.zeros(n_coef)
-    l = np.zeros(n_coef)
-    sy = 0.0
-    syy = 0.0
-    for start in range(0, n, rows):
-        xc = x[start : start + rows]
-        yc = y[start : start + rows]
-        g += np.einsum("i,ij->j", yc, xc)
-        l += np.einsum("ij,ij->j", xc, xc)
-        sy += float(np.einsum("i->", yc))
-        syy += float(np.einsum("i,i->", yc, yc))
-    return g, l, sy, syy
-
-
 def moments(sample, centered: bool = False) -> SampleMoments:
     """Empirical moments of a Sample; ``centered`` switches the Y-variance
     estimate to the centered sample variance."""
     n = sample.n
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    g, l, sy, syy = moment_sums(sample.y, sample.xcoef)
-    sigma_y2 = syy / n - (sy / n) ** 2 if centered else syy / n
+    y, x = sample.y, sample.xcoef
+    g = np.einsum("i,ij->j", y, x)
+    l = np.einsum("ij,ij->j", x, x)
+    syy = float(np.einsum("i,i->", y, y))
+    sigma_y2 = syy / n - (float(np.sum(y)) / n) ** 2 if centered else syy / n
     return SampleMoments(ghat=g / n, lhat=l / n, sigma_y2=float(sigma_y2), n=n)
 
 

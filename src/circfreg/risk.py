@@ -3,10 +3,38 @@
 The experiment simulates the model over a grid of sample sizes, runs the
 selection rule(s) on every replicate, aggregates weighted-norm risks and fits
 the log-log slope of the median risk against n.  Replicates are keyed by
-(seed, n, r), so output is independent of worker count; per-sample moments
-are accumulated in fixed row chunks while the draws stream out of the
-generator, which keeps peak memory small at large n and reproduces
-``moments(simulate(...))`` bit for bit.
+(seed, n, r), so output is independent of worker count.
+
+Sufficient-statistic replicate engine.  The estimator reads a sample only
+through ghat_j, lhat_j and sigma_y2, and zeroes every coordinate with
+lhat_j < 1/n, so a replicate draws those statistics directly instead of the
+n x (n_coef + 1) per-unit Gaussians of :func:`circfreg.datagen.simulate`:
+
+* Alive window.  J is the smallest index with
+  sum_{J < j <= n_coef} P(lhat_j >= 1/n) <= ALIVE_EPS by the Chernoff bound
+  P(chi2_n >= n t) <= exp(-n (t - 1 - log t) / 2) at t = 1/(n lambda_j).
+  Coordinates beyond J fold into the noise: tau^2 = sigma^2
+  + sum_{J < j <= n_coef} lambda_j beta_j^2.
+* Bartlett factor.  With c = (sqrt(lambda_j) beta_j for j <= J, tau), the
+  statistics are functions of W = V'V for an n x (J+1) standard Gaussian V
+  (coordinates 1..J, then the noise).  W = B B' for a lower-trapezoidal B of
+  shape (J+1) x min(n, J+1) with chi_{n-i+1} on the diagonal and N(0, 1)
+  below it (Bartlett; for n <= J, B is the transposed R factor of a QR
+  factorization of V).  Then lhat_j = lambda_j |B_j|^2 / n,
+  ghat_j = sqrt(lambda_j) (B B'c)_j / n and sigma_y2 = |B'c|^2 / n, and the
+  arrays are zero-padded to n_coef.
+
+The outputs have the per-unit law except on the error event {lhat_j >= 1/n
+for some j > J}, of probability at most ALIVE_EPS.  Outside it every
+coordinate beyond J is thresholded away, and it also lies beyond M_hat,
+whose condition implies lhat_M >= M log(n)/n > 1/n.
+
+Layout, fixed for reproducibility: the generator is substream(seed, n, r),
+the key of the per-unit path, but the realized draws differ from it.  Rows
+of B are coordinates 1..J in index order, then the noise.  One ``chisquare``
+call draws the squared diagonal, top to bottom; one ``standard_normal``
+call then fills the entries below the diagonal in row-major order.  Cost
+per replicate is about J^2/2 normals whatever n is.
 
 Truncation-tail bias of the simulated slope is added analytically to every
 reported risk, so the finite simulation never flatters the estimator.
@@ -23,7 +51,6 @@ from .basis import _coef_array, _weight_array
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
     SampleMoments,
-    chunk_rows,
     moments,
     select_data_driven,
     select_known,
@@ -43,6 +70,8 @@ __all__ = [
     "fixed_dim_risk_curve",
     "oracle_risk",
     "fit_slope",
+    "log_chi2_tail_bound",
+    "alive_window",
     "experiment_plans",
     "replicate_moments",
     "run_experiment",
@@ -51,6 +80,14 @@ __all__ = [
 
 # Log-fit floor substituted for exactly-zero median risks (degenerate runs).
 _RISK_FLOOR = np.finfo(float).tiny
+
+# Probability budget of the engine's error event (see the module docstring).
+ALIVE_EPS = 1e-30
+
+# log t beyond which the Chernoff exponent is evaluated at this value instead:
+# the rate t - 1 - log t grows with t, so capping keeps the bound valid while
+# n t stays finite for any representable n.
+_LOG_T_CAP = 600.0
 
 
 class NumericError(RuntimeError):
@@ -148,6 +185,24 @@ class RiskReport:
     seed: int
 
 
+def log_chi2_tail_bound(n: int, log_t) -> np.ndarray:
+    """Chernoff bound on log P(chi2_n >= n t): -n (t - 1 - log t) / 2 for
+    t > 1, else 0.  Takes log t, so t = inf (an underflowed eigenvalue in
+    1/(n lambda)) stays finite."""
+    log_t = np.minimum(np.asarray(log_t, dtype=float), _LOG_T_CAP)
+    rate = np.exp(log_t) - 1.0 - log_t
+    return np.where(log_t > 0.0, -0.5 * n * rate, 0.0)
+
+
+def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
+    """Smallest J <= n_coef whose tail j = J+1..n_coef holds a coordinate with
+    lhat_j >= 1/n with probability at most ALIVE_EPS (Chernoff union bound)."""
+    log_t = -np.log(n) - seq.log_eigenvalues(n_coef)
+    bound = np.exp(log_chi2_tail_bound(n, log_t))
+    tail = np.cumsum(bound[::-1])[::-1]  # tail[j-1] bounds P(any alive i >= j)
+    return int(np.count_nonzero(tail > ALIVE_EPS))
+
+
 @dataclass(frozen=True)
 class _GridPlan:
     """Everything one (n, r) task needs; immutable and cheap to pickle."""
@@ -155,7 +210,8 @@ class _GridPlan:
     seq: SequenceSpec
     n: int
     n_coef: int
-    sigma: float
+    window: int   # alive window J <= n_coef
+    tau: float    # noise sd with the coordinates beyond J folded in
     eta: float
     seed: int
     beta: np.ndarray
@@ -169,31 +225,25 @@ class _GridPlan:
 
 
 def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
-    """Accumulate sample moments while the draws stream out of the generator.
-
-    Matches moments(simulate(..., replicate=(n, r), n_coef=...)) bit for bit:
-    same Philox key, same draw order, same chunked summation.
-    """
-    n, n_coef = plan.n, plan.n_coef
+    """Sample moments of replicate r, drawn from a Bartlett factor over the
+    alive window (module docstring: law, error event and draw layout)."""
+    n, window = plan.n, plan.window
     rng = substream(plan.seed, n, r)
-    scale = np.sqrt(plan.seq.eigenvalues(n_coef))
-    beta = plan.beta[:n_coef]
-    rows = chunk_rows(n_coef)
-    g = np.zeros(n_coef)
-    l = np.zeros(n_coef)
-    syy = 0.0
-    done = 0
-    while done < n:
-        take = min(rows, n - done)
-        draws = rng.standard_normal((take, n_coef + 1))
-        x = draws[:, :n_coef]
-        x *= scale
-        yc = np.einsum("ij,j->i", x[:, : beta.size], beta) + plan.sigma * draws[:, n_coef]
-        g += np.einsum("i,ij->j", yc, x)
-        l += np.einsum("ij,ij->j", x, x)
-        syy += float(np.einsum("i,i->", yc, yc))
-        done += take
-    return SampleMoments(ghat=g / n, lhat=l / n, sigma_y2=syy / n, n=n)
+    width = min(n, window + 1)
+    factor = np.zeros((window + 1, width))
+    diag = np.arange(width)
+    factor[diag, diag] = np.sqrt(rng.chisquare(n - diag))
+    rows, cols = np.tril_indices(window + 1, -1, width)
+    factor[rows, cols] = rng.standard_normal(rows.size)
+
+    lam = plan.seq.eigenvalues(window)
+    root = np.sqrt(lam)
+    u = np.append(root * plan.beta[:window], plan.tau) @ factor  # B'c
+    ghat = np.zeros(plan.n_coef)
+    lhat = np.zeros(plan.n_coef)
+    ghat[:window] = root * (factor[:window] @ u) / n
+    lhat[:window] = lam * np.einsum("ij,ij->i", factor[:window], factor[:window]) / n
+    return SampleMoments(ghat=ghat, lhat=lhat, sigma_y2=float(u @ u) / n, n=n)
 
 
 def _run_replicate(task):
@@ -232,6 +282,9 @@ def experiment_plans(config):
     for n in grid:
         n_coef = trunc[n]
         weights = seq.risk_weights(n_coef)
+        window = alive_window(seq, n, n_coef)
+        folded = seq.eigenvalues(n_coef)[window:] * beta[window:n_coef] ** 2
+        tau = float(np.sqrt(config.sigma**2 + np.sum(folded)))
         if n_coef < ref:
             j = np.arange(n_coef + 1, ref + 1, dtype=float)
             band = float(np.sum(j ** (2.0 * seq.s) * beta[n_coef:] ** 2))
@@ -252,7 +305,7 @@ def experiment_plans(config):
             )
         plans.append(
             _GridPlan(
-                seq=seq, n=n, n_coef=n_coef, sigma=config.sigma, eta=config.eta,
+                seq=seq, n=n, n_coef=n_coef, window=window, tau=tau, eta=config.eta,
                 seed=config.seed, beta=beta, weights=weights, tail=band + tail_ref,
                 variants=variants, pen_const_known=config.pen_const_known,
                 pen_const_unknown=config.pen_const_unknown,

@@ -147,3 +147,12 @@ def test_numeric_failure_exits_3(config_file, tmp_path, monkeypatch, capsys):
     code = main(["mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key", [("sigma=nan", "sigma"), ("a=inf", "a"),
+                                           ("rho=inf", "rho")])
+def test_nonfinite_override_exits_2(config_file, tmp_path, capsys, override, key):
+    code = main(["mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", override])
+    assert code == 2
+    assert f"config error: {key}: must be finite" in capsys.readouterr().err

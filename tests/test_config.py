@@ -73,6 +73,15 @@ class TestValidation:
         text = str(err.value)
         assert "a >" in text and "rho" in text and "replications" in text
 
+    @pytest.mark.parametrize("key", ["a", "p", "s", "sigma", "rho", "eta",
+                                     "pen_const_known", "pen_const_unknown"])
+    def test_nonfinite_float_named(self, key):
+        for value in ("nan", "inf", "-inf"):
+            doc = "\n".join(line for line in MINIMAL_PP.splitlines()
+                            if not line.startswith(f"{key} ="))
+            with pytest.raises(ConfigError, match=f"{key}: must be finite, got {value}"):
+                parse_config(f"{doc}\n{key} = {value}\n")
+
     def test_variant_vocabulary(self):
         with pytest.raises(ConfigError, match="variant"):
             parse_config(MINIMAL_PP + "\nvariant = adaptive\n")

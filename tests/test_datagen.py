@@ -9,7 +9,6 @@ from circfreg import (
     covariance_kernel,
     default_truncation,
     make_slope,
-    moments,
     simulate,
     slope_tail_bias,
     substream,
@@ -192,23 +191,3 @@ class TestSubstreamAndCsv:
         assert first[0] == sample.y[0]
         assert np.array_equal(first[1:], sample.xcoef[0])
 
-
-class TestMomentsEquality:
-    def test_streamed_equals_full(self):
-        # chunked accumulation in moments() is bit-identical whether the sample
-        # was materialized or streamed by the experiment harness
-        from circfreg.risk import experiment_plans, replicate_moments
-
-        cfg = cf.RunConfig(
-            regime="PP", a=1.0, p=2.0, s=0.0, sigma=0.5, rho=1.0,
-            n_grid=(300,), replications=2, seed=11, variant="data_driven",
-            enforce_pair=False, j_max=80,
-        )
-        plan = experiment_plans(cfg)[0]
-        streamed = replicate_moments(plan, 1)
-        slope = CoefVector(plan.beta)
-        sample = simulate(PP, slope, 300, 0.5, 11, replicate=(300, 1), n_coef=80)
-        full = moments(sample)
-        assert np.array_equal(full.ghat, streamed.ghat)
-        assert np.array_equal(full.lhat, streamed.lhat)
-        assert full.sigma_y2 == streamed.sigma_y2

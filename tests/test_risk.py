@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from circfreg import (
     simulate,
     write_risk_csv,
 )
+from circfreg.risk import (
+    ALIVE_EPS,
+    alive_window,
+    experiment_plans,
+    log_chi2_tail_bound,
+    replicate_moments,
+)
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PP = SequenceSpec("PP", a=1.0, p=2.0, s=0.0)
 
 
@@ -210,3 +220,125 @@ class TestRunExperiment:
                         variant="data_driven", pen_const_unknown=0.3)
         rep = run_experiment(cfg)[0]
         assert np.all(np.isfinite(rep.median_risk)) and rep.median_risk[0] > 0
+
+
+def _pooled_table(a, b, min_count=10):
+    """2 x K histogram table of two integer samples, adjacent values pooled
+    until each bin holds at least min_count of the combined sample."""
+    values = np.union1d(a, b)
+    table, bin_a, bin_b = [], 0, 0
+    for v in values:
+        bin_a += int(np.sum(a == v))
+        bin_b += int(np.sum(b == v))
+        if bin_a + bin_b >= min_count:
+            table.append([bin_a, bin_b])
+            bin_a = bin_b = 0
+    if bin_a + bin_b:
+        if table:
+            table[-1][0] += bin_a
+            table[-1][1] += bin_b
+        else:
+            table.append([bin_a, bin_b])
+    return np.array(table).T
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestReplicateEngine:
+    """Sufficient-statistic engine (risk module docstring) against the
+    per-unit path and the population moments."""
+
+    def test_chernoff_bound_dominates_chi2_tail(self):
+        from scipy.stats import chi2
+
+        t = np.array([0.5, 1.0, 1.001, 1.1, 1.5, 2.0, 4.0, 10.0, 100.0, 1e4])
+        for n in (1, 2, 5, 30, 250, 4000, 8000):
+            bound = np.exp(log_chi2_tail_bound(n, np.log(t)))
+            assert np.all(bound >= chi2.sf(n * t, n))
+        # t <= 1 gives the trivial bound; t = inf (lambda underflowed to 0)
+        # gives 0 without overflowing
+        assert np.all(log_chi2_tail_bound(8000, np.log(t[:2])) == 0.0)
+        assert np.exp(log_chi2_tail_bound(8000, np.inf)) == 0.0
+
+    def test_window_covers_population_alive_within_truncation(self):
+        from scipy.stats import chi2
+
+        specs = (PP, SequenceSpec("PP", a=1.0, p=2.0, s=0.0, enforce_pair=True),
+                 SequenceSpec("EP", a=1.0, p=1.0), SequenceSpec("PE", a=0.5, p=1.0))
+        for seq in specs:
+            for n, n_coef in ((2, 3), (5, 20), (50, 50), (500, 500), (8000, 8000)):
+                window = alive_window(seq, n, n_coef)
+                lam = seq.eigenvalues(n_coef)
+                assert 1 <= window <= n_coef
+                assert np.all(np.nonzero(lam >= 1.0 / n)[0] < window)
+                # exact union bound on the error event {lhat_j >= 1/n, j > J}
+                with np.errstate(divide="ignore", over="ignore"):
+                    thresholds = 1.0 / lam[window:]
+                assert float(np.sum(chi2.sf(thresholds, n))) <= ALIVE_EPS
+
+    def test_golden_windows(self):
+        for name, windows in (("golden_pp", [25, 31, 41, 53, 71]), ("golden_pe", [7, 9])):
+            cfg = cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+            plans = experiment_plans(cfg)
+            assert [plan.window for plan in plans] == windows
+            assert all(plan.tau >= cfg.sigma for plan in plans)
+
+    def test_small_n_means_match_population(self):
+        # n = 5..10 < J + 1 = 14: the trapezoidal (QR) branch of the factor
+        reps = 1500
+        cfg = tiny_config(n_grid=(5, 7, 10), j_max=20, replications=reps)
+        for plan in experiment_plans(cfg):
+            window = plan.window
+            assert plan.n < window + 1
+            moms = [replicate_moments(plan, r) for r in range(reps)]
+            lhat = np.array([m.lhat for m in moms])
+            ghat = np.array([m.ghat for m in moms])
+            sy2 = np.array([m.sigma_y2 for m in moms])
+            assert np.all(lhat[:, window:] == 0.0) and np.all(ghat[:, window:] == 0.0)
+            lam = plan.seq.eigenvalues(plan.n_coef)
+            beta = plan.beta[: plan.n_coef]
+            for got, target in (
+                (lhat[:, :window], lam[:window]),
+                (ghat[:, :window], (lam * beta)[:window]),
+                (sy2[:, None], np.array([np.sum(lam * beta**2) + cfg.sigma**2])),
+            ):
+                se = np.std(got, axis=0, ddof=1) / np.sqrt(reps)
+                assert np.all(np.abs(np.mean(got, axis=0) - target) < 4.0 * se)
+
+    def test_selection_law_matches_per_unit_path(self):
+        """Two-sample chi-square tests of the m_hat and M_hat histograms, each
+        at level 1e-3, and a 4-SE two-sample z-test of the mean risk at m_hat
+        (level 6.3e-5): with both paths of one law, the six tests together
+        fail for at most 0.42% of seeds.  The paths use different seeds, so
+        the two samples are independent."""
+        from scipy.stats import chi2_contingency
+
+        cases = (
+            (tiny_config(regime="PE", a=0.5, p=1.0, n_grid=(500,), j_max=20,
+                         variant="data_driven", seed=3), 1500),
+            (tiny_config(n_grid=(200,), j_max=60, variant="data_driven", seed=4), 800),
+        )
+        for cfg, reps in cases:
+            plan = experiment_plans(cfg)[0]
+            seq, n = plan.seq, plan.n
+            slope = CoefVector(plan.beta[: plan.n_coef])
+            unit, engine = [], []
+            for r in range(reps):
+                sample = simulate(seq, slope, n, cfg.sigma, cfg.seed + 100,
+                                  replicate=(n, r), n_coef=plan.n_coef)
+                unit_mom = moments(sample)
+                # the engine's error event never shows at this budget
+                assert not np.any(unit_mom.lhat[plan.window:] >= 1.0 / n)
+                for mom, out in ((unit_mom, unit), (replicate_moments(plan, r), engine)):
+                    trace = cf.select_data_driven(mom, plan.weights, plan.eta,
+                                                  plan.pen_const_unknown)
+                    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights,
+                                                 plan.n_coef, plan.tail)
+                    out.append((trace.m_hat, trace.admissible_max, curve[trace.m_hat - 1]))
+            unit, engine = np.array(unit), np.array(engine)
+            se = np.sqrt((np.var(unit[:, 2], ddof=1) + np.var(engine[:, 2], ddof=1)) / reps)
+            assert abs(np.mean(unit[:, 2]) - np.mean(engine[:, 2])) < 4.0 * se
+            for col in (0, 1):
+                table = _pooled_table(unit[:, col], engine[:, col])
+                if table.shape[1] > 1:
+                    p_value = chi2_contingency(table, correction=False)[1]
+                    assert p_value > 1e-3, (cfg.regime, col, table.tolist())
