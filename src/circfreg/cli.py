@@ -1,8 +1,9 @@
 """Command-line harness: simulate / estimate / mc-risk / rates.
 
 Exit codes: 0 on success, 2 on configuration errors (including unwritable
-output directories), 3 on numeric failures.  Every output CSV starts with a
-single comment line echoing the full configuration and artifact version.
+output directories), 3 on numeric failures (overflow, non-finite results).
+Every output CSV starts with a single comment line echoing the full
+configuration and artifact version.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from . import __version__
 from .basis import CoefVector
 from .config import ConfigError, build_config, config_echo, _parse_raw
 from .datagen import simulate, write_sample_csv
+# select_data_driven and select_known are imported only for perfbench/traced_cli.py
 from .estimator import estimate_beta, select_data_driven, select_known, write_trace_csv
 from .risk import (
     NumericError,
     experiment_plans,
     replicate_moments,
     run_experiment,
+    select,
     write_risk_csv,
 )
 from .sequences import (
@@ -52,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
         cmd.add_argument("--out", default=None, help="output directory (overrides out_dir)")
-        cmd.add_argument("--workers", type=int, default=1, help="worker process count")
+        if name == "mc-risk":
+            cmd.add_argument("--workers", type=int, default=1, help="worker process count")
         cmd.add_argument(
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="config override applied after the file is parsed (repeatable)",
@@ -84,6 +88,13 @@ def _prepare_out_dir(cfg) -> Path:
     return out
 
 
+def _write_csv(path: Path, comment: str, header: str, rows) -> None:
+    """Write a '#' comment line, a header line and one line per row string."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {comment}\n{header}\n")
+        fh.writelines(row + "\n" for row in rows)
+
+
 def _cmd_simulate(cfg, out: Path, echo: str) -> None:
     plans = experiment_plans(cfg)
     for plan in plans:
@@ -100,24 +111,14 @@ def _cmd_estimate(cfg, out: Path, echo: str) -> None:
     for plan in plans:
         for r in range(cfg.replications):
             mom = replicate_moments(plan, r)
-            for variant in plan.variants:
-                if variant == "known_degree":
-                    trace = select_known(
-                        mom, plan.weights, plan.scales_prefix,
-                        plan.m_bound_known, cfg.eta, cfg.pen_const_known,
-                    )
-                else:
-                    trace = select_data_driven(
-                        mom, plan.weights, cfg.eta, cfg.pen_const_unknown
-                    )
+            for variant in cfg.variant_names():
+                trace = select(plan, mom, variant)
                 stem = f"{variant}_n{plan.n}_r{r}"
                 write_trace_csv(trace, out / f"trace_{stem}.csv", echo)
-                beta_hat = estimate_beta(mom, trace.m_hat)
-                with open(out / f"betahat_{stem}.csv", "w", newline="") as fh:
-                    fh.write(f"# {echo} | variant={variant} n={plan.n} r={r}\n")
-                    fh.write("j,coef\n")
-                    for j, value in enumerate(beta_hat.coefs, start=1):
-                        fh.write(f"{j},{repr(float(value))}\n")
+                coefs = estimate_beta(mom, trace.m_hat).coefs
+                rows = (f"{j},{float(v)!r}" for j, v in enumerate(coefs, start=1))
+                comment = f"{echo} | variant={variant} n={plan.n} r={r}"
+                _write_csv(out / f"betahat_{stem}.csv", comment, "j,coef", rows)
 
 
 def _cmd_mc_risk(cfg, out: Path, echo: str, workers: int) -> None:
@@ -129,24 +130,16 @@ def _cmd_rates(cfg, out: Path, echo: str) -> None:
     seq = cfg.sequence_spec()
     n_max = max(cfg.n_grid)
     scales = intrinsic_scales(seq, n_max)
-    with open(out / "rates.csv", "w", newline="") as fh:
-        fh.write(f"# {echo}\n")
-        fh.write("n,M_n,N_n,m_star,m_dagger,theoretical_rate\n")
-        for n in cfg.n_grid:
-            rate = theoretical_rate(seq, n) if n >= 3 else float("nan")
-            fh.write(
-                f"{n},{bound_M(seq, scales, n)},{bound_N(seq, n)},"
-                f"{balance_m_star(seq, n)},{balance_m_dagger(seq, scales, n)},"
-                f"{repr(rate)}\n"
-            )
-    with open(out / "scales.csv", "w", newline="") as fh:
-        fh.write(f"# {echo}\n")
-        fh.write("m,delta,Delta,kappa\n")
-        for i in range(n_max):
-            fh.write(
-                f"{i + 1},{repr(float(scales.delta[i]))},"
-                f"{repr(float(scales.Delta[i]))},{repr(float(scales.kappa[i]))}\n"
-            )
+    rows = []
+    for n in cfg.n_grid:
+        rate = theoretical_rate(seq, n) if n >= 3 else float("nan")
+        rows.append(f"{n},{bound_M(seq, scales, n)},{bound_N(seq, n)},{balance_m_star(seq, n)},"
+                    f"{balance_m_dagger(seq, scales, n)},{rate!r}")
+    _write_csv(out / "rates.csv", echo, "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
+    _write_csv(out / "scales.csv", echo, "m,delta,Delta,kappa", (
+        f"{i + 1},{float(scales.delta[i])!r},{float(scales.Delta[i])!r},{float(scales.kappa[i])!r}"
+        for i in range(n_max)
+    ))
 
 
 def main(argv=None) -> int:
@@ -175,7 +168,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

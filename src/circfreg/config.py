@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, regime_violations
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_echo"]
 
@@ -72,20 +72,7 @@ class RunConfig:
             for key in _FLOAT_FIELDS
             if not math.isfinite(getattr(self, key))
         ]
-        if self.regime not in ("PP", "EP", "PE"):
-            errors.append(f"regime: must be one of PP, EP, PE, got {self.regime!r}")
-        else:
-            if self.regime in ("PP", "EP") and not self.a > 0.5:
-                errors.append(f"a: must satisfy a > 1/2 under regime {self.regime}, got {self.a}")
-            if self.regime == "PE" and not self.a > 0.0:
-                errors.append(f"a: must satisfy a > 0 under regime PE, got {self.a}")
-            if self.regime in ("PP", "PE") and not self.p > max(0.0, self.s):
-                errors.append(
-                    f"p: must satisfy p > max(0, s) under regime {self.regime}, "
-                    f"got p = {self.p} with s = {self.s}"
-                )
-            if self.regime == "EP" and not self.p > 0.0:
-                errors.append(f"p: must satisfy p > 0 under regime EP, got {self.p}")
+        errors += regime_violations(self.regime, self.a, self.p, self.s)
         if self.sigma < 0.0:
             errors.append(f"sigma: must satisfy sigma >= 0, got {self.sigma}")
         if not self.rho > 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CoefVector, _weight_array
-from .sequences import PenaltyScales
+from .sequences import PenaltyScales, delta_factor, weight_cap
 
 __all__ = [
     "SampleMoments",
@@ -69,32 +69,31 @@ def moments(sample, centered: bool = False) -> SampleMoments:
     return SampleMoments(ghat=g / n, lhat=l / n, sigma_y2=float(sigma_y2), n=n)
 
 
-def _alive(mom: SampleMoments) -> np.ndarray:
-    return mom.lhat >= 1.0 / mom.n
-
-
 def _check_dim(mom: SampleMoments, m: int):
     if not 1 <= m <= mom.n_coef:
         raise ValueError(f"model dimension {m} outside 1..{mom.n_coef}")
 
 
+def _thresholded_ratio(mom: SampleMoments, numer: np.ndarray) -> np.ndarray:
+    """numer_j / lhat_j 1{lhat_j >= 1/n} for j = 1..len(numer)."""
+    m = numer.size
+    alive = mom.lhat[:m] >= 1.0 / mom.n
+    ratio = np.zeros(m)
+    ratio[alive] = numer[alive] / mom.lhat[:m][alive]
+    return ratio
+
+
 def estimate_beta(mom: SampleMoments, m: int) -> CoefVector:
     """Series estimator coefficients for model dimension m (length m)."""
     _check_dim(mom, m)
-    alive = _alive(mom)[:m]
-    coefs = np.zeros(m)
-    coefs[alive] = mom.ghat[:m][alive] / mom.lhat[:m][alive]
-    return CoefVector(coefs)
+    return CoefVector(_thresholded_ratio(mom, mom.ghat[:m]))
 
 
 def contrast_curve(mom: SampleMoments, w, m_max: int) -> np.ndarray:
     """Contrast values for every m = 1..m_max (non-increasing in m)."""
     _check_dim(mom, m_max)
     weights = _weight_array(w)
-    alive = _alive(mom)[:m_max]
-    term = np.zeros(m_max)
-    term[alive] = (mom.ghat[:m_max][alive] / mom.lhat[:m_max][alive]) ** 2
-    return -np.cumsum(weights[:m_max] * term)
+    return -np.cumsum(weights[:m_max] * _thresholded_ratio(mom, mom.ghat[:m_max]) ** 2)
 
 
 def contrast(mom: SampleMoments, w, m: int) -> float:
@@ -118,16 +117,11 @@ def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
     """
     _check_dim(mom, m_max)
     weights = _weight_array(w)[:m_max]
-    alive = _alive(mom)[:m_max]
-    ratio = np.zeros(m_max)
-    ratio_floor = np.zeros(m_max)
-    ratio[alive] = weights[alive] / mom.lhat[:m_max][alive]
-    ratio_floor[alive] = np.maximum(weights[alive], 1.0) / mom.lhat[:m_max][alive]
-    Delta_hat = np.maximum.accumulate(ratio)
-    kappa_hat = np.maximum.accumulate(ratio_floor)
-    m = np.arange(1, m_max + 1, dtype=float)
-    factor = np.abs(np.log(np.maximum(kappa_hat, m + 2.0)) / np.log(m + 2.0))
-    delta_hat = m * Delta_hat * factor
+    Delta_hat = np.maximum.accumulate(_thresholded_ratio(mom, weights))
+    kappa_hat = np.maximum.accumulate(_thresholded_ratio(mom, np.maximum(weights, 1.0)))
+    with np.errstate(divide="ignore"):
+        factor = delta_factor(np.log(kappa_hat))
+    delta_hat = np.arange(1, m_max + 1, dtype=float) * Delta_hat * factor
     return Delta_hat, kappa_hat, delta_hat
 
 
@@ -143,14 +137,6 @@ def penalty_hat(mom: SampleMoments, w, eta: float, m: int, const: float = 1920.0
     return float(const * mom.sigma_y2 * eta * delta_hat / mom.n)
 
 
-def _weight_cap(weights: np.ndarray, n: int, n_coef: int) -> int:
-    """Largest N <= min(n, n_coef) with max_{j<=N} w_j <= n (at least 1)."""
-    limit = min(n, n_coef)
-    running = np.maximum.accumulate(weights[:limit])
-    ok = np.nonzero(running <= n)[0]
-    return int(ok[-1]) + 1 if ok.size else 1
-
-
 def bound_M_hat(mom: SampleMoments, w, n: int | None = None) -> int:
     """Random admissible-model bound.
 
@@ -162,7 +148,7 @@ def bound_M_hat(mom: SampleMoments, w, n: int | None = None) -> int:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     weights = _weight_array(w)
-    cap = _weight_cap(weights, n, mom.n_coef)
+    cap = weight_cap(weights[: min(n, mom.n_coef)], n)
     m = np.arange(1, cap + 1, dtype=float)
     cond = mom.lhat[:cap] / (m * np.maximum(weights[:cap], 1.0)) >= np.log(n) / n
     ok = np.nonzero(cond)[0]
@@ -187,6 +173,18 @@ class SelectionTrace:
         return self.contrast + self.penalty
 
 
+def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
+            eta: float, pen_const: float) -> SelectionTrace:
+    """Minimize contrast + pen_const sigma_y2 eta delta_m / n over m = 1..m_max."""
+    crv = contrast_curve(mom, w, m_max)
+    pen = pen_const * mom.sigma_y2 * eta * delta / mom.n
+    m_hat = int(np.argmin(crv + pen)) + 1  # first minimum = smallest m
+    return SelectionTrace(
+        variant=variant, admissible_max=m_max, contrast=crv, penalty=pen,
+        delta_used=delta, m_hat=m_hat, eta=float(eta), pen_const=float(pen_const),
+    )
+
+
 def select_known(
     mom: SampleMoments, w, scales: PenaltyScales, m_max: int, eta: float,
     pen_const: float = 192.0,
@@ -194,20 +192,8 @@ def select_known(
     """Penalized-contrast selection over m = 1..m_max with known scales."""
     if m_max < 1:
         raise ValueError(f"admissible bound must be >= 1, got {m_max}")
-    _check_dim(mom, m_max)
-    crv = contrast_curve(mom, w, m_max)
-    pen = pen_const * mom.sigma_y2 * eta * scales.delta[:m_max] / mom.n
-    m_hat = int(np.argmin(crv + pen)) + 1  # first minimum = smallest m
-    return SelectionTrace(
-        variant="known_degree",
-        admissible_max=m_max,
-        contrast=crv,
-        penalty=pen,
-        delta_used=np.array(scales.delta[:m_max]),
-        m_hat=m_hat,
-        eta=float(eta),
-        pen_const=float(pen_const),
-    )
+    delta = np.array(scales.delta[:m_max])
+    return _select("known_degree", mom, w, m_max, delta, eta, pen_const)
 
 
 def select_data_driven(
@@ -219,20 +205,8 @@ def select_data_driven(
     nor the smoothness sequence enters.
     """
     m_max = bound_M_hat(mom, w)
-    crv = contrast_curve(mom, w, m_max)
     _, _, delta_hat = estimated_scale_curves(mom, w, m_max)
-    pen = pen_const * mom.sigma_y2 * eta * delta_hat / mom.n
-    m_hat = int(np.argmin(crv + pen)) + 1
-    return SelectionTrace(
-        variant="data_driven",
-        admissible_max=m_max,
-        contrast=crv,
-        penalty=pen,
-        delta_used=delta_hat,
-        m_hat=m_hat,
-        eta=float(eta),
-        pen_const=float(pen_const),
-    )
+    return _select("data_driven", mom, w, m_max, delta_hat, eta, pen_const)
 
 
 def write_trace_csv(trace: SelectionTrace, path, echo: str = "") -> None:

@@ -48,9 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _coef_array, _weight_array
+from .config import RunConfig
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
     SampleMoments,
+    SelectionTrace,
+    _thresholded_ratio,
     moments,
     select_data_driven,
     select_known,
@@ -74,6 +77,7 @@ __all__ = [
     "alive_window",
     "experiment_plans",
     "replicate_moments",
+    "select",
     "run_experiment",
     "write_risk_csv",
 ]
@@ -125,11 +129,7 @@ def fixed_dim_risk_curve(
     b = np.zeros(length)
     b[: beta_arr.size] = beta_arr
 
-    alive = mom.lhat[:m_max] >= 1.0 / mom.n
-    est = np.zeros(m_max)
-    est[alive] = mom.ghat[:m_max][alive] / mom.lhat[:m_max][alive]
-
-    sq_err = wpad[:m_max] * (est - b[:m_max]) ** 2
+    sq_err = wpad[:m_max] * (_thresholded_ratio(mom, mom.ghat[:m_max]) - b[:m_max]) ** 2
     bias_terms = wpad * b * b
     cum_bias = np.cumsum(bias_terms)
     return np.cumsum(sq_err) + (cum_bias[-1] - cum_bias[:m_max]) + tail
@@ -147,6 +147,11 @@ def oracle_risk(samples, beta, w, m_max: int, tail: float = 0.0):
         curves.append(fixed_dim_risk_curve(mom, beta, w, m_max, tail))
     if not curves:
         raise ValueError("need at least one replicate")
+    return _best_fixed_dim(curves)
+
+
+def _best_fixed_dim(curves) -> tuple:
+    """Smallest m minimizing the mean of the risk curves, and that mean."""
     mean_curve = np.mean(np.vstack(curves), axis=0)
     best = int(np.argmin(mean_curve)) + 1
     return best, float(mean_curve[best - 1])
@@ -159,7 +164,7 @@ def fit_slope(pairs) -> float:
         raise ValueError("need at least two (n, risk) pairs")
     if np.unique(arr[:, 0]).size < 2:
         raise ValueError("need at least two distinct n values")
-    if np.any(arr[:, 1] <= 0.0):
+    if not np.all(arr[:, 1] > 0.0):
         raise NumericError("risks must be strictly positive for a log-log fit")
     x = np.log(arr[:, 0])
     y = np.log(arr[:, 1])
@@ -207,28 +212,23 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
 class _GridPlan:
     """Everything one (n, r) task needs; immutable and cheap to pickle."""
 
+    config: RunConfig
     seq: SequenceSpec
     n: int
     n_coef: int
     window: int   # alive window J <= n_coef
     tau: float    # noise sd with the coordinates beyond J folded in
-    eta: float
-    seed: int
     beta: np.ndarray
     weights: np.ndarray
     tail: float
-    variants: tuple
-    pen_const_known: float
-    pen_const_unknown: float
-    scales_prefix: PenaltyScales | None
-    m_bound_known: int | None
+    scales: PenaltyScales | None  # known-degree scales up to the admissible bound
 
 
 def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     """Sample moments of replicate r, drawn from a Bartlett factor over the
     alive window (module docstring: law, error event and draw layout)."""
     n, window = plan.n, plan.window
-    rng = substream(plan.seed, n, r)
+    rng = substream(plan.config.seed, n, r)
     width = min(n, window + 1)
     factor = np.zeros((window + 1, width))
     diag = np.arange(width)
@@ -246,19 +246,22 @@ def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     return SampleMoments(ghat=ghat, lhat=lhat, sigma_y2=float(u @ u) / n, n=n)
 
 
+def select(plan: _GridPlan, mom: SampleMoments, variant: str) -> SelectionTrace:
+    """Run one selection variant of the plan's config on replicate moments."""
+    cfg = plan.config
+    if variant == "known_degree":
+        return select_known(mom, plan.weights, plan.scales, len(plan.scales), cfg.eta,
+                            cfg.pen_const_known)
+    return select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
+
+
 def _run_replicate(task):
     plan, r = task
     mom = replicate_moments(plan, r)
     curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.n_coef, plan.tail)
     record = {"curve": curve, "risk": {}, "m_hat": {}, "m_bound": {}}
-    for variant in plan.variants:
-        if variant == "known_degree":
-            trace = select_known(
-                mom, plan.weights, plan.scales_prefix, plan.m_bound_known,
-                plan.eta, plan.pen_const_known,
-            )
-        else:
-            trace = select_data_driven(mom, plan.weights, plan.eta, plan.pen_const_unknown)
+    for variant in plan.config.variant_names():
+        trace = select(plan, mom, variant)
         record["risk"][variant] = float(curve[trace.m_hat - 1])
         record["m_hat"][variant] = trace.m_hat
         record["m_bound"][variant] = trace.admissible_max
@@ -270,49 +273,40 @@ def experiment_plans(config):
     truncation, shared by the whole grid)."""
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
-    variants = config.variant_names()
 
     trunc = {n: config.j_max or default_truncation(seq, n) for n in grid}
     ref = max(trunc.values())
     slope_spec = SlopeSpec(seq, config.rho, ref)
     beta = make_slope(slope_spec).coefs
     tail_ref = slope_tail_bias(slope_spec, seq.s)
+    omega = seq.risk_weights(ref)
 
     plans = []
     for n in grid:
         n_coef = trunc[n]
-        weights = seq.risk_weights(n_coef)
         window = alive_window(seq, n, n_coef)
         folded = seq.eigenvalues(n_coef)[window:] * beta[window:n_coef] ** 2
         tau = float(np.sqrt(config.sigma**2 + np.sum(folded)))
-        if n_coef < ref:
-            j = np.arange(n_coef + 1, ref + 1, dtype=float)
-            band = float(np.sum(j ** (2.0 * seq.s) * beta[n_coef:] ** 2))
-        else:
-            band = 0.0
-        scales_prefix = None
-        m_bound_known = None
-        if "known_degree" in variants:
-            scales = intrinsic_scales(seq, n)
-            m_bound_known = min(bound_M(seq, scales, n), n_coef)
-            scales_prefix = PenaltyScales(
-                scales.delta[:m_bound_known],
-                scales.Delta[:m_bound_known],
-                scales.kappa[:m_bound_known],
-                scales.log_delta[:m_bound_known],
-                scales.log_Delta[:m_bound_known],
-                scales.log_kappa[:m_bound_known],
-            )
+        band = float(np.sum(omega[n_coef:] * beta[n_coef:] ** 2))  # n_coef < j <= ref
+        scales = None
+        if "known_degree" in config.variant_names():
+            m_bound = min(bound_M(seq, intrinsic_scales(seq, n), n), n_coef)
+            scales = intrinsic_scales(seq, m_bound)  # = prefix of the length-n scales
         plans.append(
             _GridPlan(
-                seq=seq, n=n, n_coef=n_coef, window=window, tau=tau, eta=config.eta,
-                seed=config.seed, beta=beta, weights=weights, tail=band + tail_ref,
-                variants=variants, pen_const_known=config.pen_const_known,
-                pen_const_unknown=config.pen_const_unknown,
-                scales_prefix=scales_prefix, m_bound_known=m_bound_known,
+                config=config, seq=seq, n=n, n_coef=n_coef, window=window, tau=tau,
+                beta=beta, weights=omega[:n_coef], tail=band + tail_ref, scales=scales,
             )
         )
     return plans
+
+
+def _require_finite(grid, **fields) -> None:
+    """Raise NumericError naming the first field and n with a non-finite value."""
+    for name, values in fields.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericError(f"{name} is not finite at n = {grid[bad[0]]}")
 
 
 def run_experiment(config, workers: int = 1):
@@ -335,32 +329,26 @@ def run_experiment(config, workers: int = 1):
     else:
         results = [_run_replicate(t) for t in tasks]
 
+    blocks = [results[gi * reps : (gi + 1) * reps] for gi in range(len(grid))]
     # the oracle benchmark is variant-independent: best fixed m per grid point
-    oracle_m = np.empty(len(grid), dtype=int)
-    oracle_val = np.empty(len(grid))
-    for gi in range(len(grid)):
-        block = results[gi * reps : (gi + 1) * reps]
-        mean_curve = np.mean(np.vstack([rec["curve"] for rec in block]), axis=0)
-        best = int(np.argmin(mean_curve)) + 1
-        oracle_m[gi] = best
-        oracle_val[gi] = mean_curve[best - 1]
+    oracle = [_best_fixed_dim([rec["curve"] for rec in block]) for block in blocks]
+    oracle_m = np.array([m for m, _ in oracle])
+    oracle_val = np.array([value for _, value in oracle])
+    _require_finite(grid, oracle_risk=oracle_val)
     theoretical = np.array(
         [theoretical_rate(seq, n) if n >= 3 else np.nan for n in grid]
     )
 
     reports = []
     for variant in variants:
-        mean_risk = np.empty(len(grid))
-        median_risk = np.empty(len(grid))
-        median_m_hat = np.empty(len(grid))
-        median_m_bound = np.empty(len(grid))
-        for gi in range(len(grid)):
-            block = results[gi * reps : (gi + 1) * reps]
-            risks = np.array([rec["risk"][variant] for rec in block])
-            mean_risk[gi] = np.mean(risks)
-            median_risk[gi] = np.median(risks)
-            median_m_hat[gi] = np.median([rec["m_hat"][variant] for rec in block])
-            median_m_bound[gi] = np.median([rec["m_bound"][variant] for rec in block])
+        values = {key: [np.array([rec[key][variant] for rec in block]) for block in blocks]
+                  for key in ("risk", "m_hat", "m_bound")}
+        mean_risk = np.array([np.mean(risks) for risks in values["risk"]])
+        median_risk, median_m_hat, median_m_bound = (
+            np.array([np.median(v) for v in values[key]]) for key in ("risk", "m_hat", "m_bound")
+        )
+        _require_finite(grid, mean_risk=mean_risk, median_risk=median_risk,
+                        median_m_hat=median_m_hat, median_M_hat=median_m_bound)
         if len(grid) >= 2:
             floored = np.maximum(median_risk, _RISK_FLOOR)
             slope = fit_slope(list(zip(grid, floored)))

@@ -27,7 +27,10 @@ import numpy as np
 __all__ = [
     "SequenceSpec",
     "PenaltyScales",
+    "regime_violations",
+    "delta_factor",
     "intrinsic_scales",
+    "weight_cap",
     "bound_M",
     "bound_N",
     "balance_m_star",
@@ -37,6 +40,22 @@ __all__ = [
 ]
 
 _REGIMES = ("PP", "EP", "PE")
+
+
+def regime_violations(regime: str, a: float, p: float, s: float) -> list:
+    """Messages for every violated regime constraint, at most one per field."""
+    if regime not in _REGIMES:
+        return [f"regime: must be one of {', '.join(_REGIMES)}, got {regime!r}"]
+    errors = []
+    a_floor, a_text = (0.0, "0") if regime == "PE" else (0.5, "1/2")
+    if not a > a_floor:
+        errors.append(f"a: must satisfy a > {a_text} under regime {regime}, got {a}")
+    p_floor, p_text = (0.0, "0") if regime == "EP" else (max(0.0, s), "max(0, s)")
+    if not p > p_floor:
+        errors.append(
+            f"p: must satisfy p > {p_text} under regime {regime}, got p = {p} with s = {s}"
+        )
+    return errors
 
 
 @dataclass(frozen=True)
@@ -67,18 +86,9 @@ class SequenceSpec:
     enforce_pair: bool = False
 
     def __post_init__(self):
-        if self.regime not in _REGIMES:
-            raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        if self.regime in ("PP", "EP") and not self.a > 0.5:
-            raise ValueError(f"regime {self.regime} requires a > 1/2, got a = {self.a}")
-        if self.regime == "PE" and not self.a > 0.0:
-            raise ValueError(f"regime PE requires a > 0, got a = {self.a}")
-        if self.regime in ("PP", "PE") and not self.p > max(0.0, self.s):
-            raise ValueError(
-                f"regime {self.regime} requires p > max(0, s), got p = {self.p}, s = {self.s}"
-            )
-        if self.regime == "EP" and not self.p > 0.0:
-            raise ValueError(f"regime EP requires p > 0, got p = {self.p}")
+        errors = regime_violations(self.regime, self.a, self.p, self.s)
+        if errors:
+            raise ValueError("; ".join(errors))
 
     # -- exact log-space sequences (index arrays are 1-based values j = 1..J) --
 
@@ -157,6 +167,13 @@ class PenaltyScales:
         return int(self.delta.size)
 
 
+def delta_factor(log_kappa: np.ndarray) -> np.ndarray:
+    """|log(kappa_m v (m+2)) / log(m+2)| for m = 1..len(log_kappa), from log kappa_m
+    (the larger of the two logs, so log_kappa = -inf gives the factor 1)."""
+    log_m2 = np.log(np.arange(1, log_kappa.size + 1, dtype=float) + 2.0)
+    return np.abs(np.maximum(log_kappa, log_m2) / log_m2)
+
+
 def intrinsic_scales(spec: SequenceSpec, length: int) -> PenaltyScales:
     """Compute the intrinsic penalty scales delta, Delta, kappa up to m = length."""
     log_omega = spec.log_risk_weights(length)
@@ -165,9 +182,7 @@ def intrinsic_scales(spec: SequenceSpec, length: int) -> PenaltyScales:
 
     log_Delta = np.maximum.accumulate(log_omega - log_lam)
     log_kappa = np.maximum.accumulate(np.maximum(log_omega, 0.0) - log_lam)
-    log_m2 = np.log(m + 2.0)
-    # |log(kappa_m v (m+2)) / log(m+2)|, with log(kappa v (m+2)) = max of logs
-    factor = np.abs(np.maximum(log_kappa, log_m2) / log_m2)
+    factor = delta_factor(log_kappa)
     log_delta = np.log(m) + log_Delta + np.log(factor)
 
     omega = spec.risk_weights(length)
@@ -195,15 +210,17 @@ def bound_M(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
     return int(ok[-1]) + 1 if ok.size else 1
 
 
+def weight_cap(weights: np.ndarray, n: int) -> int:
+    """Largest N <= len(weights) with max_{j<=N} w_j <= n (at least 1)."""
+    ok = np.nonzero(np.maximum.accumulate(weights) <= n)[0]
+    return int(ok[-1]) + 1 if ok.size else 1
+
+
 def bound_N(spec: SequenceSpec, n: int) -> int:
     """Largest N in 1..n with max_{j<=N} omega_j <= n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if spec.s <= 0.0:
-        return n
-    running_max = np.maximum.accumulate(spec.risk_weights(n))
-    ok = np.nonzero(running_max <= n)[0]
-    return int(ok[-1]) + 1 if ok.size else 1
+    return weight_cap(spec.risk_weights(n), n)
 
 
 def balance_m_star(spec: SequenceSpec, n: int) -> int:

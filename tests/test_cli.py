@@ -53,6 +53,14 @@ def test_unwritable_out_dir_exits_2(config_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "rates"])
+def test_workers_flag_only_on_mc_risk(config_file, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+              "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_rates_table(config_file, tmp_path):
     out = tmp_path / "rates_out"
     code = main(["rates", "--config", str(config_file), "--out", str(out),
@@ -147,6 +155,20 @@ def test_numeric_failure_exits_3(config_file, tmp_path, monkeypatch, capsys):
     code = main(["mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", "sigma=1e200"), ("estimate", "sigma=1e200"), ("mc-risk", "sigma=1e200"),
+    ("mc-risk", "p=1e300"), ("mc-risk", "s=-1e300"),
+])
+def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, command,
+                                               override):
+    # sigma**2 overflows; a huge p or -s makes the slope's tail bias NaN
+    code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", override])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric failure" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override, key", [("sigma=nan", "sigma"), ("a=inf", "a"),

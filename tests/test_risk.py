@@ -130,6 +130,8 @@ class TestFitSlope:
     def test_zero_risk_rejected(self):
         with pytest.raises(NumericError):
             fit_slope([(10, 1.0), (20, 0.0)])
+        with pytest.raises(NumericError):
+            fit_slope([(10, np.nan), (20, 1.0)])
 
     def test_needs_two_distinct_n(self):
         with pytest.raises(ValueError):
@@ -329,8 +331,8 @@ class TestReplicateEngine:
                 # the engine's error event never shows at this budget
                 assert not np.any(unit_mom.lhat[plan.window:] >= 1.0 / n)
                 for mom, out in ((unit_mom, unit), (replicate_moments(plan, r), engine)):
-                    trace = cf.select_data_driven(mom, plan.weights, plan.eta,
-                                                  plan.pen_const_unknown)
+                    trace = cf.select_data_driven(mom, plan.weights, plan.config.eta,
+                                                  plan.config.pen_const_unknown)
                     curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights,
                                                  plan.n_coef, plan.tail)
                     out.append((trace.m_hat, trace.admissible_max, curve[trace.m_hat - 1]))

@@ -22,6 +22,8 @@ class TestSpecValidation:
     def test_pp_requires_a_above_half(self):
         with pytest.raises(ValueError, match="a > 1/2"):
             SequenceSpec("PP", a=0.4, p=2.0, s=0.0)
+        with pytest.raises(ValueError, match=r"a: .*a > 1/2.*; p: .*p > max\(0, s\)"):
+            SequenceSpec("PP", a=0.4, p=-1)
 
     def test_pe_allows_small_a(self):
         SequenceSpec("PE", a=0.3, p=1.0, s=0.0)
