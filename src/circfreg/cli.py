@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .basis import CoefVector
-from .config import ConfigError, build_config, config_echo, _parse_raw
+from .config import ConfigError, build_config, config_echo, write_csv, _parse_raw
 from .datagen import simulate, write_sample_csv
 # select_data_driven and select_known are imported only for perfbench/traced_cli.py
 from .estimator import estimate_beta, select_data_driven, select_known, write_trace_csv
@@ -35,7 +35,7 @@ from .sequences import (
     bound_M,
     bound_N,
     intrinsic_scales,
-    theoretical_rate,
+    theoretical_rate_or_nan,
 )
 
 
@@ -56,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
         cmd.add_argument("--out", default=None, help="output directory (overrides out_dir)")
         if name == "mc-risk":
-            cmd.add_argument("--workers", type=int, default=1, help="worker process count")
+            cmd.add_argument("--workers", type=int, default=1,
+                             help="ignored: replicates always run in one process")
         cmd.add_argument(
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="config override applied after the file is parsed (repeatable)",
@@ -88,16 +89,8 @@ def _prepare_out_dir(cfg) -> Path:
     return out
 
 
-def _write_csv(path: Path, comment: str, header: str, rows) -> None:
-    """Write a '#' comment line, a header line and one line per row string."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n{header}\n")
-        fh.writelines(row + "\n" for row in rows)
-
-
 def _cmd_simulate(cfg, out: Path, echo: str) -> None:
-    plans = experiment_plans(cfg)
-    for plan in plans:
+    for plan in experiment_plans(cfg):
         slope = CoefVector(plan.beta[: plan.n_coef])
         sample = simulate(
             plan.seq, slope, plan.n, cfg.sigma, cfg.seed,
@@ -107,8 +100,7 @@ def _cmd_simulate(cfg, out: Path, echo: str) -> None:
 
 
 def _cmd_estimate(cfg, out: Path, echo: str) -> None:
-    plans = experiment_plans(cfg)
-    for plan in plans:
+    for plan in experiment_plans(cfg):
         for r in range(cfg.replications):
             mom = replicate_moments(plan, r)
             for variant in cfg.variant_names():
@@ -117,12 +109,12 @@ def _cmd_estimate(cfg, out: Path, echo: str) -> None:
                 write_trace_csv(trace, out / f"trace_{stem}.csv", echo)
                 coefs = estimate_beta(mom, trace.m_hat).coefs
                 rows = (f"{j},{float(v)!r}" for j, v in enumerate(coefs, start=1))
-                comment = f"{echo} | variant={variant} n={plan.n} r={r}"
-                _write_csv(out / f"betahat_{stem}.csv", comment, "j,coef", rows)
+                meta = f"variant={variant} n={plan.n} r={r}"
+                write_csv(out / f"betahat_{stem}.csv", echo, meta, "j,coef", rows)
 
 
-def _cmd_mc_risk(cfg, out: Path, echo: str, workers: int) -> None:
-    reports = run_experiment(cfg, workers=workers)
+def _cmd_mc_risk(cfg, out: Path, echo: str) -> None:
+    reports = run_experiment(cfg)
     write_risk_csv(reports, out / "risk_report.csv", echo)
 
 
@@ -132,11 +124,10 @@ def _cmd_rates(cfg, out: Path, echo: str) -> None:
     scales = intrinsic_scales(seq, n_max)
     rows = []
     for n in cfg.n_grid:
-        rate = theoretical_rate(seq, n) if n >= 3 else float("nan")
         rows.append(f"{n},{bound_M(seq, scales, n)},{bound_N(seq, n)},{balance_m_star(seq, n)},"
-                    f"{balance_m_dagger(seq, scales, n)},{rate!r}")
-    _write_csv(out / "rates.csv", echo, "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
-    _write_csv(out / "scales.csv", echo, "m,delta,Delta,kappa", (
+                    f"{balance_m_dagger(seq, scales, n)},{theoretical_rate_or_nan(seq, n)!r}")
+    write_csv(out / "rates.csv", echo, "", "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
+    write_csv(out / "scales.csv", echo, "", "m,delta,Delta,kappa", (
         f"{i + 1},{float(scales.delta[i])!r},{float(scales.Delta[i])!r},{float(scales.kappa[i])!r}"
         for i in range(n_max)
     ))
@@ -156,15 +147,10 @@ def main(argv=None) -> int:
         return 2
 
     echo = f"circfreg v{__version__} | {config_echo(cfg)}"
+    commands = {"simulate": _cmd_simulate, "estimate": _cmd_estimate,
+                "mc-risk": _cmd_mc_risk, "rates": _cmd_rates}
     try:
-        if args.command == "simulate":
-            _cmd_simulate(cfg, out, echo)
-        elif args.command == "estimate":
-            _cmd_estimate(cfg, out, echo)
-        elif args.command == "mc-risk":
-            _cmd_mc_risk(cfg, out, echo, args.workers)
-        else:
-            _cmd_rates(cfg, out, echo)
+        commands[args.command](cfg, out, echo)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .sequences import SequenceSpec, regime_violations
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_echo"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_echo",
+           "write_csv"]
 
 _REQUIRED = ("regime", "a", "p", "s", "sigma", "rho", "seed")
 _FIELDS = _REQUIRED + (
@@ -193,3 +194,12 @@ def serialize_config(cfg: RunConfig) -> str:
 def config_echo(cfg: RunConfig) -> str:
     """One-line config echo embedded in every output CSV."""
     return " ".join(f"{key}={_format(key, getattr(cfg, key))}" for key in _FIELDS)
+
+
+def write_csv(path, echo: str, meta: str, header: str, rows) -> None:
+    """Write the '# echo | meta' comment line, the header and one line per row
+    string; the separator appears only when both echo and meta are nonempty."""
+    comment = " | ".join(part for part in (echo, meta) if part)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {comment}\n{header}\n")
+        fh.writelines(row + "\n" for row in rows)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CoefVector
+from .config import write_csv
 from .sequences import SequenceSpec, balance_m_dagger, bound_N, intrinsic_scales
 
 __all__ = [
@@ -240,10 +241,8 @@ def write_sample_csv(sample: Sample, path, echo: str = "") -> None:
         f"seed={sample.seed} replicate={sample.replicate}"
     )
     header = "y," + ",".join(f"x_{j}" for j in range(1, sample.n_coef + 1))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {echo}{' | ' if echo else ''}{meta}\n")
-        fh.write(header + "\n")
-        for i in range(sample.n):
-            row = [repr(float(sample.y[i]))]
-            row.extend(repr(float(v)) for v in sample.xcoef[i])
-            fh.write(",".join(row) + "\n")
+    rows = (
+        ",".join([repr(float(sample.y[i]))] + [repr(float(v)) for v in sample.xcoef[i]])
+        for i in range(sample.n)
+    )
+    write_csv(path, echo, meta, header, rows)

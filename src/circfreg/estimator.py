@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CoefVector, _weight_array
+from .config import write_csv
 from .sequences import PenaltyScales, delta_factor, weight_cap
 
 __all__ = [
@@ -101,12 +102,17 @@ def contrast(mom: SampleMoments, w, m: int) -> float:
     return float(contrast_curve(mom, w, m)[m - 1])
 
 
+def _penalty(const, sigma_y2, eta, delta, n):
+    """The penalty const * sigma_Y^2 * eta * delta_m / n (elementwise in delta)."""
+    return const * sigma_y2 * eta * delta / n
+
+
 def penalty_known(
     scales: PenaltyScales, sigma_y2: float, eta: float, n: int, m: int,
     const: float = 192.0,
 ) -> float:
     """Penalty const * sigma_Y^2 * eta * delta_m / n with known scales."""
-    return float(const * sigma_y2 * eta * scales.delta[m - 1] / n)
+    return float(_penalty(const, sigma_y2, eta, scales.delta[m - 1], n))
 
 
 def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
@@ -134,7 +140,7 @@ def estimated_scales(mom: SampleMoments, w, m: int):
 def penalty_hat(mom: SampleMoments, w, eta: float, m: int, const: float = 1920.0) -> float:
     """Random penalty const * sigma_y2 * eta * delta_hat_m / n."""
     _, _, delta_hat = estimated_scales(mom, w, m)
-    return float(const * mom.sigma_y2 * eta * delta_hat / mom.n)
+    return float(_penalty(const, mom.sigma_y2, eta, delta_hat, mom.n))
 
 
 def bound_M_hat(mom: SampleMoments, w, n: int | None = None) -> int:
@@ -177,7 +183,7 @@ def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
             eta: float, pen_const: float) -> SelectionTrace:
     """Minimize contrast + pen_const sigma_y2 eta delta_m / n over m = 1..m_max."""
     crv = contrast_curve(mom, w, m_max)
-    pen = pen_const * mom.sigma_y2 * eta * delta / mom.n
+    pen = _penalty(pen_const, mom.sigma_y2, eta, delta, mom.n)
     m_hat = int(np.argmin(crv + pen)) + 1  # first minimum = smallest m
     return SelectionTrace(
         variant=variant, admissible_max=m_max, contrast=crv, penalty=pen,
@@ -215,11 +221,9 @@ def write_trace_csv(trace: SelectionTrace, path, echo: str = "") -> None:
         f"variant={trace.variant} admissible_max={trace.admissible_max} "
         f"m_hat={trace.m_hat} eta={trace.eta!r} pen_const={trace.pen_const!r}"
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {echo}{' | ' if echo else ''}{meta}\n")
-        fh.write("m,contrast,penalty,delta_used,admissible,chosen\n")
-        for i in range(trace.admissible_max):
-            fh.write(
-                f"{i + 1},{float(trace.contrast[i])!r},{float(trace.penalty[i])!r},"
-                f"{float(trace.delta_used[i])!r},1,{int(i + 1 == trace.m_hat)}\n"
-            )
+    rows = (
+        f"{i + 1},{float(trace.contrast[i])!r},{float(trace.penalty[i])!r},"
+        f"{float(trace.delta_used[i])!r},1,{int(i + 1 == trace.m_hat)}"
+        for i in range(trace.admissible_max)
+    )
+    write_csv(path, echo, meta, "m,contrast,penalty,delta_used,admissible,chosen", rows)

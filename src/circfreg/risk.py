@@ -3,7 +3,9 @@
 The experiment simulates the model over a grid of sample sizes, runs the
 selection rule(s) on every replicate, aggregates weighted-norm risks and fits
 the log-log slope of the median risk against n.  Replicates are keyed by
-(seed, n, r), so output is independent of worker count.
+(seed, n, r) and run one after another in one process: at well under a
+millisecond each, spreading them over worker processes costs more in start-up
+and pickling than it saves.
 
 Sufficient-statistic replicate engine.  The estimator reads a sample only
 through ghat_j, lhat_j and sigma_y2, and zeroes every coordinate with
@@ -42,13 +44,12 @@ reported risk, so the finite simulation never flatters the estimator.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _coef_array, _weight_array
-from .config import RunConfig
+from .basis import _coef_array, _weight_array, weighted_norm_sq
+from .config import RunConfig, write_csv
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
     SampleMoments,
@@ -63,7 +64,7 @@ from .sequences import (
     SequenceSpec,
     bound_M,
     intrinsic_scales,
-    theoretical_rate,
+    theoretical_rate_or_nan,
 )
 
 __all__ = [
@@ -102,13 +103,10 @@ def risk(beta_hat, beta, w) -> float:
     """Weighted squared-norm loss of beta_hat against beta (zero-padding)."""
     fc = _coef_array(beta_hat)
     gc = _coef_array(beta)
-    size = max(fc.size, gc.size)
-    diff = np.zeros(size)
+    diff = np.zeros(max(fc.size, gc.size))
     diff[: fc.size] = fc
     diff[: gc.size] -= gc
-    weights = _weight_array(w)
-    m = min(size, weights.size)
-    return float(np.sum(weights[:m] * diff[:m] ** 2))
+    return weighted_norm_sq(diff, w)
 
 
 def fixed_dim_risk_curve(
@@ -210,7 +208,7 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
 
 @dataclass(frozen=True)
 class _GridPlan:
-    """Everything one (n, r) task needs; immutable and cheap to pickle."""
+    """Everything the replicates at one grid size n need; immutable."""
 
     config: RunConfig
     seq: SequenceSpec
@@ -255,17 +253,15 @@ def select(plan: _GridPlan, mom: SampleMoments, variant: str) -> SelectionTrace:
     return select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
 
 
-def _run_replicate(task):
-    plan, r = task
+def _run_replicate(plan: _GridPlan, r: int):
+    """Risk curve of replicate r and, per variant, (risk, m_hat, M_hat)."""
     mom = replicate_moments(plan, r)
     curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.n_coef, plan.tail)
-    record = {"curve": curve, "risk": {}, "m_hat": {}, "m_bound": {}}
+    picks = []
     for variant in plan.config.variant_names():
         trace = select(plan, mom, variant)
-        record["risk"][variant] = float(curve[trace.m_hat - 1])
-        record["m_hat"][variant] = trace.m_hat
-        record["m_bound"][variant] = trace.admissible_max
-    return record
+        picks.append((float(curve[trace.m_hat - 1]), trace.m_hat, trace.admissible_max))
+    return curve, picks
 
 
 def experiment_plans(config):
@@ -280,13 +276,17 @@ def experiment_plans(config):
     beta = make_slope(slope_spec).coefs
     tail_ref = slope_tail_bias(slope_spec, seq.s)
     omega = seq.risk_weights(ref)
+    try:
+        noise_var = config.sigma**2
+    except OverflowError:
+        raise NumericError(f"sigma**2 overflows at sigma = {config.sigma!r}") from None
 
     plans = []
     for n in grid:
         n_coef = trunc[n]
         window = alive_window(seq, n, n_coef)
         folded = seq.eigenvalues(n_coef)[window:] * beta[window:n_coef] ** 2
-        tau = float(np.sqrt(config.sigma**2 + np.sum(folded)))
+        tau = float(np.sqrt(noise_var + np.sum(folded)))
         band = float(np.sum(omega[n_coef:] * beta[n_coef:] ** 2))  # n_coef < j <= ref
         scales = None
         if "known_degree" in config.variant_names():
@@ -309,43 +309,34 @@ def _require_finite(grid, **fields) -> None:
             raise NumericError(f"{name} is not finite at n = {grid[bad[0]]}")
 
 
-def run_experiment(config, workers: int = 1):
+def run_experiment(config):
     """Run the replicated Monte Carlo experiment described by a RunConfig.
 
     Returns one :class:`RiskReport` per selection variant.  Deterministic for
-    a fixed config at any worker count: every replicate is a pure function of
-    (seed, n, r) and aggregation order is fixed.
+    a fixed config: every replicate is a pure function of (seed, n, r) and
+    aggregation order is fixed.
     """
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
     reps = config.replications
-    variants = config.variant_names()
-    plans = experiment_plans(config)
 
-    tasks = [(plan, r) for plan in plans for r in range(reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, tasks, chunksize=1))
-    else:
-        results = [_run_replicate(t) for t in tasks]
-
-    blocks = [results[gi * reps : (gi + 1) * reps] for gi in range(len(grid))]
+    # per n: the oracle, and per variant the R-vectors of (risk, m_hat, M_hat)
+    oracle, stats = [], []
+    for plan in experiment_plans(config):
+        curves, picks = zip(*(_run_replicate(plan, r) for r in range(reps)))
+        oracle.append(_best_fixed_dim(curves))
+        stats.append([[np.array(col) for col in zip(*per_variant)]
+                      for per_variant in zip(*picks)])
     # the oracle benchmark is variant-independent: best fixed m per grid point
-    oracle = [_best_fixed_dim([rec["curve"] for rec in block]) for block in blocks]
-    oracle_m = np.array([m for m, _ in oracle])
-    oracle_val = np.array([value for _, value in oracle])
+    oracle_m, oracle_val = (np.array(col) for col in zip(*oracle))
     _require_finite(grid, oracle_risk=oracle_val)
-    theoretical = np.array(
-        [theoretical_rate(seq, n) if n >= 3 else np.nan for n in grid]
-    )
+    theoretical = np.array([theoretical_rate_or_nan(seq, n) for n in grid])
 
     reports = []
-    for variant in variants:
-        values = {key: [np.array([rec[key][variant] for rec in block]) for block in blocks]
-                  for key in ("risk", "m_hat", "m_bound")}
-        mean_risk = np.array([np.mean(risks) for risks in values["risk"]])
+    for vi, variant in enumerate(config.variant_names()):
+        mean_risk = np.array([np.mean(per_n[vi][0]) for per_n in stats])
         median_risk, median_m_hat, median_m_bound = (
-            np.array([np.median(v) for v in values[key]]) for key in ("risk", "m_hat", "m_bound")
+            np.array([np.median(per_n[vi][k]) for per_n in stats]) for k in range(3)
         )
         _require_finite(grid, mean_risk=mean_risk, median_risk=median_risk,
                         median_m_hat=median_m_hat, median_M_hat=median_m_bound)
@@ -377,17 +368,13 @@ def write_risk_csv(reports, path, echo: str = "") -> None:
     """Serialize RiskReports to CSV with one row per (variant, n)."""
     fmt = lambda x: repr(float(x))  # shortest round-trip decimal
     slopes = " ".join(f"slope_{rep.variant}={fmt(rep.slope)}" for rep in reports)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {echo}{' | ' if echo else ''}{slopes}\n")
-        fh.write(
-            "n,variant,mean_risk,median_risk,median_m_hat,median_M_hat,"
-            "oracle_m,oracle_risk,theoretical_rate\n"
-        )
-        for rep in reports:
-            for gi, n in enumerate(rep.n_grid):
-                fh.write(
-                    f"{n},{rep.variant},{fmt(rep.mean_risk[gi])},{fmt(rep.median_risk[gi])},"
-                    f"{fmt(rep.median_m_hat[gi])},{fmt(rep.median_m_bound[gi])},"
-                    f"{int(rep.oracle_m[gi])},{fmt(rep.oracle_risk[gi])},"
-                    f"{fmt(rep.theoretical[gi])}\n"
-                )
+    header = ("n,variant,mean_risk,median_risk,median_m_hat,median_M_hat,"
+              "oracle_m,oracle_risk,theoretical_rate")
+    rows = (
+        f"{n},{rep.variant},{fmt(rep.mean_risk[gi])},{fmt(rep.median_risk[gi])},"
+        f"{fmt(rep.median_m_hat[gi])},{fmt(rep.median_m_bound[gi])},"
+        f"{int(rep.oracle_m[gi])},{fmt(rep.oracle_risk[gi])},{fmt(rep.theoretical[gi])}"
+        for rep in reports
+        for gi, n in enumerate(rep.n_grid)
+    )
+    write_csv(path, echo, slopes, header, rows)

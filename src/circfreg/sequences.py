@@ -36,6 +36,7 @@ __all__ = [
     "balance_m_star",
     "balance_m_dagger",
     "theoretical_rate",
+    "theoretical_rate_or_nan",
     "summability_check",
 ]
 
@@ -267,6 +268,11 @@ def theoretical_rate(spec: SequenceSpec, n: int) -> float:
     if spec.regime == "EP":
         return float(np.log(n) ** ((2.0 * a + 1.0 + 2.0 * s) / (2.0 * p)) / n)
     return float(np.log(n) ** (-(p - s) / a))
+
+
+def theoretical_rate_or_nan(spec: SequenceSpec, n: int) -> float:
+    """theoretical_rate at n, or NaN where it is undefined (n < 3)."""
+    return theoretical_rate(spec, n) if n >= 3 else float("nan")
 
 
 def summability_check(scales: PenaltyScales, length: int) -> float:

@@ -1,3 +1,5 @@
+import multiprocessing.process
+
 import numpy as np
 import pytest
 
@@ -124,11 +126,15 @@ def test_estimate_both_variants(config_file, tmp_path):
         assert (out / f"betahat_{variant}_n40_r0.csv").exists()
 
 
-def test_mc_risk_byte_identical_and_worker_invariant(config_file, tmp_path):
-    # identical config (same out_dir) rerun at several worker counts
+def test_mc_risk_byte_identical_and_worker_invariant(config_file, tmp_path, monkeypatch):
+    # identical config (same out_dir) rerun at several worker counts; --workers
+    # is accepted but every replicate runs in this process
     out = tmp_path / "rep"
     runs = []
     for workers in ("1", "1", "2"):
+        if workers == "2":
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                                lambda self: pytest.fail("mc-risk started a worker process"))
         code = main(["mc-risk", "--config", str(config_file), "--out", str(out),
                      "--workers", workers])
         assert code == 0
@@ -169,6 +175,8 @@ def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert code == 3
     assert "numeric failure" in err and "Traceback" not in err
+    if override.startswith("sigma="):
+        assert "sigma" in err.split("numeric failure", 1)[1]
 
 
 @pytest.mark.parametrize("override, key", [("sigma=nan", "sigma"), ("a=inf", "a"),

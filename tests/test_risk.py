@@ -177,15 +177,6 @@ class TestRunExperiment:
         write_risk_csv(b, pb, echo="x")
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path):
-        cfg = tiny_config(replications=4)
-        serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=2)
-        p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        write_risk_csv(serial, p1, echo="x")
-        write_risk_csv(parallel, p2, echo="x")
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_csv_layout(self, tmp_path):
         reports = run_experiment(tiny_config(variant="data_driven"))
         path = tmp_path / "report.csv"
