@@ -127,9 +127,12 @@ def _cmd_rates(cfg, out: Path, echo: str) -> None:
         rows.append(f"{n},{bound_M(seq, scales, n)},{bound_N(seq, n)},{balance_m_star(seq, n)},"
                     f"{balance_m_dagger(seq, scales, n)},{theoretical_rate_or_nan(seq, n)!r}")
     write_csv(out / "rates.csv", echo, "", "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
+    # the table ends before the first m whose linear scales overflow (golden PE: m = 700)
+    finite = np.isfinite(scales.delta) & np.isfinite(scales.Delta) & np.isfinite(scales.kappa)
+    m_last = int(np.argmin(np.append(finite, False)))
     write_csv(out / "scales.csv", echo, "", "m,delta,Delta,kappa", (
         f"{i + 1},{float(scales.delta[i])!r},{float(scales.Delta[i])!r},{float(scales.kappa[i])!r}"
-        for i in range(n_max)
+        for i in range(m_last)
     ))
 
 

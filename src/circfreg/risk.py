@@ -274,7 +274,7 @@ def experiment_plans(config):
     ref = max(trunc.values())
     slope_spec = SlopeSpec(seq, config.rho, ref)
     beta = make_slope(slope_spec).coefs
-    tail_ref = slope_tail_bias(slope_spec, seq.s)
+    tail_ref = slope_tail_bias(slope_spec)
     omega = seq.risk_weights(ref)
     try:
         noise_var = config.sigma**2

@@ -1,9 +1,16 @@
 import multiprocessing.process
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circfreg.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = """
 regime = PP
@@ -77,6 +84,18 @@ def test_rates_table(config_file, tmp_path):
     assert scales_lines[1] == "m,delta,Delta,kappa"
     first = scales_lines[2].split(",")
     assert first[0] == "1" and float(first[1]) == 1.0
+
+
+def test_rates_scales_finite_on_golden_pe(tmp_path):
+    # exp(m) overflows the linear scales from m = 700 on; the table stops there
+    out = tmp_path / "pe_rates"
+    code = main(["rates", "--config", str(ROOT / "configs" / "golden_pe.cfg"), "--out", str(out)])
+    assert code == 0
+    lines = (out / "scales.csv").read_text().splitlines()
+    assert lines[1] == "m,delta,Delta,kappa"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.all(np.isfinite(rows))
+    assert rows.shape == (699, 4) and np.array_equal(rows[:, 0], np.arange(1, 700))
 
 
 def test_simulate_writes_samples(config_file, tmp_path):
@@ -186,3 +205,27 @@ def test_nonfinite_override_exits_2(config_file, tmp_path, capsys, override, key
                  "--override", override])
     assert code == 2
     assert f"config error: {key}: must be finite" in capsys.readouterr().err
+
+
+def test_nonconvergent_ep_tail_exits_3_promptly(config_file, tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", "regime=EP", "--override", "p=0.05"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric failure" in err and "p = 0.05" in err
+    assert elapsed < 20.0
+
+
+def test_mc_risk_imports_no_scipy(config_file, tmp_path):
+    # a fresh interpreter: the test process itself has scipy loaded
+    script = ("import sys\nfrom circfreg.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "mc-risk", "--config", str(config_file),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.stdout.split() == ["0", "[]"], result.stderr

@@ -64,13 +64,41 @@ class TestMakeSlope:
         c = slope_scale(spec)
         j = np.arange(31, 200001, dtype=float)
         direct = float(np.sum((c * j ** -3.5) ** 2))  # s = 0
-        assert slope_tail_bias(spec, 0.0) == pytest.approx(direct, rel=1e-9)
+        assert slope_tail_bias(spec) == pytest.approx(direct, rel=1e-9)
         del slope_long
 
     def test_tail_bias_ep_converges(self):
         seq = SequenceSpec("EP", a=1.0, p=1.0, s=0.0)
-        tail = slope_tail_bias(SlopeSpec(seq, radius=1.0, n_coef=5), 0.0)
+        tail = slope_tail_bias(SlopeSpec(seq, radius=1.0, n_coef=5))
         assert 0.0 < tail < 1e-10
+
+    @pytest.mark.parametrize("regime", ["PP", "PE"])
+    @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, 5.0])
+    def test_tail_bias_matches_hurwitz_zeta(self, regime, p):
+        from scipy.special import zeta
+
+        from circfreg.datagen import slope_scale
+
+        for s in (-1.0, 0.0, 0.25):
+            for n_coef in (1, 5, 60, 4000, 8000):
+                spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=p, s=s), radius=1.0,
+                                 n_coef=n_coef)
+                # sum_{j > n_coef} j^(2s) (c j^-(p + 3/2))^2
+                expected = slope_scale(spec) ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
+                assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-13)
+
+    def test_tail_bias_ep_slow_decay_matches_direct_sum(self):
+        from circfreg.datagen import slope_scale
+
+        spec = SlopeSpec(SequenceSpec("EP", a=1.0, p=0.1, s=0.0), radius=1.0, n_coef=4000)
+        # (c exp(-j^0.2 / 2) / j)^2 summed over 2^25 indices, far past where
+        # the terms stop mattering in float64
+        total = 0.0
+        for start in range(4001, 4001 + 2**25, 2**20):
+            j = np.arange(start, start + 2**20, dtype=float)
+            total += float(np.sum(np.exp(-(j**0.2)) / j**2))
+        expected = slope_scale(spec) ** 2 * total
+        assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSimulate:

@@ -158,7 +158,7 @@ class TestRunExperiment:
         # one simulated coefficient, no noise: the estimator nails the single
         # coordinate and the reported risk is exactly the analytic tail bias
         seq = cfg.sequence_spec()
-        tail = cf.slope_tail_bias(SlopeSpec(seq, 1.0, 1), 0.0)
+        tail = cf.slope_tail_bias(SlopeSpec(seq, 1.0, 1))
         assert report.mean_risk[0] == pytest.approx(tail, rel=1e-12)
         assert np.isnan(report.slope)
 
