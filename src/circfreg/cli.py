@@ -89,8 +89,20 @@ def _prepare_out_dir(cfg) -> Path:
     return out
 
 
+# largest sample simulate writes, in values: 2^24 floats make a CSV of about 350 MB
+_SIMULATE_VALUES = 2**24
+
+
 def _cmd_simulate(cfg, out: Path, echo: str) -> None:
-    for plan in experiment_plans(cfg):
+    plans = experiment_plans(cfg)
+    too_large = [
+        f"simulate: n = {plan.n} with n_coef = {plan.n_coef} is "
+        f"{plan.n * (plan.n_coef + 1)} values, over the 2^24 budget"
+        for plan in plans if plan.n * (plan.n_coef + 1) > _SIMULATE_VALUES
+    ]
+    if too_large:
+        raise ConfigError(too_large)
+    for plan in plans:
         slope = CoefVector(plan.beta[: plan.n_coef])
         sample = simulate(
             plan.seq, slope, plan.n, cfg.sigma, cfg.seed,
@@ -138,22 +150,16 @@ def _cmd_rates(cfg, out: Path, echo: str) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"simulate": _cmd_simulate, "estimate": _cmd_estimate,
+                "mc-risk": _cmd_mc_risk, "rates": _cmd_rates}
     try:
         cfg = _load_config(args)
         out = _prepare_out_dir(cfg)
+        commands[args.command](cfg, out, f"circfreg v{__version__} | {config_echo(cfg)}")
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    echo = f"circfreg v{__version__} | {config_echo(cfg)}"
-    commands = {"simulate": _cmd_simulate, "estimate": _cmd_estimate,
-                "mc-risk": _cmd_mc_risk, "rates": _cmd_rates}
-    try:
-        commands[args.command](cfg, out, echo)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

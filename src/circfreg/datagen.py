@@ -24,6 +24,8 @@ with the same law and the same (seed, n, r) key but other realized draws.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +69,8 @@ class SlopeSpec:
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
     if spec.seq.regime == "EP":
-        return -0.5 * j ** (2.0 * spec.seq.p) - np.log(j)
+        with np.errstate(over="ignore"):  # j^(2p) = inf is the exact limit: shape 0
+            return -0.5 * j ** (2.0 * spec.seq.p) - np.log(j)
     return -(spec.seq.p + 0.5 + 1.0) * np.log(j)
 
 
@@ -230,15 +233,52 @@ def covariance_kernel(spec: SequenceSpec, n_coef: int, u) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+# (y, xcoef) of the sample being written, held under _rows_lock; pool workers
+# read it from the memory they inherit through fork, so no array is pickled
+_rows = None
+_rows_lock = threading.Lock()
+
+# values formatted per block: large enough to amortize a pool round trip, small
+# enough that the blocks in flight stay a few MB
+_BLOCK_VALUES = 2**16
+
+
+def _format_rows(bounds) -> str:
+    """Rows a..b-1 of the sample being written, newline-separated."""
+    a, b = bounds
+    y, xcoef = _rows
+    block = np.column_stack((y[a:b], xcoef[a:b])).tolist()
+    return "\n".join(",".join(map(repr, row)) for row in block)
+
+
 def write_sample_csv(sample: Sample, path, echo: str = "") -> None:
-    """Write one row per unit: Y, X_1..X_J, after a single comment line."""
+    """Write one row per unit: Y, X_1..X_J, after a single comment line.
+
+    Blocks of rows are formatted on every CPU the process may run on and
+    written in order, so the bytes do not depend on the CPU count.
+    """
+    global _rows
     meta = (
         f"n={sample.n} n_coef={sample.n_coef} sigma={sample.sigma!r} "
         f"seed={sample.seed} replicate={sample.replicate}"
     )
     header = "y," + ",".join(f"x_{j}" for j in range(1, sample.n_coef + 1))
-    rows = (
-        ",".join([repr(float(sample.y[i]))] + [repr(float(v)) for v in sample.xcoef[i]])
-        for i in range(sample.n)
-    )
-    write_csv(path, echo, meta, header, rows)
+    step = max(1, _BLOCK_VALUES // (sample.n_coef + 1))
+    blocks = [(a, min(a + step, sample.n)) for a in range(0, sample.n, step)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(blocks))
+    with _rows_lock:
+        _rows = (sample.y, sample.xcoef)
+        try:
+            if workers < 2:
+                write_csv(path, echo, meta, header, map(_format_rows, blocks))
+            else:
+                # imported here, so that mc-risk and estimate never load it; fork,
+                # not spawn, since workers only format inherited arrays, and spawn
+                # would import numpy again in each of them and pickle the sample
+                import multiprocessing
+
+                with multiprocessing.get_context("fork").Pool(workers) as pool:
+                    write_csv(path, echo, meta, header, pool.imap(_format_rows, blocks))
+        finally:
+            _rows = None

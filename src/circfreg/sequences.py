@@ -106,7 +106,8 @@ class SequenceSpec:
         """log gamma_j for j = 1..length."""
         j = self._indices(length)
         if self.regime == "EP":
-            return j ** (2.0 * self.p) - 1.0
+            with np.errstate(over="ignore"):  # gamma_j = inf is the exact limit
+                return j ** (2.0 * self.p) - 1.0
         return 2.0 * self.p * np.log(j)
 
     def _eigen_indices(self, length: int) -> np.ndarray:

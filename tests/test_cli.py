@@ -218,14 +218,65 @@ def test_nonconvergent_ep_tail_exits_3_promptly(config_file, tmp_path, capsys):
     assert elapsed < 20.0
 
 
-def test_mc_risk_imports_no_scipy(config_file, tmp_path):
-    # a fresh interpreter: the test process itself has scipy loaded
+def _fresh_run(*args, flags=(), report="[]"):
+    # a fresh interpreter: the test process itself has scipy and multiprocessing loaded
     script = ("import sys\nfrom circfreg.cli import main\ncode = main(sys.argv[1:])\n"
-              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+              f"print(code, {report})")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", script, "mc-risk", "--config", str(config_file),
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def _loaded(prefix: str) -> str:
+    return f"sorted(m for m in sys.modules if m.startswith({prefix!r}))"
+
+
+def test_mc_risk_imports_no_scipy(config_file, tmp_path):
+    result = _fresh_run("mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                        report=_loaded("scipy"))
     assert result.stdout.split() == ["0", "[]"], result.stderr
+
+
+@pytest.mark.parametrize("command", ["mc-risk", "estimate"])
+def test_mc_risk_and_estimate_import_no_multiprocessing(config_file, tmp_path, command):
+    # only simulate's sample writer starts worker processes
+    result = _fresh_run(command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                        report=_loaded("multiprocessing"))
+    assert result.stdout.split() == ["0", "[]"], result.stderr
+
+
+def test_ep_power_overflow_raises_no_warning(config_file, tmp_path):
+    # gamma_j = j^(2p) = inf is the exact limit at p = 1e300; it must not warn
+    result = _fresh_run("mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                        "--override", "regime=EP", "--override", "p=1e300",
+                        flags=("-W", "error::RuntimeWarning"))
+    assert result.stdout.split()[:1] in (["0"], ["2"], ["3"]), result.stderr
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+def test_simulate_over_size_budget_exits_2_before_writing(tmp_path, capsys):
+    # golden PE at n = 8000 simulates 8000 x 8001 values, a CSV of about 1.4 GB
+    out = tmp_path / "pe_sim"
+    code = main(["simulate", "--config", str(ROOT / "configs" / "golden_pe.cfg"),
+                 "--out", str(out), "--override", "n_grid=500,8000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: simulate: n = 8000 with n_coef = 8000" in err
+    assert "n = 500 " not in err
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_golden_pp_within_size_budget(tmp_path, monkeypatch):
+    # the largest golden PP sample, 4000 x 4001 values, fits the 2^24 budget;
+    # the draws and the 360 MB write are replaced by a record of the calls
+    import circfreg.cli as cli_module
+
+    sizes = []
+    monkeypatch.setattr(cli_module, "simulate",
+                        lambda seq, slope, n, *args, n_coef, **kwargs: (n, n_coef))
+    monkeypatch.setattr(cli_module, "write_sample_csv",
+                        lambda sample, path, echo: sizes.append(sample))
+    code = main(["simulate", "--config", str(ROOT / "configs" / "golden_pp.cfg"),
+                 "--out", str(tmp_path / "pp_sim"), "--override", "n_grid=250,4000"])
+    assert code == 0
+    assert sizes == [(250, 250), (4000, 4000)]

@@ -1,3 +1,6 @@
+import multiprocessing.process
+import os
+
 import numpy as np
 import pytest
 
@@ -218,4 +221,36 @@ class TestSubstreamAndCsv:
         first = [float(v) for v in lines[2].split(",")]
         assert first[0] == sample.y[0]
         assert np.array_equal(first[1:], sample.xcoef[0])
+
+    @staticmethod
+    def _reference_csv(sample, echo) -> bytes:
+        meta = (f"n={sample.n} n_coef={sample.n_coef} sigma={sample.sigma!r} "
+                f"seed={sample.seed} replicate={sample.replicate}")
+        header = "y," + ",".join(f"x_{j}" for j in range(1, sample.n_coef + 1))
+        lines = [f"# {echo} | {meta}", header]
+        for i in range(sample.n):
+            values = [sample.y[i]] + list(sample.xcoef[i])
+            lines.append(",".join(repr(float(v)) for v in values))
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("n, n_coef, cpus, workers", [
+        (700, 199, 1, 0), (700, 199, 2, 2), (1, 40, 2, 0),
+    ])
+    def test_sample_csv_bytes_match_row_by_row_reference(self, tmp_path, monkeypatch, n,
+                                                         n_coef, cpus, workers):
+        # 700 rows of 200 values span three blocks of 2^16 values; the pool
+        # starts only when there are at least two CPUs and two blocks
+        rng = substream(5, n, n_coef)
+        y, xcoef = rng.standard_normal(n), rng.standard_normal((n, n_coef)) * 1e-3
+        xcoef[0, :3] = (0.1, 1e300, -5e-324)
+        sample = cf.Sample(y=y, xcoef=xcoef, sigma=0.25, seed=5, replicate=(n, 0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        starts = []
+        real_start = multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda self: starts.append(self) or real_start(self))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path, echo="unit test")
+        assert path.read_bytes() == self._reference_csv(sample, "unit test")
+        assert len(starts) == workers
 
