@@ -23,6 +23,7 @@ from .datagen import simulate, write_sample_csv
 from .estimator import estimate_beta, select_data_driven, select_known, write_trace_csv
 from .risk import (
     NumericError,
+    _require_finite,
     experiment_plans,
     replicate_moments,
     run_experiment,
@@ -93,7 +94,7 @@ def _prepare_out_dir(cfg) -> Path:
 _SIMULATE_VALUES = 2**24
 
 
-def _cmd_simulate(cfg, out: Path, echo: str) -> None:
+def _cmd_simulate(cfg, echo: str) -> None:
     plans = experiment_plans(cfg)
     too_large = [
         f"simulate: n = {plan.n} with n_coef = {plan.n_coef} is "
@@ -102,35 +103,41 @@ def _cmd_simulate(cfg, out: Path, echo: str) -> None:
     ]
     if too_large:
         raise ConfigError(too_large)
+    out = _prepare_out_dir(cfg)
     for plan in plans:
-        slope = CoefVector(plan.beta[: plan.n_coef])
         sample = simulate(
-            plan.seq, slope, plan.n, cfg.sigma, cfg.seed,
+            plan.seq, CoefVector(plan.beta), plan.n, cfg.sigma, cfg.seed,
             replicate=(plan.n, 0), n_coef=plan.n_coef,
         )
         write_sample_csv(sample, out / f"sample_n{plan.n}.csv", echo)
 
 
-def _cmd_estimate(cfg, out: Path, echo: str) -> None:
+def _cmd_estimate(cfg, echo: str) -> None:
+    out = _prepare_out_dir(cfg)
     for plan in experiment_plans(cfg):
         for r in range(cfg.replications):
             mom = replicate_moments(plan, r)
             for variant in cfg.variant_names():
                 trace = select(plan, mom, variant)
+                coefs = estimate_beta(mom, trace.m_hat).coefs
+                _require_finite(lambda _: f"n = {plan.n}, r = {r}, variant = {variant}",
+                                contrast=trace.contrast, penalty=trace.penalty,
+                                delta_used=trace.delta_used, coef=coefs)
                 stem = f"{variant}_n{plan.n}_r{r}"
                 write_trace_csv(trace, out / f"trace_{stem}.csv", echo)
-                coefs = estimate_beta(mom, trace.m_hat).coefs
                 rows = (f"{j},{float(v)!r}" for j, v in enumerate(coefs, start=1))
                 meta = f"variant={variant} n={plan.n} r={r}"
                 write_csv(out / f"betahat_{stem}.csv", echo, meta, "j,coef", rows)
 
 
-def _cmd_mc_risk(cfg, out: Path, echo: str) -> None:
+def _cmd_mc_risk(cfg, echo: str) -> None:
+    out = _prepare_out_dir(cfg)
     reports = run_experiment(cfg)
     write_risk_csv(reports, out / "risk_report.csv", echo)
 
 
-def _cmd_rates(cfg, out: Path, echo: str) -> None:
+def _cmd_rates(cfg, echo: str) -> None:
+    out = _prepare_out_dir(cfg)
     seq = cfg.sequence_spec()
     n_max = max(cfg.n_grid)
     scales = intrinsic_scales(seq, n_max)
@@ -154,8 +161,7 @@ def main(argv=None) -> int:
                 "mc-risk": _cmd_mc_risk, "rates": _cmd_rates}
     try:
         cfg = _load_config(args)
-        out = _prepare_out_dir(cfg)
-        commands[args.command](cfg, out, f"circfreg v{__version__} | {config_echo(cfg)}")
+        commands[args.command](cfg, f"circfreg v{__version__} | {config_echo(cfg)}")
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)

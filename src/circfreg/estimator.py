@@ -42,8 +42,8 @@ class SampleMoments:
     """Empirical cross-moments of a sample.
 
     ghat_j = (1/n) sum_i Y_i [X_i]_j, lhat_j = (1/n) sum_i [X_i]_j^2 and
-    sigma_y2 is the empirical second moment of Y (uncentered by default,
-    matching the mean-zero model).
+    sigma_y2 is the empirical second moment of Y (uncentered, matching the
+    mean-zero model).
     """
 
     ghat: np.ndarray
@@ -56,18 +56,16 @@ class SampleMoments:
         return int(self.ghat.size)
 
 
-def moments(sample, centered: bool = False) -> SampleMoments:
-    """Empirical moments of a Sample; ``centered`` switches the Y-variance
-    estimate to the centered sample variance."""
+def moments(sample) -> SampleMoments:
+    """Empirical moments of a Sample."""
     n = sample.n
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
     y, x = sample.y, sample.xcoef
     g = np.einsum("i,ij->j", y, x)
     l = np.einsum("ij,ij->j", x, x)
-    syy = float(np.einsum("i,i->", y, y))
-    sigma_y2 = syy / n - (float(np.sum(y)) / n) ** 2 if centered else syy / n
-    return SampleMoments(ghat=g / n, lhat=l / n, sigma_y2=float(sigma_y2), n=n)
+    sigma_y2 = float(np.einsum("i,i->", y, y)) / n
+    return SampleMoments(ghat=g / n, lhat=l / n, sigma_y2=sigma_y2, n=n)
 
 
 def _check_dim(mom: SampleMoments, m: int):
@@ -143,14 +141,14 @@ def penalty_hat(mom: SampleMoments, w, eta: float, m: int, const: float = 1920.0
     return float(_penalty(const, mom.sigma_y2, eta, delta_hat, mom.n))
 
 
-def bound_M_hat(mom: SampleMoments, w, n: int | None = None) -> int:
+def bound_M_hat(mom: SampleMoments, w) -> int:
     """Random admissible-model bound.
 
     Largest M below the weight cap N with lhat_M / (M max(w_M, 1)) >= log(n)/n;
     falls back to 1 when no index qualifies.  Uses only quantities computable
     from the sample and the risk weights.
     """
-    n = mom.n if n is None else n
+    n = mom.n
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     weights = _weight_array(w)

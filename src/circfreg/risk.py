@@ -109,31 +109,26 @@ def risk(beta_hat, beta, w) -> float:
     return weighted_norm_sq(diff, w)
 
 
-def fixed_dim_risk_curve(
-    mom: SampleMoments, beta, w, m_max: int | None = None, tail: float = 0.0
-) -> np.ndarray:
+def fixed_dim_risk_curve(mom: SampleMoments, beta, w, m_max: int, tail: float = 0.0) -> np.ndarray:
     """Risk of the fixed-dimension estimator against beta for m = 1..m_max.
 
-    Entry m-1 holds sum_{j<=m} w_j (bhat_j - beta_j)^2 + sum_{j>m} w_j beta_j^2
-    + tail, where bhat is the thresholded coefficient ratio.
+    Entry m-1 holds sum_{j<=m} w_j (bhat_j - beta_j)^2
+    + sum_{m<j<=m_max} w_j beta_j^2 + tail, where bhat is the thresholded
+    coefficient ratio.  Only the first m_max entries of beta and w are read:
+    coordinates past m_max enter only through ``tail``.
     """
-    if m_max is None:
-        m_max = mom.n_coef
-    beta_arr = _coef_array(beta)
-    weights = _weight_array(w)
-    length = max(m_max, beta_arr.size)
-    wpad = np.zeros(length)
-    wpad[: min(length, weights.size)] = weights[: min(length, weights.size)]
-    b = np.zeros(length)
-    b[: beta_arr.size] = beta_arr
-
-    sq_err = wpad[:m_max] * (_thresholded_ratio(mom, mom.ghat[:m_max]) - b[:m_max]) ** 2
-    bias_terms = wpad * b * b
-    cum_bias = np.cumsum(bias_terms)
-    return np.cumsum(sq_err) + (cum_bias[-1] - cum_bias[:m_max]) + tail
+    b, weights = _coef_array(beta), _weight_array(w)
+    if b.size < m_max or weights.size < m_max:
+        raise ValueError(
+            f"beta (length {b.size}) and w (length {weights.size}) must reach m_max = {m_max}"
+        )
+    b, weights = b[:m_max], weights[:m_max]
+    sq_err = weights * (_thresholded_ratio(mom, mom.ghat[:m_max]) - b) ** 2
+    cum_bias = np.cumsum(weights * b * b)
+    return np.cumsum(sq_err) + (cum_bias[-1] - cum_bias) + tail
 
 
-def oracle_risk(samples, beta, w, m_max: int, tail: float = 0.0):
+def oracle_risk(samples, beta, w, m_max: int):
     """Best fixed dimension in hindsight: (best_m, mean risk at best_m).
 
     ``samples`` is an iterable of Sample or SampleMoments; the mean risk over
@@ -142,7 +137,7 @@ def oracle_risk(samples, beta, w, m_max: int, tail: float = 0.0):
     curves = []
     for s in samples:
         mom = s if isinstance(s, SampleMoments) else moments(s)
-        curves.append(fixed_dim_risk_curve(mom, beta, w, m_max, tail))
+        curves.append(fixed_dim_risk_curve(mom, beta, w, m_max))
     if not curves:
         raise ValueError("need at least one replicate")
     return _best_fixed_dim(curves)
@@ -184,8 +179,6 @@ class RiskReport:
     oracle_risk: np.ndarray
     theoretical: np.ndarray
     slope: float
-    replications: int
-    seed: int
 
 
 def log_chi2_tail_bound(n: int, log_t) -> np.ndarray:
@@ -216,7 +209,7 @@ class _GridPlan:
     n_coef: int
     window: int   # alive window J <= n_coef
     tau: float    # noise sd with the coordinates beyond J folded in
-    beta: np.ndarray
+    beta: np.ndarray  # slope coefficients 1..n_coef
     weights: np.ndarray
     tail: float
     scales: PenaltyScales | None  # known-degree scales up to the admissible bound
@@ -295,18 +288,19 @@ def experiment_plans(config):
         plans.append(
             _GridPlan(
                 config=config, seq=seq, n=n, n_coef=n_coef, window=window, tau=tau,
-                beta=beta, weights=omega[:n_coef], tail=band + tail_ref, scales=scales,
+                beta=beta[:n_coef], weights=omega[:n_coef], tail=band + tail_ref, scales=scales,
             )
         )
     return plans
 
 
-def _require_finite(grid, **fields) -> None:
-    """Raise NumericError naming the first field and n with a non-finite value."""
+def _require_finite(where, **fields) -> None:
+    """Raise NumericError naming the first field with a non-finite entry and
+    ``where(i)``, the place of its first such entry i."""
     for name, values in fields.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise NumericError(f"{name} is not finite at n = {grid[bad[0]]}")
+            raise NumericError(f"{name} is not finite at {where(bad[0])}")
 
 
 def run_experiment(config):
@@ -318,18 +312,18 @@ def run_experiment(config):
     """
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
-    reps = config.replications
 
     # per n: the oracle, and per variant the R-vectors of (risk, m_hat, M_hat)
     oracle, stats = [], []
     for plan in experiment_plans(config):
-        curves, picks = zip(*(_run_replicate(plan, r) for r in range(reps)))
+        curves, picks = zip(*(_run_replicate(plan, r) for r in range(config.replications)))
         oracle.append(_best_fixed_dim(curves))
         stats.append([[np.array(col) for col in zip(*per_variant)]
                       for per_variant in zip(*picks)])
     # the oracle benchmark is variant-independent: best fixed m per grid point
     oracle_m, oracle_val = (np.array(col) for col in zip(*oracle))
-    _require_finite(grid, oracle_risk=oracle_val)
+    at_n = lambda gi: f"n = {grid[gi]}"
+    _require_finite(at_n, oracle_risk=oracle_val)
     theoretical = np.array([theoretical_rate_or_nan(seq, n) for n in grid])
 
     reports = []
@@ -338,7 +332,7 @@ def run_experiment(config):
         median_risk, median_m_hat, median_m_bound = (
             np.array([np.median(per_n[vi][k]) for per_n in stats]) for k in range(3)
         )
-        _require_finite(grid, mean_risk=mean_risk, median_risk=median_risk,
+        _require_finite(at_n, mean_risk=mean_risk, median_risk=median_risk,
                         median_m_hat=median_m_hat, median_M_hat=median_m_bound)
         if len(grid) >= 2:
             floored = np.maximum(median_risk, _RISK_FLOOR)
@@ -357,8 +351,6 @@ def run_experiment(config):
                 oracle_risk=oracle_val,
                 theoretical=theoretical,
                 slope=slope,
-                replications=reps,
-                seed=config.seed,
             )
         )
     return reports

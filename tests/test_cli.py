@@ -173,7 +173,7 @@ def test_numeric_failure_exits_3(config_file, tmp_path, monkeypatch, capsys):
     import circfreg.cli as cli_module
     from circfreg import NumericError
 
-    def explode(cfg, workers=1):
+    def explode(cfg):
         raise NumericError("synthetic numeric breakdown")
 
     monkeypatch.setattr(cli_module, "run_experiment", explode)
@@ -196,6 +196,17 @@ def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, com
     assert "numeric failure" in err and "Traceback" not in err
     if override.startswith("sigma="):
         assert "sigma" in err.split("numeric failure", 1)[1]
+
+
+def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys):
+    # sigma**2 = 1e308 is finite, but sigma_y2 and with it the penalty overflow
+    code = main(["estimate", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", "sigma=1e154"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert ("numeric failure: penalty is not finite at n = 40, r = 0, "
+            "variant = data_driven") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("override, key", [("sigma=nan", "sigma"), ("a=inf", "a"),
@@ -263,7 +274,7 @@ def test_simulate_over_size_budget_exits_2_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: simulate: n = 8000 with n_coef = 8000" in err
     assert "n = 500 " not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_simulate_golden_pp_within_size_budget(tmp_path, monkeypatch):

@@ -68,13 +68,6 @@ class TestMoments:
         mom = moments(sample)
         assert mom.ghat[0] == 0.0 and mom.lhat[0] == 1.0
 
-    def test_centered_option(self):
-        from circfreg.datagen import Sample
-
-        sample = Sample(y=np.array([1.0, 3.0]), xcoef=np.ones((2, 1)), sigma=0.0, seed=0)
-        assert moments(sample).sigma_y2 == 5.0         # (1 + 9)/2
-        assert moments(sample, centered=True).sigma_y2 == 1.0
-
     def test_eigenvalue_estimates_unbiased(self):
         slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=8))
         n = 10**5

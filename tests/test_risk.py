@@ -70,6 +70,13 @@ class TestFixedDimCurve:
         shifted = fixed_dim_risk_curve(mom, beta, np.ones(3), 3, tail=0.25)
         assert np.allclose(shifted - base, 0.25)
 
+    @pytest.mark.parametrize("beta_len, w_len", [(1, 3), (3, 1)])
+    def test_short_beta_or_weights_rejected(self, beta_len, w_len):
+        # a length-1 array would otherwise broadcast over all m_max entries
+        mom = SampleMoments(ghat=np.ones(3), lhat=np.ones(3), sigma_y2=1.0, n=100)
+        with pytest.raises(ValueError, match=f"length {beta_len}.*length {w_len}.*m_max = 3"):
+            fixed_dim_risk_curve(mom, np.ones(beta_len), np.ones(w_len), 3)
+
 
 class TestOracle:
     def test_noiseless_exact_moments(self):
@@ -288,7 +295,7 @@ class TestReplicateEngine:
             sy2 = np.array([m.sigma_y2 for m in moms])
             assert np.all(lhat[:, window:] == 0.0) and np.all(ghat[:, window:] == 0.0)
             lam = plan.seq.eigenvalues(plan.n_coef)
-            beta = plan.beta[: plan.n_coef]
+            beta = plan.beta
             for got, target in (
                 (lhat[:, :window], lam[:window]),
                 (ghat[:, :window], (lam * beta)[:window]),
@@ -313,7 +320,7 @@ class TestReplicateEngine:
         for cfg, reps in cases:
             plan = experiment_plans(cfg)[0]
             seq, n = plan.seq, plan.n
-            slope = CoefVector(plan.beta[: plan.n_coef])
+            slope = CoefVector(plan.beta)
             unit, engine = [], []
             for r in range(reps):
                 sample = simulate(seq, slope, n, cfg.sigma, cfg.seed + 100,
