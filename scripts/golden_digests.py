@@ -50,6 +50,9 @@ RUNS = (
     ("pe_mc_w2", "mc-risk", "golden_pe.cfg", ("--workers", "2")),
     ("pe_mc_both", "mc-risk", "golden_pe.cfg", BOTH),
     ("pe_est", "estimate", "golden_pe.cfg", BOTH + _overrides("replications=2")),
+    # alive window J of 7..13 against n_coef up to 10^6
+    ("pe_mc_wide", "mc-risk", "golden_pe.cfg",
+     BOTH + _overrides("n_grid=500,8000,100000,1000000", "replications=20")),
     ("ep_rates", "rates", "golden_pp.cfg", _overrides("regime=EP", "p=1")),
     ("ep_mc", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("regime=EP", "p=1", "replications=50")),

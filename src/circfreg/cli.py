@@ -19,15 +19,15 @@ from . import __version__
 from .basis import CoefVector
 from .config import ConfigError, build_config, config_echo, write_csv, _parse_raw
 from .datagen import simulate, write_sample_csv
-# select_data_driven and select_known are imported only for perfbench/traced_cli.py
+# replicate_moments, select_data_driven and select_known: for perfbench/traced_cli.py
 from .estimator import estimate_beta, select_data_driven, select_known, write_trace_csv
 from .risk import (
     NumericError,
     _require_finite,
     experiment_plans,
     replicate_moments,
+    replicate_traces,
     run_experiment,
-    select,
     write_risk_csv,
 )
 from .sequences import (
@@ -116,17 +116,15 @@ def _cmd_estimate(cfg, echo: str) -> None:
     out = _prepare_out_dir(cfg)
     for plan in experiment_plans(cfg):
         for r in range(cfg.replications):
-            mom = replicate_moments(plan, r)
-            for variant in cfg.variant_names():
-                trace = select(plan, mom, variant)
+            mom, traces = replicate_traces(plan, r)
+            for trace in traces:
                 coefs = estimate_beta(mom, trace.m_hat).coefs
-                _require_finite(lambda _: f"n = {plan.n}, r = {r}, variant = {variant}",
-                                contrast=trace.contrast, penalty=trace.penalty,
-                                delta_used=trace.delta_used, coef=coefs)
-                stem = f"{variant}_n{plan.n}_r{r}"
+                stem = f"{trace.variant}_n{plan.n}_r{r}"
+                _require_finite(lambda _: f"n = {plan.n}, r = {r}, variant = {trace.variant}",
+                                coef=coefs)
                 write_trace_csv(trace, out / f"trace_{stem}.csv", echo)
                 rows = (f"{j},{float(v)!r}" for j, v in enumerate(coefs, start=1))
-                meta = f"variant={variant} n={plan.n} r={r}"
+                meta = f"variant={trace.variant} n={plan.n} r={r}"
                 write_csv(out / f"betahat_{stem}.csv", echo, meta, "j,coef", rows)
 
 

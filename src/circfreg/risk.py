@@ -23,13 +23,16 @@ n x (n_coef + 1) per-unit Gaussians of :func:`circfreg.datagen.simulate`:
   shape (J+1) x min(n, J+1) with chi_{n-i+1} on the diagonal and N(0, 1)
   below it (Bartlett; for n <= J, B is the transposed R factor of a QR
   factorization of V).  Then lhat_j = lambda_j |B_j|^2 / n,
-  ghat_j = sqrt(lambda_j) (B B'c)_j / n and sigma_y2 = |B'c|^2 / n, and the
-  arrays are zero-padded to n_coef.
+  ghat_j = sqrt(lambda_j) (B B'c)_j / n and sigma_y2 = |B'c|^2 / n, for
+  j = 1..J only.
 
 The outputs have the per-unit law except on the error event {lhat_j >= 1/n
 for some j > J}, of probability at most ALIVE_EPS.  Outside it every
 coordinate beyond J is thresholded away, and it also lies beyond M_hat,
-whose condition implies lhat_M >= M log(n)/n > 1/n.
+whose condition implies lhat_M >= M log(n)/n > 1/n, and beyond M_n, whose
+condition implies lambda_M >= M/(delta_1 n).  So the moments stop at J, and
+the risk curve and the oracle run over m <= J: past J the fixed-m estimator
+equals the one at J.
 
 Layout, fixed for reproducibility: the generator is substream(seed, n, r),
 the key of the per-unit path, but the realized draws differ from it.  Rows
@@ -53,7 +56,6 @@ from .config import RunConfig, write_csv
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
     SampleMoments,
-    SelectionTrace,
     _thresholded_ratio,
     moments,
     select_data_driven,
@@ -78,7 +80,7 @@ __all__ = [
     "alive_window",
     "experiment_plans",
     "replicate_moments",
-    "select",
+    "replicate_traces",
     "run_experiment",
     "write_risk_csv",
 ]
@@ -109,35 +111,33 @@ def risk(beta_hat, beta, w) -> float:
     return weighted_norm_sq(diff, w)
 
 
-def fixed_dim_risk_curve(mom: SampleMoments, beta, w, m_max: int, tail: float = 0.0) -> np.ndarray:
-    """Risk of the fixed-dimension estimator against beta for m = 1..m_max.
+def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.ndarray:
+    """Risk of the fixed-dimension estimator against beta for m = 1..mom.n_coef.
 
     Entry m-1 holds sum_{j<=m} w_j (bhat_j - beta_j)^2
-    + sum_{m<j<=m_max} w_j beta_j^2 + tail, where bhat is the thresholded
-    coefficient ratio.  Only the first m_max entries of beta and w are read:
-    coordinates past m_max enter only through ``tail``.
+    + sum_{m<j<=len(beta)} w_j beta_j^2 + tail, where bhat is the thresholded
+    coefficient ratio.  beta and w have one length, at least mom.n_coef;
+    coordinates past that length enter only through ``tail``.
     """
-    b, weights = _coef_array(beta), _weight_array(w)
-    if b.size < m_max or weights.size < m_max:
-        raise ValueError(
-            f"beta (length {b.size}) and w (length {weights.size}) must reach m_max = {m_max}"
-        )
-    b, weights = b[:m_max], weights[:m_max]
-    sq_err = weights * (_thresholded_ratio(mom, mom.ghat[:m_max]) - b) ** 2
+    b, weights, m = _coef_array(beta), _weight_array(w), mom.n_coef
+    if b.size != weights.size or b.size < m:
+        raise ValueError(f"beta (length {b.size}) and w (length {weights.size}) must have "
+                         f"one length, at least the {m} moments")
+    sq_err = weights[:m] * (_thresholded_ratio(mom, mom.ghat) - b[:m]) ** 2
     cum_bias = np.cumsum(weights * b * b)
-    return np.cumsum(sq_err) + (cum_bias[-1] - cum_bias) + tail
+    return np.cumsum(sq_err) + (cum_bias[-1] - cum_bias[:m]) + tail
 
 
-def oracle_risk(samples, beta, w, m_max: int):
+def oracle_risk(samples, beta, w):
     """Best fixed dimension in hindsight: (best_m, mean risk at best_m).
 
-    ``samples`` is an iterable of Sample or SampleMoments; the mean risk over
-    replicates is minimized over fixed m with smallest-m tie-break.
+    ``samples`` is an iterable of Sample or SampleMoments of one length; their
+    mean risk is minimized over fixed m with smallest-m tie-break.
     """
     curves = []
     for s in samples:
         mom = s if isinstance(s, SampleMoments) else moments(s)
-        curves.append(fixed_dim_risk_curve(mom, beta, w, m_max))
+        curves.append(fixed_dim_risk_curve(mom, beta, w))
     if not curves:
         raise ValueError("need at least one replicate")
     return _best_fixed_dim(curves)
@@ -207,7 +207,7 @@ class _GridPlan:
     seq: SequenceSpec
     n: int
     n_coef: int
-    window: int   # alive window J <= n_coef
+    window: int   # alive window J <= n_coef: the length of every replicate's moments
     tau: float    # noise sd with the coordinates beyond J folded in
     beta: np.ndarray  # slope coefficients 1..n_coef
     weights: np.ndarray
@@ -230,31 +230,34 @@ def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     lam = plan.seq.eigenvalues(window)
     root = np.sqrt(lam)
     u = np.append(root * plan.beta[:window], plan.tau) @ factor  # B'c
-    ghat = np.zeros(plan.n_coef)
-    lhat = np.zeros(plan.n_coef)
-    ghat[:window] = root * (factor[:window] @ u) / n
-    lhat[:window] = lam * np.einsum("ij,ij->i", factor[:window], factor[:window]) / n
+    ghat = root * (factor[:window] @ u) / n
+    lhat = lam * np.einsum("ij,ij->i", factor[:window], factor[:window]) / n
     return SampleMoments(ghat=ghat, lhat=lhat, sigma_y2=float(u @ u) / n, n=n)
 
 
-def select(plan: _GridPlan, mom: SampleMoments, variant: str) -> SelectionTrace:
-    """Run one selection variant of the plan's config on replicate moments."""
-    cfg = plan.config
-    if variant == "known_degree":
-        return select_known(mom, plan.weights, plan.scales, len(plan.scales), cfg.eta,
-                            cfg.pen_const_known)
-    return select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
+def replicate_traces(plan: _GridPlan, r: int):
+    """Moments of replicate r and the SelectionTrace of each variant of the
+    plan's config, each checked finite."""
+    cfg, mom = plan.config, replicate_moments(plan, r)
+    traces = []
+    for variant in cfg.variant_names():
+        if variant == "known_degree":
+            trace = select_known(mom, plan.weights, plan.scales, len(plan.scales), cfg.eta,
+                                 cfg.pen_const_known)
+        else:
+            trace = select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
+        _require_finite(lambda _: f"n = {plan.n}, r = {r}, variant = {variant}",
+                        contrast=trace.contrast, penalty=trace.penalty,
+                        delta_used=trace.delta_used)
+        traces.append(trace)
+    return mom, traces
 
 
 def _run_replicate(plan: _GridPlan, r: int):
     """Risk curve of replicate r and, per variant, (risk, m_hat, M_hat)."""
-    mom = replicate_moments(plan, r)
-    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.n_coef, plan.tail)
-    picks = []
-    for variant in plan.config.variant_names():
-        trace = select(plan, mom, variant)
-        picks.append((float(curve[trace.m_hat - 1]), trace.m_hat, trace.admissible_max))
-    return curve, picks
+    mom, traces = replicate_traces(plan, r)
+    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.tail)
+    return curve, [(float(curve[t.m_hat - 1]), t.m_hat, t.admissible_max) for t in traces]
 
 
 def experiment_plans(config):

@@ -128,8 +128,9 @@ class SequenceSpec:
     # -- linear-scale views (direct powers, so integer-valued entries are exact)
 
     def risk_weights(self, length: int) -> np.ndarray:
-        """omega_j = j^(2s) for j = 1..length."""
-        return self._indices(length) ** (2.0 * self.s)
+        """omega_j = j^(2s) for j = 1..length (may overflow to inf for large s)."""
+        with np.errstate(over="ignore"):  # omega_j = inf is the exact limit
+            return self._indices(length) ** (2.0 * self.s)
 
     def smoothness_weights(self, length: int) -> np.ndarray:
         """gamma_j for j = 1..length (may overflow to inf in regime EP)."""
@@ -267,7 +268,11 @@ def theoretical_rate(spec: SequenceSpec, n: int) -> float:
             return float(np.log(n) / n)
         return float(max(n ** (-(2.0 * p - 2.0 * s) / (2.0 * a + 2.0 * p + 1.0)), 1.0 / n))
     if spec.regime == "EP":
-        return float(np.log(n) ** ((2.0 * a + 1.0 + 2.0 * s) / (2.0 * p)) / n)
+        with np.errstate(over="ignore"):
+            rate = float(np.log(n) ** ((2.0 * a + 1.0 + 2.0 * s) / (2.0 * p)) / n)
+        if rate == np.inf:
+            raise OverflowError(f"theoretical_rate overflows at n = {n}")
+        return rate
     return float(np.log(n) ** (-(p - s) / a))
 
 

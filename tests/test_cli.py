@@ -1,12 +1,17 @@
+import contextlib
+import io
 import multiprocessing.process
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circfreg.cli import main
 
@@ -198,14 +203,25 @@ def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, com
         assert "sigma" in err.split("numeric failure", 1)[1]
 
 
-def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["estimate", "mc-risk"])
+def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys, command):
     # sigma**2 = 1e308 is finite, but sigma_y2 and with it the penalty overflow
-    code = main(["estimate", "--config", str(config_file), "--out", str(tmp_path / "o"),
+    code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
                  "--override", "sigma=1e154"])
     err = capsys.readouterr().err
     assert code == 3
     assert ("numeric failure: penalty is not finite at n = 40, r = 0, "
             "variant = data_driven") in err
+    assert "Traceback" not in err
+
+
+def test_ep_rate_overflow_exits_3(config_file, tmp_path, capsys):
+    # (log n)^((2a + 1 + 2s) / (2p)) overflows at a = 1e300
+    code = main(["rates", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", "regime=EP", "--override", "a=1e300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric failure: theoretical_rate overflows at n = 40" in err
     assert "Traceback" not in err
 
 
@@ -257,12 +273,17 @@ def test_mc_risk_and_estimate_import_no_multiprocessing(config_file, tmp_path, c
 
 
 def test_ep_power_overflow_raises_no_warning(config_file, tmp_path):
-    # gamma_j = j^(2p) = inf is the exact limit at p = 1e300; it must not warn
-    result = _fresh_run("mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
-                        "--override", "regime=EP", "--override", "p=1e300",
-                        flags=("-W", "error::RuntimeWarning"))
-    assert result.stdout.split()[:1] in (["0"], ["2"], ["3"]), result.stderr
-    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+    # gamma_j = j^(2p) = inf at p = 1e300 and omega_j = j^(2s) = inf at
+    # s = 300 are exact limits; they must not warn
+    cases = [("mc-risk", "regime=EP", "p=1e300")]
+    cases += [(command, "s=300", "p=400") for command in ("rates", "estimate", "simulate")]
+    for command, *overrides in cases:
+        extra = [arg for item in overrides for arg in ("--override", item)]
+        result = _fresh_run(command, "--config", str(config_file), "--out",
+                            str(tmp_path / command), *extra,
+                            flags=("-W", "error::RuntimeWarning"))
+        assert result.stdout.split()[:1] in (["0"], ["2"], ["3"]), (command, result.stderr)
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr, command
 
 
 def test_simulate_over_size_budget_exits_2_before_writing(tmp_path, capsys):
@@ -291,3 +312,81 @@ def test_simulate_golden_pp_within_size_budget(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "pp_sim"), "--override", "n_grid=250,4000"])
     assert code == 0
     assert sizes == [(250, 250), (4000, 4000)]
+
+
+def _nonfinite_outputs(out: Path, one_point_grid: bool) -> list:
+    """(file, field) of every non-finite float in the CSVs under out, apart
+    from the documented NaNs: theoretical_rate at n < 3 and the slope of a
+    one-point n_grid."""
+    bad = []
+    for path in sorted(out.glob("*.csv")):
+        comment, header, *rows = path.read_text().splitlines()
+        for token in comment.partition(" | ")[2].split():
+            key, _, value = token.partition("=")
+            allowed = key.startswith("slope_") and one_point_grid
+            if _is_nonfinite(value) and not allowed:
+                bad.append((path.name, key))
+        names = header.split(",")
+        for row in rows:
+            cells = dict(zip(names, row.split(",")))
+            for key, value in cells.items():
+                allowed = key == "theoretical_rate" and int(cells["n"]) < 3
+                if _is_nonfinite(value) and not allowed:
+                    bad.append((path.name, key))
+    return bad
+
+
+def _is_nonfinite(text: str) -> bool:
+    try:
+        return not np.isfinite(float(text))
+    except ValueError:  # a variant name or another non-numeric token
+        return False
+
+
+# plain ranges, and edge values that a run may take for at most two keys;
+# p stays off (0, 0.3): an EP slope tail that slow takes seconds to reject
+# (test_nonconvergent_ep_tail_exits_3_promptly covers it)
+_PLAIN = {"a": (0.55, 4.0), "p": (1.0, 6.0), "s": (-1.0, 1.0), "sigma": (0.0, 3.0),
+          "rho": (0.01, 10.0), "eta": (1.0, 10.0), "pen_const_known": (1e-3, 10.0),
+          "pen_const_unknown": (1e-3, 10.0)}
+_EDGES = {"a": (0.3, 1e-300, 50.0, 1e300), "p": (0.3, 300.0, 400.0, 1e300),
+          "s": (2.0, 300.0, -1e300), "sigma": (0.0, 1e-300, 1e154, 1e200),
+          "rho": (1e-300, 1e154, 1e300), "eta": (0.5, 1e300),
+          "pen_const_known": (1e-300, 1e300), "pen_const_unknown": (1e-300, 1e300)}
+
+
+@st.composite
+def _values(draw):
+    values = {key: draw(st.floats(low, high)) for key, (low, high) in _PLAIN.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=2)):
+        values[key] = draw(st.sampled_from(_EDGES[key]))
+    return values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["rates", "estimate", "mc-risk", "simulate"]),
+    regime=st.sampled_from(["PP", "EP", "PE"]),
+    values=_values(),
+    n_grid=st.lists(st.integers(2, 60), min_size=1, max_size=3, unique=True).map(sorted),
+    replications=st.integers(1, 2),
+    j_max=st.one_of(st.just("none"), st.integers(1, 40).map(str)),
+    enforce_pair=st.booleans(),
+)
+def test_any_override_exits_0_2_or_3_and_writes_only_finite_floats(
+        command, regime, values, n_grid, replications, j_max, enforce_pair):
+    overrides = {"regime": regime, **{k: repr(v) for k, v in values.items()},
+                 "n_grid": ",".join(map(str, n_grid)), "replications": str(replications),
+                 "j_max": j_max, "enforce_pair": str(enforce_pair).lower(), "variant": "both"}
+    with tempfile.TemporaryDirectory() as work:
+        config, out = Path(work) / "run.cfg", Path(work) / "out"
+        config.write_text(BASE)
+        argv = [command, "--config", str(config), "--out", str(out)]
+        for key, value in overrides.items():
+            argv += ["--override", f"{key}={value}"]
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert _nonfinite_outputs(out, len(n_grid) == 1) == []

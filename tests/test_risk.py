@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ class TestFixedDimCurve:
                             sigma_y2=1.0, n=100)
         beta = CoefVector(rng.normal(size=8))
         w = np.ones(8)
-        curve = fixed_dim_risk_curve(mom, beta, w, 8)
+        curve = fixed_dim_risk_curve(mom, beta, w)
         for m in range(1, 9):
             direct = risk(cf.estimate_beta(mom, m), beta, w)
             assert curve[m - 1] == pytest.approx(direct, rel=1e-12)
@@ -66,16 +67,23 @@ class TestFixedDimCurve:
     def test_tail_added_to_every_entry(self):
         mom = SampleMoments(ghat=np.zeros(3), lhat=np.ones(3), sigma_y2=1.0, n=100)
         beta = CoefVector(np.zeros(3))
-        base = fixed_dim_risk_curve(mom, beta, np.ones(3), 3)
-        shifted = fixed_dim_risk_curve(mom, beta, np.ones(3), 3, tail=0.25)
+        base = fixed_dim_risk_curve(mom, beta, np.ones(3))
+        shifted = fixed_dim_risk_curve(mom, beta, np.ones(3), tail=0.25)
         assert np.allclose(shifted - base, 0.25)
 
-    @pytest.mark.parametrize("beta_len, w_len", [(1, 3), (3, 1)])
+    @pytest.mark.parametrize("beta_len, w_len", [(1, 3), (3, 1), (2, 2), (4, 3)])
     def test_short_beta_or_weights_rejected(self, beta_len, w_len):
-        # a length-1 array would otherwise broadcast over all m_max entries
+        # a length-1 array would otherwise broadcast over all 3 entries
         mom = SampleMoments(ghat=np.ones(3), lhat=np.ones(3), sigma_y2=1.0, n=100)
-        with pytest.raises(ValueError, match=f"length {beta_len}.*length {w_len}.*m_max = 3"):
-            fixed_dim_risk_curve(mom, np.ones(beta_len), np.ones(w_len), 3)
+        with pytest.raises(ValueError, match=f"length {beta_len}.*length {w_len}.*the 3 moments"):
+            fixed_dim_risk_curve(mom, np.ones(beta_len), np.ones(w_len))
+
+    def test_bias_past_the_moments_enters_every_entry(self):
+        # beta longer than the moments: its coordinates 3..4 are never
+        # estimated, so their weighted squares add to every entry
+        mom = SampleMoments(ghat=np.zeros(2), lhat=np.ones(2), sigma_y2=1.0, n=100)
+        beta, w = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 2.0, 0.5])
+        assert fixed_dim_risk_curve(mom, beta, w).tolist() == [31.0, 31.0]
 
 
 class TestOracle:
@@ -85,13 +93,13 @@ class TestOracle:
         beta = CoefVector([1.0, 0.5, 0.25, 0.125])
         lam = PP.eigenvalues(4)
         mom = SampleMoments(ghat=lam * beta.coefs, lhat=lam, sigma_y2=1.0, n=1000)
-        best_m, best = oracle_risk([mom], beta, np.ones(4), 4)
+        best_m, best = oracle_risk([mom], beta, np.ones(4))
         assert best_m == 4 and best == pytest.approx(0.0, abs=1e-25)
 
     def test_zero_slope_prefers_smallest(self):
         zero = CoefVector(np.zeros(50))
         samples = [simulate(PP, zero, 400, 1.0, 8, replicate=r, n_coef=50) for r in range(50)]
-        best_m, best = oracle_risk(samples, zero, np.ones(50), 50)
+        best_m, best = oracle_risk(samples, zero, np.ones(50))
         assert best_m == 1
         assert best == pytest.approx(0.0033046369378838952, rel=1e-12)
         m_hats = [cf.select_data_driven(moments(s), np.ones(50), pen_const=0.3).m_hat
@@ -102,7 +110,7 @@ class TestOracle:
         slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=200))
         samples = [simulate(PP, slope, 1000, 0.5, 31, replicate=r, n_coef=200)
                    for r in range(100)]
-        best_m, best = oracle_risk(samples, slope, np.ones(200), 200)
+        best_m, best = oracle_risk(samples, slope, np.ones(200))
         assert best_m == 2
         assert best == pytest.approx(0.006276737897463179, rel=1e-12)
 
@@ -282,6 +290,24 @@ class TestReplicateEngine:
             assert [plan.window for plan in plans] == windows
             assert all(plan.tau >= cfg.sigma for plan in plans)
 
+    def test_known_bound_within_window(self):
+        # select_known reads the moments up to M_n, which stop at J
+        golden = [cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+                  for name in ("golden_pp", "golden_pe")]
+        cfgs = [replace(cfg, variant="known") for cfg in golden]
+        cfgs.append(tiny_config(regime="EP", p=1.0, n_grid=(250, 1000, 4000), j_max=None))
+        cfgs.append(tiny_config(s=1.0, p=3.0, n_grid=(250, 1000, 4000), j_max=None))
+        for regime, a in (("PP", 0.6), ("PP", 3.0), ("EP", 0.6), ("EP", 3.0),
+                          ("PE", 0.2), ("PE", 2.0)):
+            for s_exp in (-1.0, 0.0, 0.5, 1.0):
+                for pair in (False, True):
+                    cfgs.append(tiny_config(regime=regime, a=a, p=max(s_exp, 0.0) + 1.0,
+                                            s=s_exp, enforce_pair=pair, n_grid=(2, 7, 60, 500),
+                                            variant="known", j_max=None))
+        for cfg in cfgs:
+            for plan in experiment_plans(cfg):
+                assert len(plan.scales) <= plan.window, (cfg, plan.n)
+
     def test_small_n_means_match_population(self):
         # n = 5..10 < J + 1 = 14: the trapezoidal (QR) branch of the factor
         reps = 1500
@@ -293,12 +319,12 @@ class TestReplicateEngine:
             lhat = np.array([m.lhat for m in moms])
             ghat = np.array([m.ghat for m in moms])
             sy2 = np.array([m.sigma_y2 for m in moms])
-            assert np.all(lhat[:, window:] == 0.0) and np.all(ghat[:, window:] == 0.0)
+            assert lhat.shape[1] == ghat.shape[1] == window
             lam = plan.seq.eigenvalues(plan.n_coef)
             beta = plan.beta
             for got, target in (
-                (lhat[:, :window], lam[:window]),
-                (ghat[:, :window], (lam * beta)[:window]),
+                (lhat, lam[:window]),
+                (ghat, (lam * beta)[:window]),
                 (sy2[:, None], np.array([np.sum(lam * beta**2) + cfg.sigma**2])),
             ):
                 se = np.std(got, axis=0, ddof=1) / np.sqrt(reps)
@@ -331,8 +357,7 @@ class TestReplicateEngine:
                 for mom, out in ((unit_mom, unit), (replicate_moments(plan, r), engine)):
                     trace = cf.select_data_driven(mom, plan.weights, plan.config.eta,
                                                   plan.config.pen_const_unknown)
-                    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights,
-                                                 plan.n_coef, plan.tail)
+                    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.tail)
                     out.append((trace.m_hat, trace.admissible_max, curve[trace.m_hat - 1]))
             unit, engine = np.array(unit), np.array(engine)
             se = np.sqrt((np.var(unit[:, 2], ddof=1) + np.var(engine[:, 2], ddof=1)) / reps)
