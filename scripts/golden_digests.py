@@ -8,7 +8,9 @@ them, then prints one ``sha256  path`` line per CSV, sorted by path.  Each
 run writes to a relative ``--out`` inside one temporary working directory,
 so the ``out_dir`` echoed into every CSV is the same for any checkout, and
 two checkouts can be compared with ``diff``.  A refactor that must keep the
-outputs byte-identical passes when the two listings match.
+outputs byte-identical passes when the two listings match.  Every run must
+exit 0 and write nothing to stderr (a numpy warning, say); otherwise the
+script names the run, prints its stderr and exits 1.
 
 The set never runs ``simulate`` on golden PE: its n = 8000 sample would be
 an 8000 x 8001 CSV of about 1.4 GB.
@@ -70,7 +72,7 @@ def main(argv) -> int:
                    "--config", str(checkout / "configs" / config), "--out", out]
             done = subprocess.run(cmd + list(extra), cwd=work, env=env,
                                   capture_output=True, text=True)
-            if done.returncode != 0:
+            if done.returncode != 0 or done.stderr:
                 print(f"{out}: exit {done.returncode}\n{done.stderr}", file=sys.stderr)
                 return 1
         for path in sorted(Path(work).rglob("*.csv")):

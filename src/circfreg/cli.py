@@ -9,6 +9,7 @@ configuration and artifact version.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -173,5 +174,14 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry_point() -> int:
+    """``python -m circfreg.cli`` and the ``circfreg`` script: :func:`main`
+    after freezing the heap the imports built.  It lives until exit anyway, so
+    no later collection, the one at exit included, need scan it.  In-process
+    callers of :func:`main` keep their collector as it is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -114,7 +114,8 @@ def slope_tail_bias(spec: SlopeSpec) -> float:
     s, total = spec.seq.s, 0.0
     for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
         j = np.arange(start, start + 2**16, dtype=float)
-        terms = np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
+        with np.errstate(over="ignore"):  # a term past float range: the tail is inf
+            terms = np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
         total += float(np.sum(terms))
         if spec.seq.regime != "EP":
             a, x = float(start + 2**16), 2.0 * (spec.seq.p + 0.5 + 1.0) - 2.0 * s

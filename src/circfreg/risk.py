@@ -123,9 +123,25 @@ def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.n
     if b.size != weights.size or b.size < m:
         raise ValueError(f"beta (length {b.size}) and w (length {weights.size}) must have "
                          f"one length, at least the {m} moments")
+    return _risk_curve(mom, b, weights, _bias_beyond(b, weights, m), tail)
+
+
+def _bias_beyond(b: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<j<=len(b)} w_j b_j^2 for k = 1..m: the squared bias of the
+    fixed-k estimator, which does not depend on the replicate."""
+    # past float range a sum is inf, and inf - inf or an inf weight times a
+    # zero coefficient is NaN: the curve is then not finite, so mc-risk exits 3
+    # at its oracle_risk check; estimate never reads the curve
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum_bias = np.cumsum(weights * b * b)
+        return cum_bias[-1] - cum_bias[:m]
+
+
+def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
+    """fixed_dim_risk_curve from its replicate-free part ``bias`` (length mom.n_coef)."""
+    m = mom.n_coef
     sq_err = weights[:m] * (_thresholded_ratio(mom, mom.ghat) - b[:m]) ** 2
-    cum_bias = np.cumsum(weights * b * b)
-    return np.cumsum(sq_err) + (cum_bias[-1] - cum_bias[:m]) + tail
+    return np.cumsum(sq_err) + bias + tail
 
 
 def oracle_risk(samples, beta, w):
@@ -155,7 +171,7 @@ def fit_slope(pairs) -> float:
     arr = np.asarray(list(pairs), dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
         raise ValueError("need at least two (n, risk) pairs")
-    if np.unique(arr[:, 0]).size < 2:
+    if np.all(arr[:, 0] == arr[0, 0]):
         raise ValueError("need at least two distinct n values")
     if not np.all(arr[:, 1] > 0.0):
         raise NumericError("risks must be strictly positive for a log-log fit")
@@ -211,6 +227,7 @@ class _GridPlan:
     tau: float    # noise sd with the coordinates beyond J folded in
     beta: np.ndarray  # slope coefficients 1..n_coef
     weights: np.ndarray
+    bias: np.ndarray  # squared bias beyond m = 1..J, through n_coef
     tail: float
     scales: PenaltyScales | None  # known-degree scales up to the admissible bound
 
@@ -256,7 +273,7 @@ def replicate_traces(plan: _GridPlan, r: int):
 def _run_replicate(plan: _GridPlan, r: int):
     """Risk curve of replicate r and, per variant, (risk, m_hat, M_hat)."""
     mom, traces = replicate_traces(plan, r)
-    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.tail)
+    curve = _risk_curve(mom, plan.beta, plan.weights, plan.bias, plan.tail)
     return curve, [(float(curve[t.m_hat - 1]), t.m_hat, t.admissible_max) for t in traces]
 
 
@@ -291,10 +308,22 @@ def experiment_plans(config):
         plans.append(
             _GridPlan(
                 config=config, seq=seq, n=n, n_coef=n_coef, window=window, tau=tau,
-                beta=beta[:n_coef], weights=omega[:n_coef], tail=band + tail_ref, scales=scales,
+                beta=beta[:n_coef], weights=omega[:n_coef],
+                bias=_bias_beyond(beta[:n_coef], omega[:n_coef], window),
+                tail=band + tail_ref, scales=scales,
             )
         )
     return plans
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median bit for bit, without its NaN check, which imports numpy.ma.
+    A NaN risk makes the mean NaN too, and run_experiment checks it first."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 def _require_finite(where, **fields) -> None:
@@ -333,7 +362,7 @@ def run_experiment(config):
     for vi, variant in enumerate(config.variant_names()):
         mean_risk = np.array([np.mean(per_n[vi][0]) for per_n in stats])
         median_risk, median_m_hat, median_m_bound = (
-            np.array([np.median(per_n[vi][k]) for per_n in stats]) for k in range(3)
+            np.array([_median(per_n[vi][k]) for per_n in stats]) for k in range(3)
         )
         _require_finite(at_n, mean_risk=mean_risk, median_risk=median_risk,
                         median_m_hat=median_m_hat, median_M_hat=median_m_bound)

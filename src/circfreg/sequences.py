@@ -122,7 +122,8 @@ class SequenceSpec:
         """log lambda_j for j = 1..length, pairing applied if enforced."""
         j = self._eigen_indices(length)
         if self.regime == "PE":
-            return -(j ** (2.0 * self.a))
+            with np.errstate(over="ignore"):  # log lambda_j = -inf is the exact limit
+                return -(j ** (2.0 * self.a))
         return -2.0 * self.a * np.log(j)
 
     # -- linear-scale views (direct powers, so integer-valued entries are exact)
@@ -144,7 +145,8 @@ class SequenceSpec:
         """lambda_j for j = 1..length (may underflow to 0 in regime PE)."""
         j = self._eigen_indices(length)
         if self.regime == "PE":
-            return np.exp(-(j ** (2.0 * self.a)))
+            with np.errstate(over="ignore"):  # lambda_j = 0 is the exact limit
+                return np.exp(-(j ** (2.0 * self.a)))
         return j ** (-2.0 * self.a)
 
 
@@ -190,8 +192,11 @@ def intrinsic_scales(spec: SequenceSpec, length: int) -> PenaltyScales:
 
     omega = spec.risk_weights(length)
     lam = spec.eigenvalues(length)
-    with np.errstate(over="ignore", divide="ignore"):
-        Delta = np.maximum.accumulate(omega / lam)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # where lambda_j underflows to 0, omega_j / lambda_j is inf or 0/0; the
+        # exponential of the log ratio is the exact value there
+        Delta = np.maximum.accumulate(np.where(lam > 0.0, omega / lam,
+                                               np.exp(log_omega - log_lam)))
         kappa = np.maximum.accumulate(np.maximum(omega, 1.0) / lam)
         delta = m * Delta * factor
     return PenaltyScales(delta, Delta, kappa, log_delta, log_Delta, log_kappa)

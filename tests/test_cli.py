@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import importlib
 import io
 import multiprocessing.process
 import os
@@ -187,6 +189,20 @@ def test_numeric_failure_exits_3(config_file, tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_nan_risk_exits_3_naming_mean_risk(config_file, tmp_path, monkeypatch, capsys):
+    risk_module = importlib.import_module("circfreg.risk")
+    run_replicate = risk_module._run_replicate
+
+    def nan_at_r1(plan, r):
+        curve, picks = run_replicate(plan, r)
+        return curve, [(np.nan if r == 1 else risk, *rest) for risk, *rest in picks]
+
+    monkeypatch.setattr(risk_module, "_run_replicate", nan_at_r1)
+    code = main(["mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "numeric failure: mean_risk is not finite at n = 40" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, override", [
     ("simulate", "sigma=1e200"), ("estimate", "sigma=1e200"), ("mc-risk", "sigma=1e200"),
     ("mc-risk", "p=1e300"), ("mc-risk", "s=-1e300"),
@@ -254,32 +270,58 @@ def _fresh_run(*args, flags=(), report="[]"):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def _loaded(prefix: str) -> str:
-    return f"sorted(m for m in sys.modules if m.startswith({prefix!r}))"
-
-
-def test_mc_risk_imports_no_scipy(config_file, tmp_path):
-    result = _fresh_run("mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
-                        report=_loaded("scipy"))
-    assert result.stdout.split() == ["0", "[]"], result.stderr
-
-
-@pytest.mark.parametrize("command", ["mc-risk", "estimate"])
-def test_mc_risk_and_estimate_import_no_multiprocessing(config_file, tmp_path, command):
-    # only simulate's sample writer starts worker processes
+@pytest.mark.parametrize("command, variant", [
+    ("mc-risk", "data_driven"), ("mc-risk", "known"), ("estimate", "both"), ("rates", "both"),
+])
+def test_fresh_process_imports_no_scipy_multiprocessing_or_numpy_ma(config_file, tmp_path,
+                                                                   command, variant):
+    # scipy is a test-only reference, only simulate's sample writer starts
+    # worker processes, and numpy.ma comes with np.median and np.unique
+    report = ("sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+              " or m.split('.')[:2] == ['numpy', 'ma'])")
     result = _fresh_run(command, "--config", str(config_file), "--out", str(tmp_path / "o"),
-                        report=_loaded("multiprocessing"))
+                        "--override", f"variant={variant}", report=report)
     assert result.stdout.split() == ["0", "[]"], result.stderr
+
+
+def test_entry_point_freezes_the_import_time_heap(config_file, tmp_path):
+    # python -m circfreg.cli, run as __main__ in a fresh interpreter
+    script = ("import gc, runpy, sys\n"
+              "try:\n    runpy.run_module('circfreg.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as done:\n    print(done.code, gc.get_freeze_count())\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script, "rates", "--config", str(config_file),
+                             "--out", str(tmp_path / "o")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    out = result.stdout.split()
+    assert out[:1] == ["0"] and int(out[1]) > 0, result.stderr
+    # the console script runs the same function
+    assert 'circfreg = "circfreg.cli:entry_point"' in (ROOT / "pyproject.toml").read_text()
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(config_file, tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["rates", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_ep_power_overflow_raises_no_warning(config_file, tmp_path):
     # gamma_j = j^(2p) = inf at p = 1e300 and omega_j = j^(2s) = inf at
-    # s = 300 are exact limits; they must not warn
-    cases = [("mc-risk", "regime=EP", "p=1e300")]
-    cases += [(command, "s=300", "p=400") for command in ("rates", "estimate", "simulate")]
-    for command, *overrides in cases:
+    # s = 300 are exact limits; they must not warn.  So are lambda_j = 0 at
+    # a = 1e300 under PE, an EP slope tail past float range at s = 300, and
+    # omega_j / lambda_j = 0 where both underflow at s = -1e300
+    golden_pe = str(ROOT / "configs" / "golden_pe.cfg")
+    small_pe = ("n_grid=500", "replications=2")
+    cases = [("mc-risk", str(config_file), "regime=EP", "p=1e300")]
+    cases += [(command, str(config_file), "s=300", "p=400")
+              for command in ("rates", "estimate", "simulate")]
+    cases += [(command, golden_pe, "a=1e300", *small_pe)
+              for command in ("simulate", "estimate", "mc-risk")]
+    cases += [("estimate", str(config_file), "regime=EP", "s=300", "p=1", "j_max=none"),
+              ("rates", golden_pe, "s=-1e300", "a=1.5", "p=3")]
+    for command, config, *overrides in cases:
         extra = [arg for item in overrides for arg in ("--override", item)]
-        result = _fresh_run(command, "--config", str(config_file), "--out",
+        result = _fresh_run(command, "--config", config, "--out",
                             str(tmp_path / command), *extra,
                             flags=("-W", "error::RuntimeWarning"))
         assert result.stdout.split()[:1] in (["0"], ["2"], ["3"]), (command, result.stderr)

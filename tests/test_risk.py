@@ -24,6 +24,7 @@ from circfreg import (
 )
 from circfreg.risk import (
     ALIVE_EPS,
+    _median,
     alive_window,
     experiment_plans,
     log_chi2_tail_bound,
@@ -153,6 +154,16 @@ class TestFitSlope:
             fit_slope([(10, 1.0)])
         with pytest.raises(ValueError):
             fit_slope([(10, 1.0), (10, 2.0)])
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 200])
+def test_median_is_numpy_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for values in (rng.exponential(1e-3, size), rng.integers(1, 9, size),
+                   np.full(size, 1.7976931348623157e308)):
+        with np.errstate(over="ignore"):  # the largest float: (a + b) / 2 is inf
+            expected = float(np.median(values))
+        assert repr(_median(values)) == repr(expected)
 
 
 def tiny_config(**overrides):
