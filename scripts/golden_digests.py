@@ -12,8 +12,8 @@ outputs byte-identical passes when the two listings match.  Every run must
 exit 0 and write nothing to stderr (a numpy warning, say); otherwise the
 script names the run, prints its stderr and exits 1.
 
-The set never runs ``simulate`` on golden PE: its n = 8000 sample would be
-an 8000 x 8001 CSV of about 1.4 GB.
+The set runs ``simulate`` on golden PE at n = 500 only: its n = 8000 sample
+would be an 8000 x 8001 CSV of about 1.4 GB.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ RUNS = (
     ("pe_mc_w2", "mc-risk", "golden_pe.cfg", ("--workers", "2")),
     ("pe_mc_both", "mc-risk", "golden_pe.cfg", BOTH),
     ("pe_est", "estimate", "golden_pe.cfg", BOTH + _overrides("replications=2")),
+    # most of this sample prints in exponent form, many with 3-digit exponents
+    ("pe_sim", "simulate", "golden_pe.cfg", _overrides("n_grid=500")),
     # alive window J of 7..13 against n_coef up to 10^6
     ("pe_mc_wide", "mc-risk", "golden_pe.cfg",
      BOTH + _overrides("n_grid=500,8000,100000,1000000", "replications=20")),

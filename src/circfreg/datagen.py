@@ -20,6 +20,10 @@ arguments therefore produce bit-identical samples.
 :func:`simulate` is the per-unit reference.  The experiment harness
 (:func:`circfreg.risk.replicate_moments`) draws the sample moments directly,
 with the same law and the same (seed, n, r) key but other realized draws.
+
+:func:`write_sample_csv` writes a sample with every value exactly as
+``repr`` prints it.  The formatting is a vectorized kernel,
+:mod:`circfreg.floatfmt`, which only that writer imports.
 """
 
 from __future__ import annotations
@@ -246,17 +250,21 @@ _BLOCK_VALUES = 2**16
 
 def _format_rows(bounds) -> str:
     """Rows a..b-1 of the sample being written, newline-separated."""
+    # imported here, so that mc-risk, estimate and rates never load it
+    from .floatfmt import format_rows
+
     a, b = bounds
     y, xcoef = _rows
-    block = np.column_stack((y[a:b], xcoef[a:b])).tolist()
-    return "\n".join(",".join(map(repr, row)) for row in block)
+    return format_rows(np.column_stack((y[a:b], xcoef[a:b])))
 
 
 def write_sample_csv(sample: Sample, path, echo: str = "") -> None:
     """Write one row per unit: Y, X_1..X_J, after a single comment line.
 
-    Blocks of rows are formatted on every CPU the process may run on and
-    written in order, so the bytes do not depend on the CPU count.
+    Every value is written as ``repr`` writes it, by the vectorized kernel
+    :func:`circfreg.floatfmt.format_rows`.  Blocks of rows are formatted on
+    every CPU the process may run on and written in order, so the bytes do
+    not depend on the CPU count.
     """
     global _rows
     meta = (

@@ -129,19 +129,26 @@ def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.n
 def _bias_beyond(b: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     """sum_{k<j<=len(b)} w_j b_j^2 for k = 1..m: the squared bias of the
     fixed-k estimator, which does not depend on the replicate."""
-    # past float range a sum is inf, and inf - inf or an inf weight times a
-    # zero coefficient is NaN: the curve is then not finite, so mc-risk exits 3
-    # at its oracle_risk check; estimate never reads the curve
+    # a zero coefficient adds zero even where its weight overflowed to inf
+    # (EP at large s).  Past float range a sum is inf, and inf - inf is NaN:
+    # the curve is then not finite, so mc-risk exits 3 at its oracle_risk
+    # check; estimate never reads the curve
     with np.errstate(over="ignore", invalid="ignore"):
-        cum_bias = np.cumsum(weights * b * b)
+        cum_bias = np.cumsum(_weighted(weights, b) * b)
         return cum_bias[-1] - cum_bias[:m]
+
+
+def _weighted(weights: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """weights * d, with 0 where d == 0 even if the weight is inf; a finite
+    weight gives that 0 anyway, so every other bit is unchanged."""
+    return np.multiply(weights, d, out=np.zeros(d.shape), where=d != 0.0)
 
 
 def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
     """fixed_dim_risk_curve from its replicate-free part ``bias`` (length mom.n_coef)."""
     m = mom.n_coef
-    sq_err = weights[:m] * (_thresholded_ratio(mom, mom.ghat) - b[:m]) ** 2
-    return np.cumsum(sq_err) + bias + tail
+    err = _thresholded_ratio(mom, mom.ghat) - b[:m]
+    return np.cumsum(_weighted(weights[:m], err ** 2)) + bias + tail
 
 
 def oracle_risk(samples, beta, w):

@@ -276,9 +276,10 @@ def _fresh_run(*args, flags=(), report="[]"):
 def test_fresh_process_imports_no_scipy_multiprocessing_or_numpy_ma(config_file, tmp_path,
                                                                    command, variant):
     # scipy is a test-only reference, only simulate's sample writer starts
-    # worker processes, and numpy.ma comes with np.median and np.unique
+    # worker processes and formats floats with circfreg.floatfmt, and numpy.ma
+    # comes with np.median and np.unique
     report = ("sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
-              " or m.split('.')[:2] == ['numpy', 'ma'])")
+              " or m.split('.')[:2] in (['numpy', 'ma'], ['circfreg', 'floatfmt']))")
     result = _fresh_run(command, "--config", str(config_file), "--out", str(tmp_path / "o"),
                         "--override", f"variant={variant}", report=report)
     assert result.stdout.split() == ["0", "[]"], result.stderr
@@ -319,6 +320,8 @@ def test_ep_power_overflow_raises_no_warning(config_file, tmp_path):
               for command in ("simulate", "estimate", "mc-risk")]
     cases += [("estimate", str(config_file), "regime=EP", "s=300", "p=1", "j_max=none"),
               ("rates", golden_pe, "s=-1e300", "a=1.5", "p=3")]
+    # omega_j = inf where make_slope zeroed the coefficient: zero loss, not NaN
+    cases += [("mc-risk", str(config_file), "regime=EP", "s=300", "p=3")]
     for command, config, *overrides in cases:
         extra = [arg for item in overrides for arg in ("--override", item)]
         result = _fresh_run(command, "--config", config, "--out",
@@ -326,6 +329,16 @@ def test_ep_power_overflow_raises_no_warning(config_file, tmp_path):
                             flags=("-W", "error::RuntimeWarning"))
         assert result.stdout.split()[:1] in (["0"], ["2"], ["3"]), (command, result.stderr)
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr, command
+
+
+def test_inf_weight_at_zero_coefficient_counts_as_zero_loss(config_file, tmp_path):
+    # under EP at s = 300 and p = 3, omega_j = j^600 is inf from j = 4 on,
+    # where make_slope has zeroed the slope: that loss is 0, not inf * 0 = NaN
+    out = tmp_path / "ep"
+    code = main(["mc-risk", "--config", str(config_file), "--out", str(out),
+                 "--override", "regime=EP", "--override", "s=300", "--override", "p=3"])
+    assert code == 0
+    assert _nonfinite_outputs(out, one_point_grid=False) == []
 
 
 def test_simulate_over_size_budget_exits_2_before_writing(tmp_path, capsys):

@@ -243,6 +243,9 @@ class TestSubstreamAndCsv:
         rng = substream(5, n, n_coef)
         y, xcoef = rng.standard_normal(n), rng.standard_normal((n, n_coef)) * 1e-3
         xcoef[0, :3] = (0.1, 1e300, -5e-324)
+        # negative, tiny, huge and zero values, in positional and exponent form
+        xcoef[-1, -9:] = (-2.5, 1e-200, -1e-200, 1.7976931348623157e308, -3e250, 0.0, -0.0,
+                        1e16, -123456.789)
         sample = cf.Sample(y=y, xcoef=xcoef, sigma=0.25, seed=5, replicate=(n, 0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         starts = []
