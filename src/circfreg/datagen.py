@@ -23,13 +23,12 @@ with the same law and the same (seed, n, r) key but other realized draws.
 
 :func:`write_sample_csv` writes a sample with every value exactly as
 ``repr`` prints it.  The formatting is a vectorized kernel,
-:mod:`circfreg.floatfmt`, which only that writer imports.
+:mod:`circfreg.floatfmt`, which only that writer imports; it formats and
+writes in the calling process and starts no other.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,56 +237,24 @@ def covariance_kernel(spec: SequenceSpec, n_coef: int, u) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-# (y, xcoef) of the sample being written, held under _rows_lock; pool workers
-# read it from the memory they inherit through fork, so no array is pickled
-_rows = None
-_rows_lock = threading.Lock()
-
-# values formatted per block: large enough to amortize a pool round trip, small
-# enough that the blocks in flight stay a few MB
-_BLOCK_VALUES = 2**16
-
-
-def _format_rows(bounds) -> str:
-    """Rows a..b-1 of the sample being written, newline-separated."""
-    # imported here, so that mc-risk, estimate and rates never load it
-    from .floatfmt import format_rows
-
-    a, b = bounds
-    y, xcoef = _rows
-    return format_rows(np.column_stack((y[a:b], xcoef[a:b])))
-
-
 def write_sample_csv(sample: Sample, path, echo: str = "") -> None:
     """Write one row per unit: Y, X_1..X_J, after a single comment line.
 
     Every value is written as ``repr`` writes it, by the vectorized kernel
-    :func:`circfreg.floatfmt.format_rows`.  Blocks of rows are formatted on
-    every CPU the process may run on and written in order, so the bytes do
-    not depend on the CPU count.
+    :func:`circfreg.floatfmt.format_rows`, in this process: rows are formatted
+    a chunk of about 2^13 values at a time and each chunk is written before
+    the next is formatted.
     """
-    global _rows
+    # imported here, so that mc-risk, estimate and rates never load it
+    from .floatfmt import _CHUNK_VALUES, format_rows
+
     meta = (
         f"n={sample.n} n_coef={sample.n_coef} sigma={sample.sigma!r} "
         f"seed={sample.seed} replicate={sample.replicate}"
     )
     header = "y," + ",".join(f"x_{j}" for j in range(1, sample.n_coef + 1))
-    step = max(1, _BLOCK_VALUES // (sample.n_coef + 1))
-    blocks = [(a, min(a + step, sample.n)) for a in range(0, sample.n, step)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(blocks))
-    with _rows_lock:
-        _rows = (sample.y, sample.xcoef)
-        try:
-            if workers < 2:
-                write_csv(path, echo, meta, header, map(_format_rows, blocks))
-            else:
-                # imported here, so that mc-risk and estimate never load it; fork,
-                # not spawn, since workers only format inherited arrays, and spawn
-                # would import numpy again in each of them and pickle the sample
-                import multiprocessing
-
-                with multiprocessing.get_context("fork").Pool(workers) as pool:
-                    write_csv(path, echo, meta, header, pool.imap(_format_rows, blocks))
-        finally:
-            _rows = None
+    y, xcoef = sample.y, sample.xcoef
+    step = max(1, _CHUNK_VALUES // (sample.n_coef + 1))
+    chunks = (format_rows(np.column_stack((y[a:a + step], xcoef[a:a + step])))
+              for a in range(0, sample.n, step))
+    write_csv(path, echo, meta, header, chunks)

@@ -180,10 +180,10 @@ def _columns(shape: int) -> np.ndarray:
 
 
 # values formatted at a time: a chunk's temporaries of 2^13 doubles (64 KB)
-# stay under glibc's 128 KB mmap threshold, so they reuse heap memory.  Whole
-# blocks of 2^16 values mapped and unmapped theirs anew: the two forked CSV
-# workers of golden PP at n = 500, 1000 took 3.5 times the page faults and
-# 0.2 s more system time
+# stay under glibc's 128 KB mmap threshold, so they reuse heap memory.  Chunks
+# of 2^16 values map and unmap theirs anew: writing the golden PP samples at
+# n = 500, 1000 in one process took 26,900 page faults and 0.07 s system time
+# that way, against 330 and 0.02 s (2 vCPUs, numpy 2.4.6)
 _CHUNK_VALUES = 2**13
 
 

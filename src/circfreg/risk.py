@@ -253,10 +253,13 @@ def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
 
     lam = plan.seq.eigenvalues(window)
     root = np.sqrt(lam)
-    u = np.append(root * plan.beta[:window], plan.tau) @ factor  # B'c
-    ghat = root * (factor[:window] @ u) / n
+    # a moment past float range is inf; replicate_traces then ends the run at exit 3
+    with np.errstate(over="ignore"):
+        u = np.append(root * plan.beta[:window], plan.tau) @ factor  # B'c
+        ghat = root * (factor[:window] @ u) / n
+        sigma_y2 = float(u @ u) / n
     lhat = lam * np.einsum("ij,ij->i", factor[:window], factor[:window]) / n
-    return SampleMoments(ghat=ghat, lhat=lhat, sigma_y2=float(u @ u) / n, n=n)
+    return SampleMoments(ghat=ghat, lhat=lhat, sigma_y2=sigma_y2, n=n)
 
 
 def replicate_traces(plan: _GridPlan, r: int):

@@ -222,10 +222,13 @@ def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, com
 @pytest.mark.parametrize("command", ["estimate", "mc-risk"])
 def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys, command):
     # sigma**2 = 1e308 is finite, but sigma_y2 and with it the penalty overflow
-    code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
-                 "--override", "sigma=1e154"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                     "--override", "sigma=1e154"])
     err = capsys.readouterr().err
     assert code == 3
+    assert [str(w.message) for w in caught] == []
     assert ("numeric failure: penalty is not finite at n = 40, r = 0, "
             "variant = data_driven") in err
     assert "Traceback" not in err
@@ -272,17 +275,21 @@ def _fresh_run(*args, flags=(), report="[]"):
 
 @pytest.mark.parametrize("command, variant", [
     ("mc-risk", "data_driven"), ("mc-risk", "known"), ("estimate", "both"), ("rates", "both"),
+    ("simulate", "both"),
 ])
 def test_fresh_process_imports_no_scipy_multiprocessing_or_numpy_ma(config_file, tmp_path,
                                                                    command, variant):
-    # scipy is a test-only reference, only simulate's sample writer starts
-    # worker processes and formats floats with circfreg.floatfmt, and numpy.ma
-    # comes with np.median and np.unique
+    # scipy is a test-only reference, no command starts a worker process (the
+    # 1400 x 51 sample spans nine of the sample writer's chunks), numpy.ma comes
+    # with np.median and np.unique, and only simulate formats floats with
+    # circfreg.floatfmt
     report = ("sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
               " or m.split('.')[:2] in (['numpy', 'ma'], ['circfreg', 'floatfmt']))")
     result = _fresh_run(command, "--config", str(config_file), "--out", str(tmp_path / "o"),
-                        "--override", f"variant={variant}", report=report)
-    assert result.stdout.split() == ["0", "[]"], result.stderr
+                        "--override", f"variant={variant}", "--override", "n_grid=40,1400",
+                        report=report)
+    loaded = "['circfreg.floatfmt']" if command == "simulate" else "[]"
+    assert result.stdout.split() == ["0", loaded], result.stderr
 
 
 def test_entry_point_freezes_the_import_time_heap(config_file, tmp_path):
@@ -439,9 +446,12 @@ def test_any_override_exits_0_2_or_3_and_writes_only_finite_floats(
         argv = [command, "--config", str(config), "--out", str(out)]
         for key, value in overrides.items():
             argv += ["--override", f"{key}={value}"]
-        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(io.StringIO())):
+            warnings.simplefilter("always")
             code = main(argv)
         assert code in (0, 2, 3)
         if code == 0:
+            # README: exit-0 runs print no numpy warnings
+            assert [str(w.message) for w in caught] == []
             assert _nonfinite_outputs(out, len(n_grid) == 1) == []

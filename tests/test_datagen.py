@@ -233,13 +233,11 @@ class TestSubstreamAndCsv:
             lines.append(",".join(repr(float(v)) for v in values))
         return ("\n".join(lines) + "\n").encode()
 
-    @pytest.mark.parametrize("n, n_coef, cpus, workers", [
-        (700, 199, 1, 0), (700, 199, 2, 2), (1, 40, 2, 0),
-    ])
+    @pytest.mark.parametrize("n, n_coef, cpus", [(700, 199, 1), (700, 199, 2), (1, 40, 2)])
     def test_sample_csv_bytes_match_row_by_row_reference(self, tmp_path, monkeypatch, n,
-                                                         n_coef, cpus, workers):
-        # 700 rows of 200 values span three blocks of 2^16 values; the pool
-        # starts only when there are at least two CPUs and two blocks
+                                                         n_coef, cpus):
+        # 700 rows of 200 values span 18 chunks of 2^13 values; whatever the
+        # CPU count, they are formatted and written without starting a process
         rng = substream(5, n, n_coef)
         y, xcoef = rng.standard_normal(n), rng.standard_normal((n, n_coef)) * 1e-3
         xcoef[0, :3] = (0.1, 1e300, -5e-324)
@@ -248,12 +246,9 @@ class TestSubstreamAndCsv:
                         1e16, -123456.789)
         sample = cf.Sample(y=y, xcoef=xcoef, sigma=0.25, seed=5, replicate=(n, 0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        starts = []
-        real_start = multiprocessing.process.BaseProcess.start
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            lambda self: starts.append(self) or real_start(self))
+                            lambda self: pytest.fail("write_sample_csv started a process"))
         path = tmp_path / "sample.csv"
         write_sample_csv(sample, path, echo="unit test")
         assert path.read_bytes() == self._reference_csv(sample, "unit test")
-        assert len(starts) == workers
 
