@@ -58,7 +58,7 @@ def _compare(x):
         text = format_rows(block.reshape(BLOCK)).replace("\n", ",").split(",")
         bad += sum(a != b for a, b in zip(text, map(repr, block.tolist())))
         bad += len(text) != step
-        fallback += int(_shortest(block)[3].sum())
+        fallback += int(_shortest(block)[2].sum())
     return bad, fallback
 
 

@@ -1,39 +1,39 @@
 """Exact vectorized ``repr`` of float64 values, for the sample CSV writer.
 
 :func:`format_rows` returns for a block of float64 rows exactly the text
-``"\\n".join(",".join(map(repr, row)) for row in block.tolist())``, in
-about a third of the time of calling ``repr`` on every value.  Each value
-goes through five steps:
+``"\\n".join(",".join(map(repr, row)) for row in block.tolist())``, in a
+fraction of the time of calling ``repr`` on every value.  Each value goes
+through five steps:
 
 1. Scale.  With |x| = mf * 2^e (mf in [1, 2)) and k = 17 - floor(log10 |x|),
-   V = |x| * 10^k lies in about [1e17, 1e18).  It is computed as a
-   double-double: Dekker's exact product of mf with the table entry
-   10^k = (hi + lo) * 2^f (hi in [1, 2)), whose split halves the table
-   stores, times the power of two 2^(e + f).  The table is built once from
-   exact integer arithmetic, and every intermediate is near 1 or near V, so
-   nothing overflows or underflows.
+   V = |x| * 10^k lies in about [1e17, 1e18); k comes from x's exponent and
+   one comparison of mf.  V is computed as a double-double: Dekker's exact
+   product of mf with 10^k = (hi + lo) * 2^f (hi in [1, 2)), whose split
+   halves a table built once from exact integer arithmetic stores, times the
+   power of two 2^(e + f).  Every intermediate is near 1 or near V.
 2. Interval.  The values that round to x lie within half the spacing of
-   doubles on either side of it (a quarter below a power of two).  Scaled
-   the same way, the interval reaches at least 5.5 on either side of V.
+   doubles on either side of it, h between 5.5 and 111 once scaled.
 3. Digits.  repr prints the multiple of 10^p nearest V inside the interval,
-   for the largest p that has one.  The interval is wider than 10, so p = 1
-   always has one, and a multiple of 10^(p + 1) is one of 10^p.  p = 1 and
-   2 are tried on every value, in floats relative to V rounded down to a
-   multiple of 100.  The interval is narrower than 223, so it holds at most
-   one multiple of 1000; only the values that have one are iterated, to
-   count the trailing zeros that give p >= 3.
-4. Layout.  A shape is the sign, the position of the decimal point (or the
-   exponent width) and the digit count.  Every value of one shape is laid
-   out by one cached list of columns of its row of source characters.
+   for the largest p that has one.  With V = 1000 q + r, the multiples of
+   10, 100 and 1000 nearest V are read off r in floats: the one of 10 is
+   always inside, one of 100 or 1000 when it is within h of V, and no other
+   multiple of 1000 can be.  The multiple, divided by 10, is repr's digits
+   with trailing zeros, a 17-digit integer.
+4. Layout.  A value's text is four little-endian 64-bit words of ASCII,
+   built from tables without sorting or gathering bytes: the leading digit
+   after the sign and any ``0.000`` prefix, the other 16 digits cut to the
+   digit count with the decimal point shifted in, and the exponent or ``.0``
+   tail.  One pass over the chunk's bytes then strips the NULs between them.
 5. Fallback.  The double-double error is about 1e-13 at V ~ 1e18.  A value
    that the kernel cannot decide with a margin of TOL = 1e-6 (a tie between
-   two candidates, or an interval end within TOL of a candidate) goes to
-   ``repr`` itself, as does every zero, non-finite or subnormal value.
+   two candidates, or an interval end within TOL of a multiple of 100) goes
+   to ``repr`` itself, as does every zero, non-finite, subnormal value and
+   power of two, whose interval is lopsided.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 
 import numpy as np
 
@@ -65,125 +65,131 @@ def _pow10_table():
 
 
 _MANTISSA = np.uint64((1 << 52) - 1)
+_ONE = np.uint64(1023 << 52)  # the exponent bits of 1.0
 _UPPER_26 = ~np.uint64((1 << 27) - 1)  # the top 26 of the 53 significant bits
-_HI1, _HI2, _LO, _F = _pow10_table()
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _LOG10_2 = 0.30102999566398120
 TOL = 1e-6
 
 
-def _shortest(x):
-    """repr's digits of every finite normal value of x.
+def _scale_table():
+    """Step 1's tables.  Per top = x's sign and exponent bits, the mf from
+    which |x| >= 10^(t + 1), t = floor(log10 2^e); its relative error of
+    about 1e-13 may leave V just below 1e17 or just above 1e18, which every
+    step allows.  Per j = 2 top + (mf >= that), k = 17 - t - (j odd) and the
+    row hi1, hi2, lo, 2^(e + f), h / 100, h / 1000 and decpt = 18 - k.
+    Zeros, subnormals and non-finite values, which fall back, get 1.0's."""
+    hi1, hi2, lo, f = _pow10_table()
+    biased = np.arange(4096) & 0x7FF
+    e = np.where((biased == 0) | (biased == 0x7FF), 0, biased - 1023)
+    t = np.floor(e * _LOG10_2)
+    threshold = 10.0 ** (t + 1 - e * _LOG10_2)
+    k = ((17 - t.astype(np.int64))[:, None] - np.arange(2)).ravel()
+    i = k - _K_MIN
+    scale = np.ldexp(1.0, np.repeat(e, 2) + f[i])
+    half = (hi1[i] + hi2[i]) * scale * 2.0**-53  # lo would add about 1e-14
+    rows = np.column_stack((hi1[i], hi2[i], lo[i], scale, half * 0.01, half * 0.001, 18.0 - k))
+    return threshold, rows
 
-    Returns (digits, count, decpt, fallback): repr prints |x| as the integer
-    ``digits``, of ``count`` digits, times 10^(decpt - count), wherever
-    ``fallback`` is False.
+
+_THRESHOLD, _SCALES = _scale_table()
+
+
+def _shortest(x):
+    """repr's digits of every finite normal value of x that is not a power of two.
+
+    Returns (digits, decpt, fallback): wherever ``fallback`` is False, repr
+    prints |x| as 0.D * 10^decpt, D the 17 decimal digits of the integer
+    ``digits`` in [10^16, 10^17) with the trailing zeros removed.
     """
     bits = x.view(np.uint64)
-    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
-    mantissa = bits & _MANTISSA
-    fallback = (biased == 0) | (biased == 0x7FF)
-    biased[fallback] = 1023  # keeps their arithmetic finite; repr formats them
-    e = biased - 1023
-    mf = (mantissa | np.uint64(1023 << 52)).view(np.float64)
-    # floor(log10 |x|) may be one off within about 1e-13 of a power of ten;
-    # V is then just below 1e17 or just above 1e18, which every step allows
-    k = 17 - np.floor(np.log10(mf) + e * _LOG10_2).astype(np.int64)
-    i = k - _K_MIN
+    top = (bits >> np.uint64(52)).view(np.int64)
+    mf = ((bits & _MANTISSA) | _ONE).view(np.float64)
+    j = 2 * top + (mf >= _THRESHOLD.take(top))
+    hi1, hi2, lo, scale, h100, h1000, decpt = _SCALES.take(j, axis=0).T
     # step 1: V = mf * (hi + lo) * scale, the product mf * hi exact
-    scale = ((e + _F[i] + 1023) << 52).view(np.float64)
-    hi1, hi2 = _HI1[i], _HI2[i]
-    hi = hi1 + hi2
-    mf1 = (mf.view(np.uint64) & _UPPER_26).view(np.float64)
+    mf1 = ((bits & (_MANTISSA & _UPPER_26)) | _ONE).view(np.float64)
     mf2 = mf - mf1
-    prod = mf * hi
-    err = ((mf1 * hi1 - prod) + mf1 * hi2 + mf2 * hi1) + mf2 * hi2 + mf * _LO[i]
+    prod = mf * (hi1 + hi2)
+    err = ((mf1 * hi1 - prod) + mf1 * hi2 + mf2 * hi1) + mf2 * hi2 + mf * lo
     v = (prod * scale).astype(np.int64)  # an integer, since V > 2^53
-    # V = 100 q + r with r in [0, 100)
-    q = v // 100
-    r = (v - 100 * q) + err * scale
-    carry = np.floor(r * 0.01)
-    q += carry.astype(np.int64)
-    r -= 100.0 * carry
-    # step 2: the interval [V - below, V + above]; lo would add about 1e-14
-    above = hi * scale * 2.0**-53
-    below = np.where((mantissa == 0) & (biased > 1), 0.5 * above, above)
-    lower, upper = r - below, r + above
-    # step 3, p = 1 and 2: the nearest multiples of 10 and 100 in the interval,
-    # in floats relative to 100 q
-    tens = r * 0.1
-    units1 = np.minimum(np.maximum(np.round(tens), np.ceil(lower * 0.1)), np.floor(upper * 0.1))
-    first, last = np.ceil(lower * 0.01), np.floor(upper * 0.01)
-    units2 = np.minimum(np.maximum(np.round(r * 0.01), first), last)
-    two = first <= last
-    # an end near a multiple of 10 matters where p = 1; where p >= 2 only one
-    # near a multiple of 100 does, which is near one of 10 as well
-    near = np.zeros(x.size, dtype=bool)
-    for end in (lower, upper):
-        near |= np.abs(end * 0.1 - np.round(end * 0.1)) < 0.1 * TOL
-    check = np.flatnonzero(near & two)
-    near[check] = False
-    for end in (lower[check], upper[check]):
-        near[check] |= np.abs(end * 0.01 - np.round(end * 0.01)) < 0.01 * TOL
-    fallback |= near
-    # p >= 3: the interval, narrower than 223, holds at most one multiple of
-    # 1000 and so no tie; p is 2 plus the trailing zeros of that multiple
-    hundreds = q + first.astype(np.int64)  # the lowest multiple of 100 inside, / 100
-    thousands = -(-hundreds // 10)
-    three = two & (10 * thousands <= q + last.astype(np.int64))
-    tie1 = (np.abs(tens - np.floor(tens) - 0.5) < 0.1 * TOL) & (below > 5.0) & (above > 5.0)
-    tie2 = (np.abs(r - 50.0) < TOL) & (below > 50.0) & (above > 50.0)
-    fallback |= (two & tie2 & ~three) | (~two & tie1)
-    p = 1 + two + three
-    digits = np.where(two, q + units2.astype(np.int64), 10 * q + units1.astype(np.int64))
-    digits[three] = thousands[three]
-    live = np.flatnonzero(three)
-    while live.size:
-        quot, rem = np.divmod(digits[live], 10)
-        live = live[rem == 0]
-        digits[live] = quot[rem == 0]
-        p[live] += 1
-    whole = digits * _POW10[p]
-    places = 17 + (whole >= _POW10[17]) + (whole >= _POW10[18])
-    return digits, places - p, places - k, fallback
+    q = v // 1000
+    r = (v - 1000 * q) + err * scale  # V = 1000 q + r
+    # steps 2 and 3: the multiples of 10, 100 and 1000 nearest V, in units of
+    # each, and how far outside the interval those of 100 and 1000 are
+    tens, hundreds, thousands = r * 0.1, r * 0.01, r * 0.001
+    units, hundred, thousand = np.rint(tens), np.rint(hundreds), np.rint(thousands)
+    off100 = np.abs(hundreds - hundred)
+    out100 = off100 - h100
+    out1000 = np.abs(thousands - thousand) - h1000
+    two, three = out100 <= 0, out1000 <= 0
+    pick = np.where(three, 100.0 * thousand, np.where(two, 10.0 * hundred, units))
+    digits = 100 * q + pick.astype(np.int64)
+    # step 5: zero, subnormal, inf, nan or a power of two; an end near a
+    # multiple of 100 or 1000; a tie between two multiples of 100, or of 10
+    fallback = (((top + 1) & 0x7FF) <= 1) | (mf == 1.0) | (np.abs(out100) < 0.01 * TOL)
+    fallback |= (np.abs(out1000) < 0.001 * TOL) | two & ~three & (off100 > 0.5 - 0.01 * TOL)
+    fallback |= ~two & (np.abs(tens - units) > 0.5 - 0.1 * TOL)
+    decpt = decpt.astype(np.int64)
+    # V just below 1e17 or from just below 1e18 up: digits has 16 or 18 digits
+    odd = np.flatnonzero((digits < 10**16) | (digits >= 10**17))
+    if odd.size:
+        big = digits[odd] >= 10**17
+        digits[odd] = np.where(big, digits[odd] // 10, digits[odd] * 10)
+        decpt[odd] += np.where(big, 1, -1)
+    return digits, decpt, fallback
 
 
-# digits right-aligned in bytes 0..19 of a value's 32-byte source row (four
-# per word), its exponent as "0ddd" in 20..23, then "-.0e", the exponent's
-# sign and the separator that follows the value in the text
-_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype=np.uint32)
-_CONSTANTS = np.frombuffer(b"-.0e", dtype=np.uint32)[0]
-_MINUS, _POINT, _ZERO, _E, _EXP_SIGN, _SEP = 24, 25, 26, 27, 28, 29
-_FORMS = 22  # decpt = -3..16 printed positionally, then exponents of 2 and 3 digits
+# step 4.  A value's text is four NUL-padded words: [sign, prefix, leading
+# digit] [digits 1-8] [digits 9-16] [digit shifted out, tail, separator].
+# Its shape is (sign, decpt clipped to -4..17, digit count): -3..16 print
+# positionally, -4 and 17 stand for the exponent forms
+_ASCII4 = sum((np.arange(10000, dtype=np.uint64) // 10**(3 - b) % 10 + 48) << np.uint64(8 * b)
+              for b in range(4))  # "%04d" as a little-endian word
+_ZEROS = np.uint64(0x3030303030303030)
+# digit count by the exponent bits of 2^64 z2 + z1, z1 and z2 digits 1-8 and
+# 9-16 XOR ASCII zeros: 2 plus the index of the last nonzero byte, else 1
+_COUNT = np.maximum(((np.arange(2048) - 1023) >> 3) + 2, 1).astype(np.uint64)
+_EXP_RANGE = 350  # |decpt| bound of the form table
+_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
 
 
-@functools.lru_cache(maxsize=None)
-def _columns(shape: int) -> np.ndarray:
-    """Source columns of one shape's text, separator included."""
-    negative, rest = divmod(shape, _FORMS * 17)
-    form, count = divmod(rest, 17)
-    count += 1
-    digit = list(range(20 - count, 20))
-    cols = [_MINUS] if negative else []
-    if form < 20:
-        decpt = form - 3
-        if decpt <= 0:
-            cols += [_ZERO, _POINT] + [_ZERO] * -decpt + digit
-        elif decpt < count:
-            cols += digit[:decpt] + [_POINT] + digit[decpt:]
-        else:
-            cols += digit + [_ZERO] * (decpt - count) + [_POINT, _ZERO]
-    else:
-        cols += digit[:1] + ([_POINT] + digit[1:] if count > 1 else [])
-        cols += [_E, _EXP_SIGN] + list(range(24 - (form - 18), 24))
-    return np.array(cols + [_SEP], dtype=np.intp)
+def _layout_table():
+    """Per shape, eight words: the prefix; the bytes of digits 1-16 kept, of
+    those that move up one byte to make room for the decimal point, and the
+    point itself, two words each; the tail with its separator."""
+    rows = []
+    for sign, decpt, count in itertools.product((b"", b"-"), range(-4, 18), range(18)):
+        positional = -3 <= decpt <= 16
+        at = decpt if positional else 1  # the point follows digit `at`
+        prefix = sign + (b"0." + b"0" * -decpt if positional and decpt <= 0 else b"")
+        kept = max(count, at, 1) - 1
+        inside = 1 <= at < count
+        moved = b"\0" * (at - 1) + b"\xff" * (kept - at + 1) if inside else b""
+        point = b"\0" * (at - 1) + b"." if inside else b""
+        tail = b".0" if positional and at >= max(count, 1) else b""
+        masks = (m.ljust(16, b"\0") for m in (b"\xff" * kept, moved, point))
+        rows += [prefix.rjust(7, b"\0") + b"\0", *masks, tail.rjust(7, b"\0") + b","]
+    return np.frombuffer(b"".join(rows), dtype=np.uint64).reshape(-1, 8)
 
 
-# values formatted at a time: a chunk's temporaries of 2^13 doubles (64 KB)
-# stay under glibc's 128 KB mmap threshold, so they reuse heap memory.  Chunks
-# of 2^16 values map and unmap theirs anew: writing the golden PP samples at
-# n = 500, 1000 in one process took 26,900 page faults and 0.07 s system time
-# that way, against 330 and 0.02 s (2 vCPUs, numpy 2.4.6)
+def _form_table():
+    """By decpt + _EXP_RANGE: the first row of the decpt's shapes in the
+    layout table, and the exponent tail ``e±dd[d]`` (0 where decpt is
+    positional)."""
+    rows = [((min(max(d, -4), 17) + 4) * 18).to_bytes(8, "little")
+            + (bytes(8) if -3 <= d <= 16 else (b"e%+03d" % (d - 1)).rjust(7, b"\0") + b"\0")
+            for d in range(-_EXP_RANGE, _EXP_RANGE + 1)]
+    return np.frombuffer(b"".join(rows), dtype=np.uint64).reshape(-1, 2)
+
+
+_LAYOUT = _layout_table()
+_FORMS = _form_table()
+
+# values formatted at a time.  A chunk of 2^13 makes vectors of 64 KB and
+# two gathered tables of about 0.5 MB; simulate frees larger arrays first,
+# which raises glibc's mmap threshold, so all of them reuse heap memory: a
+# simulate run of golden PP at n = 500, 1000 takes about 3,000 page faults.
+# Chunks of 2^12 or 2^14 values were no faster (2 vCPUs, numpy 2.4.6)
 _CHUNK_VALUES = 2**13
 
 
@@ -197,41 +203,31 @@ def format_rows(block: np.ndarray) -> str:
 def _format_chunk(block: np.ndarray) -> str:
     width = block.shape[1]
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    digits, count, decpt, fallback = _shortest(x)
-    exp = decpt - 1
-    groups = np.empty((6, x.size), dtype=np.int64)  # 4-digit groups, then the exponent
-    for i, scale in enumerate((10**16, 10**12, 10**8, 10**4)):  # np.divmod is slower
-        groups[i] = digits // scale
-        digits = digits - groups[i] * scale
-    groups[4] = digits
-    groups[5] = np.abs(exp)
-    src = np.empty((x.size, 8), dtype=np.uint32)
-    src[:, :6] = _DIGITS4.take(groups).T
-    src[:, 6] = _CONSTANTS
-    src[:, 7] = 0
-    chars = src.view(np.uint8)
-    chars[:, _EXP_SIGN] = np.where(exp < 0, ord("-"), ord("+"))
-    chars[:, _SEP] = ord(",")
-    chars[width - 1::width, _SEP] = ord("\n")
-    # step 4: one gather per shape, over the values sorted by shape (a stable
-    # sort, which numpy does by radix on int16)
-    form = np.where((decpt > -4) & (decpt <= 16), decpt + 3, np.where(np.abs(exp) < 100, 20, 21))
-    shape = ((np.signbit(x) * _FORMS + form) * 17 + count - 1).astype(np.int16)
-    shape[fallback] = -1
-    order = np.argsort(shape, kind="stable")
-    shape = shape[order]
-    sorted_chars = src.view(np.uint64).take(order, axis=0).view(np.uint8)
-    text = np.zeros((x.size, 32), dtype=np.uint8)
-    cuts = [0, *(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), x.size]
-    for a, b, kind in zip(cuts[:-1], cuts[1:], shape[cuts[:-1]].tolist()):
-        if kind >= 0:
-            cols = _columns(kind)
-            np.take(sorted_chars[a:b], cols, axis=1, out=text[a:b, :cols.size], mode="clip")
-            continue
-        for j in range(a, b):  # step 5
-            value = repr(float(x[order[j]])) + chr(sorted_chars[j, _SEP])
-            text[j, :len(value)] = np.frombuffer(value.encode(), dtype=np.uint8)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(x.size)
-    text = text.view(np.uint64).take(rank, axis=0).tobytes()
-    return text.translate(None, b"\0")[:-1].decode("ascii")  # no separator after the last value
+    digits, decpt, fallback = _shortest(x)
+    # the leading digit, and digits 1-8 and 9-16 as two words of ASCII
+    upper = digits // 10**8
+    lead = upper // 10**8
+    eights = np.stack((upper - lead * 10**8, digits - upper * 10**8))
+    fours = eights // 10**4
+    low, high = _ASCII4.take(fours) | _ASCII4.take(eights - fours * 10**4) << np.uint64(32)
+    z1, z2 = ((word ^ _ZEROS).view(np.int64).astype(np.float64) for word in (low, high))
+    count = _COUNT.take((z2 * 2.0**64 + z1).view(np.uint64) >> np.uint64(52))
+    form, exponent = _FORMS.take(decpt + _EXP_RANGE, axis=0).T
+    shape = form + count + (x.view(np.uint64) >> np.uint64(63)) * np.uint64(396)
+    prefix, keep1, keep2, shift1, shift2, dot1, dot2, tail = _LAYOUT.take(shape, axis=0).T
+    words = np.empty((x.size, 4), dtype=np.uint64)
+    np.bitwise_or(prefix, (lead + ord("0")).view(np.uint64) << np.uint64(56), out=words[:, 0])
+    # insert the point: the kept bytes from it up move one byte up, the
+    # top one into the last word
+    up1, up2 = low & shift1, high & shift2
+    np.add((low & keep1) + up1 * np.uint64(255), dot1, out=words[:, 1])
+    np.add((high & keep2) + up2 * np.uint64(255) + dot2, up1 >> np.uint64(56), out=words[:, 2])
+    np.bitwise_or((up2 >> np.uint64(56)) | tail, exponent, out=words[:, 3])
+    words[width - 1::width, 3] ^= _NEWLINE
+    # step 5
+    back = np.flatnonzero(fallback)
+    if back.size:
+        text = b"".join(repr(v).encode().ljust(31, b"\0") for v in x[back].tolist())
+        words.view(np.uint8)[back, :31] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 31)
+    # no separator after the last value
+    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
