@@ -42,6 +42,10 @@ RUNS = (
     ("pp_jmax", "mc-risk", "golden_pp.cfg", BOTH + _overrides("j_max=60", "replications=50")),
     ("pp_jmax_est", "estimate", "golden_pp.cfg",
      BOTH + _overrides("j_max=60", "replications=1")),
+    # j_max = 8 clips the known-degree bound min(M_n, n_coef) at n >= 1000 (M_n = 9..13)
+    ("pp_jmax_clip", "mc-risk", "golden_pp.cfg", BOTH + _overrides("j_max=8", "replications=50")),
+    ("pp_jmax_clip_est", "estimate", "golden_pp.cfg",
+     BOTH + _overrides("j_max=8", "replications=1")),
     # s = 1 makes the weight cap N_n = floor(sqrt(n)) bind
     ("pp_s1_rates", "rates", "golden_pp.cfg", _overrides("s=1", "p=3")),
     ("pp_s1_mc", "mc-risk", "golden_pp.cfg", BOTH + _overrides("s=1", "p=3", "replications=50")),

@@ -1,7 +1,8 @@
 """Command-line harness: simulate / estimate / mc-risk / rates.
 
 Exit codes: 0 on success, 2 on configuration errors (including unwritable
-output directories), 3 on numeric failures (overflow, non-finite results).
+output directories) and on running out of memory, 3 on numeric failures
+(overflow, non-finite results).
 Every output CSV starts with a single comment line echoing the full
 configuration and artifact version.
 """
@@ -167,6 +168,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

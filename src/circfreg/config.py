@@ -31,6 +31,7 @@ _DEFAULT_GRID = {
     "PE": (500, 2000, 8000),
 }
 _DEFAULT_REPLICATIONS = 200
+_N_MAX = 10**8  # the largest n and j_max the per-n plans are sized for
 
 
 class ConfigError(ValueError):
@@ -80,8 +81,9 @@ class RunConfig:
             errors.append(f"rho: must satisfy rho > 0, got {self.rho}")
         if len(self.n_grid) < 1:
             errors.append("n_grid: must contain at least one sample size")
-        if any(n < 2 for n in self.n_grid):
-            errors.append(f"n_grid: every entry must satisfy n >= 2, got {self.n_grid}")
+        if any(not 2 <= n <= _N_MAX for n in self.n_grid):
+            errors.append(f"n_grid: every entry must satisfy n >= 2 and n <= {_N_MAX}, "
+                          f"got {self.n_grid}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             errors.append(f"n_grid: entries must be strictly increasing, got {self.n_grid}")
         if self.replications < 1:
@@ -96,8 +98,8 @@ class RunConfig:
             errors.append(f"pen_const_known: must be > 0, got {self.pen_const_known}")
         if not self.pen_const_unknown > 0.0:
             errors.append(f"pen_const_unknown: must be > 0, got {self.pen_const_unknown}")
-        if self.j_max is not None and self.j_max < 1:
-            errors.append(f"j_max: must satisfy j_max >= 1 when given, got {self.j_max}")
+        if self.j_max is not None and not 1 <= self.j_max <= _N_MAX:
+            errors.append(f"j_max: must satisfy 1 <= j_max <= {_N_MAX} if given, got {self.j_max}")
         if errors:
             raise ConfigError(errors)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import CoefVector
 from .config import write_csv
-from .sequences import SequenceSpec, balance_m_dagger, bound_N, intrinsic_scales
+from .sequences import PenaltyScales, SequenceSpec, balance_m_dagger, bound_N, intrinsic_scales
 
 __all__ = [
     "SlopeSpec",
@@ -151,13 +151,12 @@ class Sample:
         return int(self.xcoef.shape[1])
 
 
-def default_truncation(spec: SequenceSpec, n: int) -> int:
-    """Default coefficient truncation: max(N_n, 2 m_dagger).
+def default_truncation(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
+    """Default coefficient truncation max(N_n, 2 m_dagger), from scales over 1..n.
 
     Guarantees every admissible model dimension sees genuinely simulated
     coefficients.
     """
-    scales = intrinsic_scales(spec, n)
     return max(bound_N(spec, n), 2 * balance_m_dagger(spec, scales, n))
 
 
@@ -201,7 +200,7 @@ def simulate(
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if n_coef is None:
-        n_coef = default_truncation(spec, n)
+        n_coef = default_truncation(spec, intrinsic_scales(spec, n), n)
     if len(slope) > n_coef:
         raise ValueError(
             f"slope has {len(slope)} coefficients but only {n_coef} are simulated"
@@ -237,6 +236,14 @@ def covariance_kernel(spec: SequenceSpec, n_coef: int, u) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+# values formatted at a time.  A chunk of 2^13 makes vectors of 64 KB and
+# two gathered tables of about 0.5 MB; simulate frees larger arrays first,
+# which raises glibc's mmap threshold, so all of them reuse heap memory: a
+# simulate run of golden PP at n = 500, 1000 takes about 3,000 page faults.
+# Chunks of 2^12 or 2^14 values were no faster (2 vCPUs, numpy 2.4.6)
+_CHUNK_VALUES = 2**13
+
+
 def write_sample_csv(sample: Sample, path, echo: str = "") -> None:
     """Write one row per unit: Y, X_1..X_J, after a single comment line.
 
@@ -246,7 +253,7 @@ def write_sample_csv(sample: Sample, path, echo: str = "") -> None:
     the next is formatted.
     """
     # imported here, so that mc-risk, estimate and rates never load it
-    from .floatfmt import _CHUNK_VALUES, format_rows
+    from .floatfmt import format_rows
 
     meta = (
         f"n={sample.n} n_coef={sample.n_coef} sigma={sample.sigma!r} "

@@ -23,7 +23,7 @@ through five steps:
    built from tables without sorting or gathering bytes: the leading digit
    after the sign and any ``0.000`` prefix, the other 16 digits cut to the
    digit count with the decimal point shifted in, and the exponent or ``.0``
-   tail.  One pass over the chunk's bytes then strips the NULs between them.
+   tail.  One pass over the block's bytes then strips the NULs between them.
 5. Fallback.  The double-double error is about 1e-13 at V ~ 1e18.  A value
    that the kernel cannot decide with a margin of TOL = 1e-6 (a tie between
    two candidates, or an interval end within TOL of a multiple of 100) goes
@@ -185,22 +185,10 @@ def _form_table():
 _LAYOUT = _layout_table()
 _FORMS = _form_table()
 
-# values formatted at a time.  A chunk of 2^13 makes vectors of 64 KB and
-# two gathered tables of about 0.5 MB; simulate frees larger arrays first,
-# which raises glibc's mmap threshold, so all of them reuse heap memory: a
-# simulate run of golden PP at n = 500, 1000 takes about 3,000 page faults.
-# Chunks of 2^12 or 2^14 values were no faster (2 vCPUs, numpy 2.4.6)
-_CHUNK_VALUES = 2**13
-
 
 def format_rows(block: np.ndarray) -> str:
     """The rows of a 2-D float block as repr'd values, comma-separated, one
     line per row, without a final newline."""
-    step = max(1, _CHUNK_VALUES // block.shape[1])
-    return "\n".join(_format_chunk(block[a:a + step]) for a in range(0, block.shape[0], step))
-
-
-def _format_chunk(block: np.ndarray) -> str:
     width = block.shape[1]
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     digits, decpt, fallback = _shortest(x)

@@ -234,15 +234,17 @@ class _GridPlan:
     tau: float    # noise sd with the coordinates beyond J folded in
     beta: np.ndarray  # slope coefficients 1..n_coef
     weights: np.ndarray
+    lam: np.ndarray   # eigenvalues 1..J
     bias: np.ndarray  # squared bias beyond m = 1..J, through n_coef
     tail: float
-    scales: PenaltyScales | None  # known-degree scales up to the admissible bound
+    scales: PenaltyScales  # the run's scales, up to its largest n
+    m_bound: int  # known-degree bound min(M_n, n_coef)
 
 
 def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     """Sample moments of replicate r, drawn from a Bartlett factor over the
     alive window (module docstring: law, error event and draw layout)."""
-    n, window = plan.n, plan.window
+    n, window, lam = plan.n, plan.window, plan.lam
     rng = substream(plan.config.seed, n, r)
     width = min(n, window + 1)
     factor = np.zeros((window + 1, width))
@@ -251,7 +253,6 @@ def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     rows, cols = np.tril_indices(window + 1, -1, width)
     factor[rows, cols] = rng.standard_normal(rows.size)
 
-    lam = plan.seq.eigenvalues(window)
     root = np.sqrt(lam)
     # a moment past float range is inf; replicate_traces then ends the run at exit 3
     with np.errstate(over="ignore"):
@@ -269,7 +270,7 @@ def replicate_traces(plan: _GridPlan, r: int):
     traces = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = select_known(mom, plan.weights, plan.scales, len(plan.scales), cfg.eta,
+            trace = select_known(mom, plan.weights, plan.scales, plan.m_bound, cfg.eta,
                                  cfg.pen_const_known)
         else:
             trace = select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
@@ -289,11 +290,12 @@ def _run_replicate(plan: _GridPlan, r: int):
 
 def experiment_plans(config):
     """Per-n task plans for a RunConfig (one slope, normalized at the largest
-    truncation, shared by the whole grid)."""
+    truncation, and one set of scales, to the largest n, for the whole grid)."""
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
+    scales = intrinsic_scales(seq, grid[-1])  # the grid is strictly increasing
 
-    trunc = {n: config.j_max or default_truncation(seq, n) for n in grid}
+    trunc = {n: config.j_max or default_truncation(seq, scales, n) for n in grid}
     ref = max(trunc.values())
     slope_spec = SlopeSpec(seq, config.rho, ref)
     beta = make_slope(slope_spec).coefs
@@ -308,19 +310,15 @@ def experiment_plans(config):
     for n in grid:
         n_coef = trunc[n]
         window = alive_window(seq, n, n_coef)
-        folded = seq.eigenvalues(n_coef)[window:] * beta[window:n_coef] ** 2
-        tau = float(np.sqrt(noise_var + np.sum(folded)))
+        lam = seq.eigenvalues(n_coef)
+        tau = float(np.sqrt(noise_var + np.sum(lam[window:] * beta[window:n_coef] ** 2)))
         band = float(np.sum(omega[n_coef:] * beta[n_coef:] ** 2))  # n_coef < j <= ref
-        scales = None
-        if "known_degree" in config.variant_names():
-            m_bound = min(bound_M(seq, intrinsic_scales(seq, n), n), n_coef)
-            scales = intrinsic_scales(seq, m_bound)  # = prefix of the length-n scales
         plans.append(
             _GridPlan(
                 config=config, seq=seq, n=n, n_coef=n_coef, window=window, tau=tau,
-                beta=beta[:n_coef], weights=omega[:n_coef],
+                beta=beta[:n_coef], weights=omega[:n_coef], lam=lam[:window],
                 bias=_bias_beyond(beta[:n_coef], omega[:n_coef], window),
-                tail=band + tail_ref, scales=scales,
+                tail=band + tail_ref, scales=scales, m_bound=min(bound_M(seq, scales, n), n_coef),
             )
         )
     return plans

@@ -69,6 +69,34 @@ def test_unwritable_out_dir_exits_2(config_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, override", [("rates", "n_grid=100000000000"),
+                                               ("mc-risk", "n_grid=100000000000"),
+                                               ("mc-risk", "j_max=1000000000")])
+def test_size_above_bound_exits_2_at_config_time(config_file, tmp_path, capsys, command,
+                                                 override):
+    # far above the bound, so nothing of this size is ever allocated
+    code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    key = override.split("=")[0]
+    assert err.startswith(f"config error: {key}: ") and "<= 100000000" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_memory_error_exits_2(config_file, tmp_path, monkeypatch, capsys):
+    import circfreg.cli as cli_module
+
+    def exhaust(cfg, echo):
+        raise MemoryError("synthetic allocation failure")
+
+    monkeypatch.setattr(cli_module, "_cmd_rates", exhaust)
+    code = main(["rates", "--config", str(config_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: out of memory: synthetic allocation failure\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate", "rates"])
 def test_workers_flag_only_on_mc_risk(config_file, tmp_path, command):
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from circfreg import (
     SlopeSpec,
     covariance_kernel,
     default_truncation,
+    intrinsic_scales,
     make_slope,
     simulate,
     slope_tail_bias,
@@ -128,12 +129,12 @@ class TestSimulate:
 
     def test_default_truncation_covers_weight_cap(self):
         for spec, n in ((PP, 100), (SequenceSpec("PP", a=1.0, p=2.0, s=1.0), 100)):
-            assert default_truncation(spec, n) >= cf.bound_N(spec, n)
+            assert default_truncation(spec, intrinsic_scales(spec, n), n) >= cf.bound_N(spec, n)
 
     def test_simulate_default_truncation(self):
         slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=10))
         sample = simulate(PP, slope, n=50, sigma=0.5, seed=3)
-        assert sample.n_coef == default_truncation(PP, 50)
+        assert sample.n_coef == default_truncation(PP, intrinsic_scales(PP, 50), 50)
 
     def test_noise_variance(self):
         sample = simulate(PP, CoefVector([0.0]), n=10**5, sigma=1.0, seed=9, n_coef=2)

@@ -317,7 +317,7 @@ class TestReplicateEngine:
                                             variant="known", j_max=None))
         for cfg in cfgs:
             for plan in experiment_plans(cfg):
-                assert len(plan.scales) <= plan.window, (cfg, plan.n)
+                assert plan.m_bound <= plan.window, (cfg, plan.n)
 
     def test_small_n_means_match_population(self):
         # n = 5..10 < J + 1 = 14: the trapezoidal (QR) branch of the factor
