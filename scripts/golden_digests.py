@@ -37,6 +37,8 @@ RUNS = (
     ("pp_rates", "rates", "golden_pp.cfg", ()),
     ("pp_mc", "mc-risk", "golden_pp.cfg", ()),
     ("pp_mc_both", "mc-risk", "golden_pp.cfg", BOTH),
+    # odd R takes the middle-element branch of the median; the others have even R
+    ("pp_mc_odd", "mc-risk", "golden_pp.cfg", BOTH + _overrides("replications=5")),
     ("pp_est", "estimate", "golden_pp.cfg", BOTH + _overrides("replications=2")),
     ("pp_sim", "simulate", "golden_pp.cfg", _overrides("n_grid=250,500")),
     ("pp_jmax", "mc-risk", "golden_pp.cfg", BOTH + _overrides("j_max=60", "replications=50")),
@@ -55,6 +57,7 @@ RUNS = (
     ("pe_mc", "mc-risk", "golden_pe.cfg", ()),
     ("pe_mc_w2", "mc-risk", "golden_pe.cfg", ("--workers", "2")),
     ("pe_mc_both", "mc-risk", "golden_pe.cfg", BOTH),
+    ("pe_mc_one", "mc-risk", "golden_pe.cfg", BOTH + _overrides("replications=1")),
     ("pe_est", "estimate", "golden_pe.cfg", BOTH + _overrides("replications=2")),
     # most of this sample prints in exponent form, many with 3-digit exponents
     ("pe_sim", "simulate", "golden_pe.cfg", _overrides("n_grid=500")),

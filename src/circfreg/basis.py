@@ -40,7 +40,7 @@ def _validated_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefVector:
     """Finite coefficient vector c_1..c_J in the trigonometric basis."""
 
@@ -53,7 +53,7 @@ class CoefVector:
         return int(self.coefs.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Strictly positive weights w_1..w_J with the normalization w_1 = 1."""
 

@@ -132,7 +132,7 @@ def slope_tail_bias(spec: SlopeSpec) -> float:
     return float(slope_scale(spec) ** 2 * total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """n observations of the model in coefficient space."""
 

@@ -37,7 +37,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMoments:
     """Empirical cross-moments of a sample.
 
@@ -102,7 +102,8 @@ def contrast(mom: SampleMoments, w, m: int) -> float:
 
 def _penalty(const, sigma_y2, eta, delta, n):
     """The penalty const * sigma_Y^2 * eta * delta_m / n (elementwise in delta)."""
-    return const * sigma_y2 * eta * delta / n
+    with np.errstate(over="ignore"):  # an inf penalty makes replicate_traces exit 3
+        return const * sigma_y2 * eta * delta / n
 
 
 def penalty_known(
@@ -159,7 +160,7 @@ def bound_M_hat(mom: SampleMoments, w) -> int:
     return int(ok[-1]) + 1 if ok.size else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionTrace:
     """Per-dimension audit record of one model-selection run."""
 

@@ -188,7 +188,7 @@ def fit_slope(pairs) -> float:
     return float(np.sum(xc * y) / np.sum(xc * xc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskReport:
     """Monte Carlo risk summaries for one selection variant over an n-grid."""
 
@@ -222,7 +222,7 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
     return int(np.count_nonzero(tail > ALIVE_EPS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GridPlan:
     """Everything the replicates at one grid size n need; immutable."""
 
@@ -353,14 +353,14 @@ def run_experiment(config):
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
 
-    # per n: the oracle, and per variant the R-vectors of (risk, m_hat, M_hat)
-    oracle, stats = [], []
-    for plan in experiment_plans(config):
-        curves, picks = zip(*(_run_replicate(plan, r) for r in range(config.replications)))
+    # picks[n, variant, field, r]: per variant, replicate r's risk at m_hat, m_hat
+    # and M_hat; C-contiguous with r last, so a mean along r sums as np.mean does
+    picks = np.empty((len(grid), len(config.variant_names()), 3, config.replications))
+    oracle = []  # per n: the variant-independent best fixed m and its mean risk
+    for plan, per_n in zip(experiment_plans(config), picks):
+        curves, per_r = zip(*(_run_replicate(plan, r) for r in range(config.replications)))
+        per_n[...] = np.transpose(per_r, (1, 2, 0))
         oracle.append(_best_fixed_dim(curves))
-        stats.append([[np.array(col) for col in zip(*per_variant)]
-                      for per_variant in zip(*picks)])
-    # the oracle benchmark is variant-independent: best fixed m per grid point
     oracle_m, oracle_val = (np.array(col) for col in zip(*oracle))
     at_n = lambda gi: f"n = {grid[gi]}"
     _require_finite(at_n, oracle_risk=oracle_val)
@@ -368,10 +368,9 @@ def run_experiment(config):
 
     reports = []
     for vi, variant in enumerate(config.variant_names()):
-        mean_risk = np.array([np.mean(per_n[vi][0]) for per_n in stats])
-        median_risk, median_m_hat, median_m_bound = (
-            np.array([_median(per_n[vi][k]) for per_n in stats]) for k in range(3)
-        )
+        mean_risk = picks[:, vi, 0].mean(axis=-1)
+        medians = np.apply_along_axis(_median, -1, picks[:, vi])  # [n, field]
+        median_risk, median_m_hat, median_m_bound = medians.T
         _require_finite(at_n, mean_risk=mean_risk, median_risk=median_risk,
                         median_m_hat=median_m_hat, median_M_hat=median_m_bound)
         if len(grid) >= 2:

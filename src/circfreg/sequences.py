@@ -114,8 +114,7 @@ class SequenceSpec:
         # lambda_{2k+1} = lambda_{2k}: odd indices >= 3 evaluate at j - 1
         j = self._indices(length)
         if self.enforce_pair:
-            idx = np.arange(1, length + 1)
-            j = np.where((idx % 2 == 1) & (idx >= 3), j - 1.0, j)
+            j[2::2] -= 1.0  # j = 3, 5, ...: exact, the entries are integers
         return j
 
     def log_eigenvalues(self, length: int) -> np.ndarray:
@@ -150,7 +149,7 @@ class SequenceSpec:
         return j ** (-2.0 * self.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenaltyScales:
     """Penalty scale sequences delta, Delta, kappa for m = 1..J.
 

@@ -247,13 +247,15 @@ def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, com
         assert "sigma" in err.split("numeric failure", 1)[1]
 
 
+@pytest.mark.parametrize("override", ["sigma=1e154", "eta=1e308"])
 @pytest.mark.parametrize("command", ["estimate", "mc-risk"])
-def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys, command):
-    # sigma**2 = 1e308 is finite, but sigma_y2 and with it the penalty overflow
+def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys, command, override):
+    # sigma**2 = 1e308 is finite, but sigma_y2 and with it the penalty overflow;
+    # eta = 1e308 overflows the penalty's product itself
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
-                     "--override", "sigma=1e154"])
+                     "--override", override])
     err = capsys.readouterr().err
     assert code == 3
     assert [str(w.message) for w in caught] == []

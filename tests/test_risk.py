@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,9 @@ from circfreg import (
 )
 from circfreg.risk import (
     ALIVE_EPS,
+    _GridPlan,
     _median,
+    _run_replicate,
     alive_window,
     experiment_plans,
     log_chi2_tail_bound,
@@ -166,6 +168,18 @@ def test_median_is_numpy_median_bit_for_bit(size):
         assert repr(_median(values)) == repr(expected)
 
 
+@pytest.mark.parametrize("cls", [
+    CoefVector, cf.WeightVector, cf.Sample, SampleMoments, cf.SelectionTrace,
+    cf.PenaltyScales, cf.RiskReport, _GridPlan,
+])
+def test_array_records_compare_by_identity(cls):
+    # a generated __eq__ compares the arrays and raises; hash() raises TypeError
+    make = lambda: cls(**{f.name: np.ones(2) for f in fields(cls)})
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def tiny_config(**overrides):
     base = dict(
         regime="PP", a=1.0, p=2.0, s=0.0, sigma=0.5, rho=1.0,
@@ -194,6 +208,22 @@ class TestRunExperiment:
         for rep in reports:
             assert np.all(rep.mean_risk >= 0) and np.all(rep.median_risk >= 0)
             assert np.all(rep.oracle_risk <= rep.mean_risk + 1e-15)
+
+    @pytest.mark.parametrize("reps", [1, 4, 5, 300])
+    def test_aggregates_match_per_replicate_reference(self, reps):
+        # 1-D np.mean and np.median over each (n, variant) column of replicates,
+        # bit for bit; 300 takes np.mean's pairwise sum past one 128-value block
+        cfg = tiny_config(replications=reps)
+        ref = []
+        for plan in experiment_plans(cfg):
+            picks = [_run_replicate(plan, r)[1] for r in range(reps)]
+            ref.append([[np.array([p[vi][k] for p in picks]) for k in range(3)]
+                        for vi in range(2)])
+        for vi, rep in enumerate(run_experiment(cfg)):
+            cols = [per_n[vi] for per_n in ref]
+            assert rep.mean_risk.tolist() == [np.mean(c[0]) for c in cols]
+            for k, got in enumerate((rep.median_risk, rep.median_m_hat, rep.median_m_bound)):
+                assert got.tolist() == [np.median(c[k]) for c in cols]
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = tiny_config()
