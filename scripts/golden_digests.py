@@ -1,4 +1,5 @@
-"""Print a SHA-256 digest of every CSV a fixed set of CLI runs writes.
+"""Print a SHA-256 digest of every CSV a fixed set of CLI runs writes, and of
+the stderr of a fixed set of runs that must fail.
 
     python3 scripts/golden_digests.py [CHECKOUT] > digests.txt
 
@@ -11,6 +12,11 @@ two checkouts can be compared with ``diff``.  A refactor that must keep the
 outputs byte-identical passes when the two listings match.  Every run must
 exit 0 and write nothing to stderr (a numpy warning, say); otherwise the
 script names the run, prints its stderr and exits 1.
+
+Then it runs the documented error paths in ``FAILS`` and prints one
+``exit N  sha256  name`` line per run, digesting its stderr; a run whose exit
+code is not the expected 2 or 3 is named and the script exits 1.  None of
+these messages quotes the configured size bound or a path.
 
 The set runs ``simulate`` on golden PE at n = 500 only: its n = 8000 sample
 would be an 8000 x 8001 CSV of about 1.4 GB.
@@ -71,22 +77,50 @@ RUNS = (
      BOTH + _overrides("regime=EP", "p=1", "replications=1", "n_grid=250,1000")),
 )
 
+# (name, subcommand, config name, extra CLI arguments, expected exit code)
+FAILS = (
+    ("replications_none", "mc-risk", "golden_pp.cfg", _overrides("replications=none"), 2),
+    ("n_grid_none", "mc-risk", "golden_pp.cfg", _overrides("n_grid=none"), 2),
+    ("seed_none", "mc-risk", "golden_pp.cfg", _overrides("seed=none"), 2),
+    ("enforce_pair_maybe", "mc-risk", "golden_pp.cfg", _overrides("enforce_pair=maybe"), 2),
+    ("replications_ten", "mc-risk", "golden_pp.cfg", _overrides("replications=ten"), 2),
+    ("unknown_key", "mc-risk", "golden_pp.cfg", _overrides("turbo=yes"), 2),
+    ("override_without_eq", "mc-risk", "golden_pp.cfg", _overrides("turbo"), 2),
+    # three violations, reported together
+    ("three_violations", "mc-risk", "golden_pp.cfg",
+     _overrides("a=0.1", "rho=-1", "replications=0"), 2),
+    ("a_nan", "mc-risk", "golden_pp.cfg", _overrides("a=nan"), 2),
+    ("sigma_overflow", "mc-risk", "golden_pp.cfg", _overrides("sigma=1e200"), 3),
+    ("eta_overflow", "estimate", "golden_pp.cfg", _overrides("eta=1e308"), 3),
+)
+
 
 def main(argv) -> int:
     checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory(prefix="circfreg_digests_") as work:
-        for out, command, config, extra in RUNS:
+        def run(out, command, config, extra):
             cmd = [sys.executable, "-m", "circfreg.cli", command,
                    "--config", str(checkout / "configs" / config), "--out", out]
-            done = subprocess.run(cmd + list(extra), cwd=work, env=env,
+            return subprocess.run(cmd + list(extra), cwd=work, env=env,
                                   capture_output=True, text=True)
+
+        for out, *call in RUNS:
+            done = run(out, *call)
             if done.returncode != 0 or done.stderr:
                 print(f"{out}: exit {done.returncode}\n{done.stderr}", file=sys.stderr)
                 return 1
         for path in sorted(Path(work).rglob("*.csv")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(work)}")
+        for name, *call, expected in FAILS:
+            done = run(name, *call)
+            if done.returncode != expected:
+                print(f"{name}: exit {done.returncode}, expected {expected}\n{done.stderr}",
+                      file=sys.stderr)
+                return 1
+            digest = hashlib.sha256(done.stderr.encode()).hexdigest()
+            print(f"exit {done.returncode}  {digest}  {name}")
     return 0
 
 

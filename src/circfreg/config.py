@@ -9,20 +9,13 @@ bound, and ``parse_config(serialize_config(cfg))`` round-trips exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .sequences import SequenceSpec, regime_violations
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_echo",
-           "write_csv"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_echo"]
 
-_REQUIRED = ("regime", "a", "p", "s", "sigma", "rho", "seed")
-_FIELDS = _REQUIRED + (
-    "n_grid", "replications", "eta", "variant", "pen_const_known",
-    "pen_const_unknown", "enforce_pair", "j_max", "out_dir",
-)
 _VARIANTS = ("known", "data_driven", "both")
-_FLOAT_FIELDS = ("a", "p", "s", "sigma", "rho", "eta", "pen_const_known", "pen_const_unknown")
 
 # grid defaults keep desk-scale runtimes of minutes
 _DEFAULT_GRID = {
@@ -31,7 +24,7 @@ _DEFAULT_GRID = {
     "PE": (500, 2000, 8000),
 }
 _DEFAULT_REPLICATIONS = 200
-_N_MAX = 10**8  # the largest n and j_max the per-n plans are sized for
+_N_MAX = 10**7  # the largest n and j_max the per-n plans are sized for
 
 
 class ConfigError(ValueError):
@@ -115,6 +108,13 @@ class RunConfig:
         return ("known_degree",) if self.variant == "known" else ("data_driven",)
 
 
+# every key in document order, with its annotation as a string ("float",
+# "int | None", ...), since this module defers annotations
+_TYPES = {field.name: field.type for field in fields(RunConfig)}
+_REQUIRED = tuple(field.name for field in fields(RunConfig) if field.default is MISSING)
+_FLOAT_FIELDS = tuple(key for key, kind in _TYPES.items() if kind == "float")
+
+
 def _parse_raw(text: str) -> dict:
     raw = {}
     errors = []
@@ -126,7 +126,7 @@ def _parse_raw(text: str) -> dict:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _TYPES:
             errors.append(f"line {lineno}: unknown key {key!r}")
         elif key in raw:
             errors.append(f"line {lineno}: duplicate key {key!r}")
@@ -137,20 +137,23 @@ def _parse_raw(text: str) -> dict:
     return raw
 
 
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value.lower() == "true"
+
+
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+
+
 def _convert(key: str, value: str):
-    if key in ("regime", "variant", "out_dir"):
-        return value
     if key == "n_grid":
         return tuple(int(part.strip()) for part in value.split(",") if part.strip())
-    if key in ("replications", "seed"):
-        return int(value)
-    if key == "j_max":
-        return None if value.lower() == "none" else int(value)
-    if key == "enforce_pair":
-        if value.lower() not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {value!r}")
-        return value.lower() == "true"
-    return float(value)
+    # only j_max takes none: replications and n_grid are None only until
+    # the regime defaults fill them in
+    if key == "j_max" and value.lower() == "none":
+        return None
+    return _PARSERS[_TYPES[key].removesuffix(" | None")](value)
 
 
 def build_config(raw: dict) -> RunConfig:
@@ -158,7 +161,7 @@ def build_config(raw: dict) -> RunConfig:
     errors = [f"{key}: missing required key" for key in _REQUIRED if key not in raw]
     kwargs = {}
     for key, value in raw.items():
-        if key not in _FIELDS:
+        if key not in _TYPES:
             errors.append(f"unknown key {key!r}")
             continue
         try:
@@ -178,24 +181,22 @@ def parse_config(text: str) -> RunConfig:
 def _format(key: str, value) -> str:
     if key == "n_grid":
         return ",".join(str(n) for n in value)
-    if key == "enforce_pair":
+    if key == "j_max" and value is None:
+        return "none"
+    if _TYPES[key] == "bool":
         return "true" if value else "false"
-    if key == "j_max":
-        return "none" if value is None else str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical document form; parse_config(serialize_config(cfg)) == cfg."""
-    lines = [f"{key} = {_format(key, getattr(cfg, key))}" for key in _FIELDS]
+    lines = [f"{key} = {_format(key, getattr(cfg, key))}" for key in _TYPES]
     return "\n".join(lines) + "\n"
 
 
 def config_echo(cfg: RunConfig) -> str:
     """One-line config echo embedded in every output CSV."""
-    return " ".join(f"{key}={_format(key, getattr(cfg, key))}" for key in _FIELDS)
+    return " ".join(f"{key}={_format(key, getattr(cfg, key))}" for key in _TYPES)
 
 
 def write_csv(path, echo: str, meta: str, header: str, rows) -> None:

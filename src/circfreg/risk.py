@@ -76,11 +76,6 @@ __all__ = [
     "fixed_dim_risk_curve",
     "oracle_risk",
     "fit_slope",
-    "log_chi2_tail_bound",
-    "alive_window",
-    "experiment_plans",
-    "replicate_moments",
-    "replicate_traces",
     "run_experiment",
     "write_risk_csv",
 ]

@@ -27,16 +27,12 @@ import numpy as np
 __all__ = [
     "SequenceSpec",
     "PenaltyScales",
-    "regime_violations",
-    "delta_factor",
     "intrinsic_scales",
-    "weight_cap",
     "bound_M",
     "bound_N",
     "balance_m_star",
     "balance_m_dagger",
     "theoretical_rate",
-    "theoretical_rate_or_nan",
     "summability_check",
 ]
 

@@ -4,6 +4,7 @@ import importlib
 import io
 import multiprocessing.process
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -80,7 +81,7 @@ def test_size_above_bound_exits_2_at_config_time(config_file, tmp_path, capsys, 
     assert code == 2
     err = capsys.readouterr().err
     key = override.split("=")[0]
-    assert err.startswith(f"config error: {key}: ") and "<= 100000000" in err
+    assert err.startswith(f"config error: {key}: ") and re.search(r"<= 10000000\b", err)
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 

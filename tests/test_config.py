@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from circfreg import ConfigError, RunConfig, parse_config, serialize_config
@@ -45,9 +47,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="expected"):
             parse_config(MINIMAL_PP + "\njust some words\n")
 
-    def test_unparseable_value(self):
-        with pytest.raises(ConfigError, match="replications"):
-            parse_config(MINIMAL_PP.replace("replications = 10", "replications = ten"))
+    # only j_max accepts none; replications and n_grid are None only as regime defaults
+    @pytest.mark.parametrize("key, value", [("replications", "ten"), ("replications", "none"),
+                                            ("n_grid", "none"), ("seed", "none"),
+                                            ("enforce_pair", "maybe")])
+    def test_unparseable_value(self, key, value):
+        doc = "\n".join(line for line in MINIMAL_PP.splitlines()
+                        if not line.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=f"^{key}: cannot parse {value!r}"):
+            parse_config(f"{doc}\n{key} = {value}\n")
+
+    def test_words_parse_in_any_case(self):
+        cfg = parse_config(MINIMAL_PP + "\nj_max = NONE\nenforce_pair = TRUE\n")
+        assert cfg.j_max is None and cfg.enforce_pair is True
 
 
 class TestValidation:
@@ -58,6 +70,13 @@ class TestValidation:
     def test_grid_entry_bound_named(self):
         with pytest.raises(ConfigError, match="n >= 2"):
             parse_config(MINIMAL_PP.replace("n_grid = 250,500,1000", "n_grid = 1,250"))
+
+    @pytest.mark.parametrize("key, value", [("n_grid", (10**8,)), ("j_max", 10**8)],
+                             ids=["n_grid", "j_max"])
+    def test_size_bound_named(self, key, value):
+        # plans hold length-n arrays; 10^8 would take about 12 GB
+        with pytest.raises(ConfigError, match=f"^{key}: .*<= 10000000\\b"):
+            dataclasses.replace(parse_config(MINIMAL_PP), **{key: value})
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
