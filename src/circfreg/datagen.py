@@ -30,6 +30,7 @@ writes in the calling process and starts no other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,9 @@ class SlopeSpec:
 
     The coefficient profile decays like j^-(p + 3/2) under PP and PE
     (exp(-j^(2p)/2)/j under EP), scaled so the gamma-weighted squared norm
-    over the first n_coef coefficients equals ``radius`` exactly.
+    over the first n_coef coefficients equals ``radius`` exactly.  The
+    normalized slope is cached on the instance (:attr:`profile`); ``==`` and
+    ``hash`` still compare the fields only.
     """
 
     seq: SequenceSpec
@@ -69,6 +72,22 @@ class SlopeSpec:
         if self.n_coef < 1:
             raise ValueError(f"n_coef must be >= 1, got {self.n_coef}")
 
+    @cached_property
+    def profile(self) -> tuple[CoefVector, float]:
+        """The slope's coefficients and the constant c scaling the profile onto
+        the ellipsoid boundary.  An EP profile underflows in the far tail; those
+        coordinates are zeroed and left out of the norm."""
+        log_shape = _log_slope_shape(self, np.arange(1, self.n_coef + 1, dtype=float))
+        shape = np.exp(log_shape)
+        # normal floats only: subnormal tail values carry too much quantization
+        # error for the exact ellipsoid normalization, so they are zeroed instead
+        mask = shape >= np.finfo(float).tiny
+        log_gamma = self.seq.log_smoothness_weights(self.n_coef)
+        # gamma_j * shape_j^2 <= 1 for every regime, so the plain sum is safe
+        norm = float(np.sum(np.exp(log_gamma[mask] + 2.0 * log_shape[mask])))
+        c = float(np.sqrt(self.radius / norm))
+        return CoefVector(c * np.where(mask, shape, 0.0)), c
+
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
     if spec.seq.regime == "EP":
@@ -77,31 +96,9 @@ def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
     return -(spec.seq.p + 0.5 + 1.0) * np.log(j)
 
 
-def _slope_support(log_shape: np.ndarray) -> np.ndarray:
-    # normal floats only: subnormal tail values carry too much quantization
-    # error for the exact ellipsoid normalization, so they are zeroed instead
-    return np.exp(log_shape) >= np.finfo(float).tiny
-
-
-def slope_scale(spec: SlopeSpec) -> float:
-    """Normalization constant c putting the slope on the ellipsoid boundary.
-
-    Normalizes over the float-representable support; an EP profile underflows
-    in the far tail and those coordinates are excluded from the realized norm.
-    """
-    log_shape = _log_slope_shape(spec, np.arange(1, spec.n_coef + 1, dtype=float))
-    mask = _slope_support(log_shape)
-    log_gamma = spec.seq.log_smoothness_weights(spec.n_coef)
-    # gamma_j * shape_j^2 <= 1 for every regime, so the plain sum is safe
-    norm = float(np.sum(np.exp(log_gamma[mask] + 2.0 * log_shape[mask])))
-    return float(np.sqrt(spec.radius / norm))
-
-
 def make_slope(spec: SlopeSpec) -> CoefVector:
-    """Construct slope coefficients with gamma-weighted norm exactly radius."""
-    log_shape = _log_slope_shape(spec, np.arange(1, spec.n_coef + 1, dtype=float))
-    coefs = np.where(_slope_support(log_shape), np.exp(log_shape), 0.0)
-    return CoefVector(slope_scale(spec) * coefs)
+    """Slope coefficients with gamma-weighted norm exactly radius."""
+    return spec.profile[0]
 
 
 def slope_tail_bias(spec: SlopeSpec) -> float:
@@ -129,7 +126,7 @@ def slope_tail_bias(spec: SlopeSpec) -> float:
             break
     else:
         raise FloatingPointError(f"EP slope tail needs over 2^24 terms at p = {spec.seq.p!r}")
-    return float(slope_scale(spec) ** 2 * total)
+    return float(spec.profile[1] ** 2 * total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,6 @@
 import contextlib
 import gc
-import importlib
+import importlib.util
 import io
 import multiprocessing.process
 import os
@@ -405,6 +405,37 @@ def test_simulate_golden_pp_within_size_budget(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "pp_sim"), "--override", "n_grid=250,4000"])
     assert code == 0
     assert sizes == [(250, 250), (4000, 4000)]
+
+
+def test_rates_refuses_scales_table_over_size_budget(tmp_path, monkeypatch, capsys):
+    # the budget counts the 4 values of each row written, after the overflow
+    # cut: golden PE's 699 rows fit 4000 values, golden PP's 4000 rows do not
+    import circfreg.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_MAX_VALUES", 4000)
+    pe, pp = tmp_path / "pe", tmp_path / "pp"
+    assert main(["rates", "--config", str(ROOT / "configs" / "golden_pe.cfg"),
+                 "--out", str(pe)]) == 0
+    assert len((pe / "scales.csv").read_text().splitlines()) == 2 + 699
+    capsys.readouterr()
+    assert main(["rates", "--config", str(ROOT / "configs" / "golden_pp.cfg"),
+                 "--out", str(pp)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: rates: ")
+    assert "n_grid" in err[0] and "2^24" in err[0]
+    assert not pp.exists()
+
+
+def test_perfbench_tracer_wraps_existing_functions():
+    # perfbench/traced_cli.py replaces these module globals; each must still
+    # be a function the package defines or imports
+    path = ROOT / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for module, name, _ in traced.WRAPPED:
+        target = importlib.import_module(f"circfreg.{module}")
+        assert callable(getattr(target, name, None)), (module, name)
 
 
 def _nonfinite_outputs(out: Path, one_point_grid: bool) -> list:

@@ -1,5 +1,6 @@
 import multiprocessing.process
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,13 +60,20 @@ class TestMakeSlope:
         with pytest.raises(ValueError):
             SlopeSpec(PP, radius=0.0, n_coef=10)
 
+    def test_profile_cached_and_spec_compared_by_fields(self):
+        spec = SlopeSpec(PP, radius=1.0, n_coef=20)
+        assert make_slope(spec) is make_slope(spec) is spec.profile[0]
+        twin = SlopeSpec(PP, radius=1.0, n_coef=20)
+        assert "profile" not in vars(twin)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert "profile" not in vars(replace(spec, radius=4.0))
+        assert make_slope(replace(spec, radius=4.0)).coefs[0] == 2.0 * spec.profile[0].coefs[0]
+
     def test_tail_bias_matches_direct_sum(self):
         spec = SlopeSpec(PP, radius=1.0, n_coef=30)
         slope_long = make_slope(SlopeSpec(PP, radius=1.0, n_coef=30))
         # direct continuation of the coefficient profile beyond the truncation
-        from circfreg.datagen import slope_scale
-
-        c = slope_scale(spec)
+        c = spec.profile[1]
         j = np.arange(31, 200001, dtype=float)
         direct = float(np.sum((c * j ** -3.5) ** 2))  # s = 0
         assert slope_tail_bias(spec) == pytest.approx(direct, rel=1e-9)
@@ -81,19 +89,15 @@ class TestMakeSlope:
     def test_tail_bias_matches_hurwitz_zeta(self, regime, p):
         from scipy.special import zeta
 
-        from circfreg.datagen import slope_scale
-
         for s in (-1.0, 0.0, 0.25):
             for n_coef in (1, 5, 60, 4000, 8000):
                 spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=p, s=s), radius=1.0,
                                  n_coef=n_coef)
                 # sum_{j > n_coef} j^(2s) (c j^-(p + 3/2))^2
-                expected = slope_scale(spec) ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
+                expected = spec.profile[1] ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
                 assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-13)
 
     def test_tail_bias_ep_slow_decay_matches_direct_sum(self):
-        from circfreg.datagen import slope_scale
-
         spec = SlopeSpec(SequenceSpec("EP", a=1.0, p=0.1, s=0.0), radius=1.0, n_coef=4000)
         # (c exp(-j^0.2 / 2) / j)^2 summed over 2^25 indices, far past where
         # the terms stop mattering in float64
@@ -101,7 +105,7 @@ class TestMakeSlope:
         for start in range(4001, 4001 + 2**25, 2**20):
             j = np.arange(start, start + 2**20, dtype=float)
             total += float(np.sum(np.exp(-(j**0.2)) / j**2))
-        expected = slope_scale(spec) ** 2 * total
+        expected = spec.profile[1] ** 2 * total
         assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-12)
 
 

@@ -331,6 +331,19 @@ class TestReplicateEngine:
             assert [plan.window for plan in plans] == windows
             assert all(plan.tau >= cfg.sigma for plan in plans)
 
+    def test_plans_normalize_the_slope_once(self, monkeypatch):
+        # one profile pass at the run's largest truncation; slope_tail_bias
+        # reads the same scale c instead of building the profile again
+        shape, lengths = cf.datagen._log_slope_shape, []
+
+        def counted(spec, j):
+            lengths.append(j.size)
+            return shape(spec, j)
+
+        monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
+        plans = experiment_plans(cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text()))
+        assert lengths.count(plans[-1].n_coef) == 1
+
     def test_known_bound_within_window(self):
         # select_known reads the moments up to M_n, which stop at J
         golden = [cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
