@@ -91,7 +91,8 @@ def _prepare_out_dir(cfg) -> Path:
     return out
 
 
-# largest CSV a command writes, in values: a 2^24-value sample is about 350 MB
+# largest CSV a command writes, and mc-risk's replicate array, in values: a
+# 2^24-value sample is about 350 MB, the array 128 MiB
 _MAX_VALUES = 2**24
 
 
@@ -131,6 +132,10 @@ def _cmd_estimate(cfg, echo: str) -> None:
 
 
 def _cmd_mc_risk(cfg, echo: str) -> None:
+    # run_experiment holds a risk, m_hat and M_hat per (n, variant, replicate)
+    pairs = len(cfg.n_grid) * len(cfg.variant_names())
+    _check_size([(3 * pairs * cfg.replications, f"mc-risk: replications = {cfg.replications} "
+                  f"over {pairs} (n, variant) pairs: the replicate array")])
     out = _prepare_out_dir(cfg)
     reports = run_experiment(cfg)
     write_risk_csv(reports, out / "risk_report.csv", echo)

@@ -152,18 +152,23 @@ def oracle_risk(samples, beta, w):
     ``samples`` is an iterable of Sample or SampleMoments of one length; their
     mean risk is minimized over fixed m with smallest-m tie-break.
     """
-    curves = []
-    for s in samples:
-        mom = s if isinstance(s, SampleMoments) else moments(s)
-        curves.append(fixed_dim_risk_curve(mom, beta, w))
-    if not curves:
-        raise ValueError("need at least one replicate")
-    return _best_fixed_dim(curves)
+    return _best_fixed_dim(
+        fixed_dim_risk_curve(s if isinstance(s, SampleMoments) else moments(s), beta, w)
+        for s in samples)
 
 
 def _best_fixed_dim(curves) -> tuple:
-    """Smallest m minimizing the mean of the risk curves, and that mean."""
-    mean_curve = np.mean(np.vstack(curves), axis=0)
+    """Smallest m minimizing the mean of the risk curves, and that mean.  A
+    running sum from the first curve adds them as np.mean over the stacked
+    curves does, so the mean is the same bit for bit and no curve is kept."""
+    total, count = None, 0
+    for count, curve in enumerate(curves, start=1):
+        if total is not None and curve.size != total.size:  # a length-1 curve would broadcast
+            raise ValueError(f"risk curves of lengths {total.size} and {curve.size}")
+        total = curve if total is None else total + curve
+    if total is None:
+        raise ValueError("need at least one replicate")
+    mean_curve = total / count
     best = int(np.argmin(mean_curve)) + 1
     return best, float(mean_curve[best - 1])
 
@@ -319,16 +324,6 @@ def experiment_plans(config):
     return plans
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median bit for bit, without its NaN check, which imports numpy.ma.
-    A NaN risk makes the mean NaN too, and run_experiment checks it first."""
-    ordered = np.sort(values)
-    mid = ordered.size // 2
-    if ordered.size % 2:
-        return float(ordered[mid])
-    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
-
-
 def _require_finite(where, **fields) -> None:
     """Raise NumericError naming the first field with a non-finite entry and
     ``where(i)``, the place of its first such entry i."""
@@ -352,20 +347,30 @@ def run_experiment(config):
     # and M_hat; C-contiguous with r last, so a mean along r sums as np.mean does
     picks = np.empty((len(grid), len(config.variant_names()), 3, config.replications))
     oracle = []  # per n: the variant-independent best fixed m and its mean risk
+
+    def curves(plan, per_n):  # each replicate's risk curve, once its picks are in place
+        for r in range(config.replications):
+            curve, per_n[:, :, r] = _run_replicate(plan, r)
+            yield curve
+
     for plan, per_n in zip(experiment_plans(config), picks):
-        curves, per_r = zip(*(_run_replicate(plan, r) for r in range(config.replications)))
-        per_n[...] = np.transpose(per_r, (1, 2, 0))
-        oracle.append(_best_fixed_dim(curves))
+        oracle.append(_best_fixed_dim(curves(plan, per_n)))
     oracle_m, oracle_val = (np.array(col) for col in zip(*oracle))
     at_n = lambda gi: f"n = {grid[gi]}"
     _require_finite(at_n, oracle_risk=oracle_val)
     theoretical = np.array([theoretical_rate_or_nan(seq, n) for n in grid])
 
+    # np.median bit for bit without its NaN check, which imports numpy.ma (a NaN
+    # risk makes the mean NaN too, checked first); two near-max values sum to inf
+    ordered, mid = np.sort(picks, axis=-1), config.replications // 2
+    with np.errstate(over="ignore"):
+        medians = (ordered[..., mid] if config.replications % 2
+                   else (ordered[..., mid - 1] + ordered[..., mid]) / 2)
+
     reports = []
     for vi, variant in enumerate(config.variant_names()):
         mean_risk = picks[:, vi, 0].mean(axis=-1)
-        medians = np.apply_along_axis(_median, -1, picks[:, vi])  # [n, field]
-        median_risk, median_m_hat, median_m_bound = medians.T
+        median_risk, median_m_hat, median_m_bound = medians[:, vi].T
         _require_finite(at_n, mean_risk=mean_risk, median_risk=median_risk,
                         median_m_hat=median_m_hat, median_M_hat=median_m_bound)
         if len(grid) >= 2:
@@ -375,16 +380,9 @@ def run_experiment(config):
             slope = float("nan")
         reports.append(
             RiskReport(
-                variant=variant,
-                n_grid=grid,
-                mean_risk=mean_risk,
-                median_risk=median_risk,
-                median_m_hat=median_m_hat,
-                median_m_bound=median_m_bound,
-                oracle_m=oracle_m,
-                oracle_risk=oracle_val,
-                theoretical=theoretical,
-                slope=slope,
+                variant=variant, n_grid=grid, mean_risk=mean_risk, median_risk=median_risk,
+                median_m_hat=median_m_hat, median_m_bound=median_m_bound, oracle_m=oracle_m,
+                oracle_risk=oracle_val, theoretical=theoretical, slope=slope,
             )
         )
     return reports

@@ -426,6 +426,23 @@ def test_rates_refuses_scales_table_over_size_budget(tmp_path, monkeypatch, caps
     assert not pp.exists()
 
 
+def test_mc_risk_refuses_replicate_array_over_size_budget(config_file, tmp_path, monkeypatch,
+                                                          capsys):
+    # the fixture's 2 grid sizes x 1 variant x 3 replications hold 3 values each: 18
+    import circfreg.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_MAX_VALUES", 18)
+    fits, over = tmp_path / "fits", tmp_path / "over"
+    assert main(["mc-risk", "--config", str(config_file), "--out", str(fits)]) == 0
+    capsys.readouterr()
+    assert main(["mc-risk", "--config", str(config_file), "--out", str(over),
+                 "--override", "replications=4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: mc-risk: ")
+    assert "replications = 4" in err[0] and "24 values" in err[0] and "2^24" in err[0]
+    assert not over.exists()
+
+
 def test_perfbench_tracer_wraps_existing_functions():
     # perfbench/traced_cli.py replaces these module globals; each must still
     # be a function the package defines or imports

@@ -1,3 +1,6 @@
+import importlib
+import warnings
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,7 +28,6 @@ from circfreg import (
 from circfreg.risk import (
     ALIVE_EPS,
     _GridPlan,
-    _median,
     _run_replicate,
     alive_window,
     experiment_plans,
@@ -34,6 +36,8 @@ from circfreg.risk import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# the module: the package attribute circfreg.risk is the loss function
+risk_module = importlib.import_module("circfreg.risk")
 PP = SequenceSpec("PP", a=1.0, p=2.0, s=0.0)
 
 
@@ -117,6 +121,14 @@ class TestOracle:
         assert best_m == 2
         assert best == pytest.approx(0.006276737897463179, rel=1e-12)
 
+    @pytest.mark.parametrize("lengths", [(3, 1), (1, 3)])
+    def test_unequal_lengths_rejected(self, lengths):
+        # the running sum of a length-3 and a length-1 curve would broadcast
+        samples = [SampleMoments(ghat=np.ones(m), lhat=np.ones(m), sigma_y2=1.0, n=10)
+                   for m in lengths]
+        with pytest.raises(ValueError):
+            oracle_risk(samples, np.ones(3), np.ones(3))
+
 
 class TestSelectionGoldens:
     def test_frozen_selection_pair(self):
@@ -159,13 +171,33 @@ class TestFitSlope:
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 200])
-def test_median_is_numpy_median_bit_for_bit(size):
+def test_median_is_numpy_median_bit_for_bit(size, monkeypatch):
+    # run_experiment's medians, with each replicate returning a chosen record
+    # for both variants, against np.median
+    def run_with(records):
+        monkeypatch.setattr(risk_module, "_run_replicate",
+                            lambda plan, r: (np.ones(3), [records[r]] * 2))
+        return run_experiment(tiny_config(replications=size))
+
     rng = np.random.default_rng(size)
-    for values in (rng.exponential(1e-3, size), rng.integers(1, 9, size),
-                   np.full(size, 1.7976931348623157e308)):
-        with np.errstate(over="ignore"):  # the largest float: (a + b) / 2 is inf
-            expected = float(np.median(values))
-        assert repr(_median(values)) == repr(expected)
+    for values in (rng.exponential(1e-3, size), rng.integers(1, 9, size)):
+        expected = [repr(float(np.median(values)))] * 2
+        for rep in run_with([(v, v, v) for v in values]):
+            for got in (rep.median_risk, rep.median_m_hat, rep.median_m_bound):
+                assert [repr(float(x)) for x in got] == expected
+    # the largest float in the M_hat field: for even sizes (a + b) / 2 is inf
+    largest = np.full(size, 1.7976931348623157e308)
+    with np.errstate(over="ignore"):
+        expected = float(np.median(largest))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if np.isfinite(expected):
+            for rep in run_with([(1.0, 1.0, v) for v in largest]):
+                assert [repr(float(x)) for x in rep.median_m_bound] == [repr(expected)] * 2
+        else:
+            with pytest.raises(NumericError, match="^median_M_hat is not finite at n = 40$"):
+                run_with([(1.0, 1.0, v) for v in largest])
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("cls", [
@@ -224,6 +256,21 @@ class TestRunExperiment:
             assert rep.mean_risk.tolist() == [np.mean(c[0]) for c in cols]
             for k, got in enumerate((rep.median_risk, rep.median_m_hat, rep.median_m_bound)):
                 assert got.tolist() == [np.median(c[k]) for c in cols]
+
+    def test_keeps_no_list_of_curves(self, monkeypatch):
+        # each curve joins the oracle's running sum and is then dropped, so at
+        # any call only the last curve or two may still be referenced
+        run_replicate, earlier = risk_module._run_replicate, []
+
+        def tracked(plan, r):
+            assert sum(ref() is not None for ref in earlier) <= 2
+            curve, picks = run_replicate(plan, r)
+            earlier.append(weakref.ref(curve))
+            return curve, picks
+
+        monkeypatch.setattr(risk_module, "_run_replicate", tracked)
+        run_experiment(tiny_config(replications=50))
+        assert len(earlier) == 2 * 50
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = tiny_config()
