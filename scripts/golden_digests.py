@@ -1,22 +1,30 @@
 """Print a SHA-256 digest of every CSV a fixed set of CLI runs writes, and of
 the stderr of a fixed set of runs that must fail.
 
-    python3 scripts/golden_digests.py [CHECKOUT] > digests.txt
+    python3 scripts/golden_digests.py > digests.txt
+    python3 scripts/golden_digests.py --against REV
 
-Runs ``python -m circfreg.cli`` from ``CHECKOUT/src`` (default: the checkout
-holding this script) on the golden configs and a few overridden variants of
-them, then prints one ``sha256  path`` line per CSV, sorted by path.  Each
-run writes to a relative ``--out`` inside one temporary working directory,
-so the ``out_dir`` echoed into every CSV is the same for any checkout, and
-two checkouts can be compared with ``diff``.  A refactor that must keep the
-outputs byte-identical passes when the two listings match.  Every run must
-exit 0 and write nothing to stderr (a numpy warning, say); otherwise the
-script names the run, prints its stderr and exits 1.
+Runs ``python -m circfreg.cli`` from the ``src`` of the checkout holding this
+script on the golden configs and a few overridden variants of them, then
+prints one ``sha256  path`` line per CSV, sorted by path.  Each run writes
+to a relative ``--out`` inside one temporary working directory, so the
+``out_dir`` echoed into every CSV is the same for any checkout.  A
+refactor that must keep the outputs byte-identical passes when the listings
+match.  Every run must exit 0 and write nothing to stderr (a numpy warning,
+say); otherwise the script names the run, prints its stderr and exits 1.
 
 Then it runs the documented error paths in ``FAILS`` and prints one
 ``exit N  sha256  name`` line per run, digesting its stderr; a run whose exit
 code is not the expected 2 or 3 is named and the script exits 1.  None of
-these messages quotes the configured size bound or a path.
+these messages quotes a path; only ``estimate_files`` quotes a size bound.
+
+``--against REV`` extracts git revision REV with ``git archive REV | tar -x``
+into a temporary directory (nothing is written under ``.git``), lists it with
+its own copy of this script, lists this checkout as above, and prints the
+lines found in only one listing, ``-`` for REV and ``+`` for this checkout.
+It exits 1 on any such line, so a run added since REV shows as one ``+``
+line.  An older tree is listed only by its own copy of this script: this run
+set may hold runs that an older ``src`` cannot refuse cheaply.
 
 The set runs ``simulate`` on golden PE at n = 500 only: its n = 8000 sample
 would be an 8000 x 8001 CSV of about 1.4 GB.
@@ -24,12 +32,15 @@ would be an 8000 x 8001 CSV of about 1.4 GB.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _overrides(*items) -> tuple:
@@ -92,16 +103,20 @@ FAILS = (
     ("a_nan", "mc-risk", "golden_pp.cfg", _overrides("a=nan"), 2),
     ("sigma_overflow", "mc-risk", "golden_pp.cfg", _overrides("sigma=1e200"), 3),
     ("eta_overflow", "estimate", "golden_pp.cfg", _overrides("eta=1e308"), 3),
+    # 10^7 files, over the 2^16-file budget of estimate
+    ("estimate_files", "estimate", "golden_pp.cfg", _overrides("replications=1000000"), 2),
 )
 
 
-def main(argv) -> int:
-    checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+def listing():
+    """The digest lines of every run from this checkout's ``src``, or None
+    after naming a failed run on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    lines = []
     with tempfile.TemporaryDirectory(prefix="circfreg_digests_") as work:
         def run(out, command, config, extra):
             cmd = [sys.executable, "-m", "circfreg.cli", command,
-                   "--config", str(checkout / "configs" / config), "--out", out]
+                   "--config", str(ROOT / "configs" / config), "--out", out]
             return subprocess.run(cmd + list(extra), cwd=work, env=env,
                                   capture_output=True, text=True)
 
@@ -109,18 +124,53 @@ def main(argv) -> int:
             done = run(out, *call)
             if done.returncode != 0 or done.stderr:
                 print(f"{out}: exit {done.returncode}\n{done.stderr}", file=sys.stderr)
-                return 1
+                return None
         for path in sorted(Path(work).rglob("*.csv")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(work)}")
+            lines.append(f"{digest}  {path.relative_to(work)}")
         for name, *call, expected in FAILS:
             done = run(name, *call)
             if done.returncode != expected:
                 print(f"{name}: exit {done.returncode}, expected {expected}\n{done.stderr}",
                       file=sys.stderr)
-                return 1
+                return None
             digest = hashlib.sha256(done.stderr.encode()).hexdigest()
-            print(f"exit {done.returncode}  {digest}  {name}")
+            lines.append(f"exit {done.returncode}  {digest}  {name}")
+    return lines
+
+
+def against(rev: str) -> int:
+    """Print the lines of REV's listing and this one that differ; 1 if any do."""
+    with tempfile.TemporaryDirectory(prefix="circfreg_rev_") as tree:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True)
+        if archive.returncode:
+            print(archive.stderr.decode(), end="", file=sys.stderr)
+            return 1
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+        # REV's own copy of this script lists its tree, beside this listing
+        script = Path(tree) / "scripts" / Path(__file__).name
+        before = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
+        after = listing()
+        old = before.communicate()[0].splitlines()
+    if before.returncode or after is None:
+        return 1
+    diff = [f"- {line}" for line in old if line not in after]
+    diff += [f"+ {line}" for line in after if line not in old]
+    print("\n".join(diff) if diff else f"{len(after)} lines, identical to {rev}")
+    return 1 if diff else 0
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff against the listing of git revision REV")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
+    lines = listing()
+    if lines is None:
+        return 1
+    print("\n".join(lines))
     return 0
 
 

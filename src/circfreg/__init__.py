@@ -11,6 +11,5 @@ from . import basis, config, datagen, estimator, risk, sequences
 
 _MODULES = (basis, sequences, config, datagen, estimator, risk)
 __all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]
-# after this, ``circfreg.risk`` is the function, not the submodule
 globals().update((name, getattr(module, name)) for module in _MODULES for name in module.__all__)
 del _MODULES

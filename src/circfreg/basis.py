@@ -129,6 +129,12 @@ def function_eval(f, t):
     return float(values[0]) if t_arr.ndim == 0 else values
 
 
+def _weighted(weights: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """weights * d, with 0 where d == 0 even if the weight is inf (EP weights
+    overflow where the slope is 0); a finite weight gives that 0 anyway."""
+    return np.multiply(weights, d, out=np.zeros(d.shape), where=d != 0.0)
+
+
 def weighted_norm_sq(f, w) -> float:
     """Weighted squared norm sum_j w_j c_j^2.
 
@@ -138,7 +144,7 @@ def weighted_norm_sq(f, w) -> float:
     coefs = _coef_array(f)
     weights = _weight_array(w)
     m = min(coefs.size, weights.size)
-    return float(np.sum(weights[:m] * coefs[:m] ** 2))
+    return float(np.sum(_weighted(weights[:m], coefs[:m] ** 2)))
 
 
 def weighted_inner(f, g, w) -> float:
@@ -147,4 +153,4 @@ def weighted_inner(f, g, w) -> float:
     gc = _coef_array(g)
     weights = _weight_array(w)
     m = min(fc.size, gc.size, weights.size)
-    return float(np.sum(weights[:m] * fc[:m] * gc[:m]))
+    return float(np.sum(_weighted(weights[:m], fc[:m] * gc[:m])))

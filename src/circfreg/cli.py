@@ -94,6 +94,8 @@ def _prepare_out_dir(cfg) -> Path:
 # largest CSV a command writes, and mc-risk's replicate array, in values: a
 # 2^24-value sample is about 350 MB, the array 128 MiB
 _MAX_VALUES = 2**24
+# most CSV files estimate writes, a trace and a betahat per (n, variant, replicate)
+_MAX_FILES = 2**16
 
 
 def _check_size(tables) -> None:
@@ -118,6 +120,10 @@ def _cmd_simulate(cfg, echo: str) -> None:
 
 
 def _cmd_estimate(cfg, echo: str) -> None:
+    files = 2 * len(cfg.n_grid) * len(cfg.variant_names()) * cfg.replications
+    if files > _MAX_FILES:
+        raise ConfigError([f"estimate: replications = {cfg.replications} writes {files} "
+                           "files, over the 2^16 budget"])
     out = _prepare_out_dir(cfg)
     for plan in experiment_plans(cfg):
         for r in range(cfg.replications):

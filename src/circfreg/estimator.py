@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefVector, _weight_array
-from .config import write_csv
+from .basis import CoefVector, _weight_array, _weighted
+from .config import RunConfig, write_csv
 from .sequences import PenaltyScales, delta_factor, weight_cap
 
 __all__ = [
@@ -92,7 +92,7 @@ def contrast_curve(mom: SampleMoments, w, m_max: int) -> np.ndarray:
     """Contrast values for every m = 1..m_max (non-increasing in m)."""
     _check_dim(mom, m_max)
     weights = _weight_array(w)
-    return -np.cumsum(weights[:m_max] * _thresholded_ratio(mom, mom.ghat[:m_max]) ** 2)
+    return -np.cumsum(_weighted(weights[:m_max], _thresholded_ratio(mom, mom.ghat[:m_max]) ** 2))
 
 
 def contrast(mom: SampleMoments, w, m: int) -> float:
@@ -108,7 +108,7 @@ def _penalty(const, sigma_y2, eta, delta, n):
 
 def penalty_known(
     scales: PenaltyScales, sigma_y2: float, eta: float, n: int, m: int,
-    const: float = 192.0,
+    const: float = RunConfig.pen_const_known,
 ) -> float:
     """Penalty const * sigma_Y^2 * eta * delta_m / n with known scales."""
     return float(_penalty(const, sigma_y2, eta, scales.delta[m - 1], n))
@@ -136,7 +136,8 @@ def estimated_scales(mom: SampleMoments, w, m: int):
     return float(Delta_hat[m - 1]), float(kappa_hat[m - 1]), float(delta_hat[m - 1])
 
 
-def penalty_hat(mom: SampleMoments, w, eta: float, m: int, const: float = 1920.0) -> float:
+def penalty_hat(mom: SampleMoments, w, eta: float, m: int,
+                const: float = RunConfig.pen_const_unknown) -> float:
     """Random penalty const * sigma_y2 * eta * delta_hat_m / n."""
     _, _, delta_hat = estimated_scales(mom, w, m)
     return float(_penalty(const, mom.sigma_y2, eta, delta_hat, mom.n))
@@ -192,7 +193,7 @@ def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
 
 def select_known(
     mom: SampleMoments, w, scales: PenaltyScales, m_max: int, eta: float,
-    pen_const: float = 192.0,
+    pen_const: float = RunConfig.pen_const_known,
 ) -> SelectionTrace:
     """Penalized-contrast selection over m = 1..m_max with known scales."""
     if m_max < 1:
@@ -201,9 +202,8 @@ def select_known(
     return _select("known_degree", mom, w, m_max, delta, eta, pen_const)
 
 
-def select_data_driven(
-    mom: SampleMoments, w, eta: float = 3.0, pen_const: float = 1920.0
-) -> SelectionTrace:
+def select_data_driven(mom: SampleMoments, w, eta: float = RunConfig.eta,
+                       pen_const: float = RunConfig.pen_const_unknown) -> SelectionTrace:
     """Fully data-driven selection: random bound, random penalty.
 
     Takes only the sample moments and the risk weights; neither the eigenvalue

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _coef_array, _weight_array, weighted_norm_sq
+from .basis import _coef_array, _weight_array, _weighted, weighted_norm_sq
 from .config import RunConfig, write_csv
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
@@ -72,7 +72,7 @@ from .sequences import (
 __all__ = [
     "NumericError",
     "RiskReport",
-    "risk",
+    "loss",
     "fixed_dim_risk_curve",
     "oracle_risk",
     "fit_slope",
@@ -96,7 +96,7 @@ class NumericError(RuntimeError):
     """A numeric contract failed (e.g. nonpositive risks in a log-log fit)."""
 
 
-def risk(beta_hat, beta, w) -> float:
+def loss(beta_hat, beta, w) -> float:
     """Weighted squared-norm loss of beta_hat against beta (zero-padding)."""
     fc = _coef_array(beta_hat)
     gc = _coef_array(beta)
@@ -131,12 +131,6 @@ def _bias_beyond(b: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         cum_bias = np.cumsum(_weighted(weights, b) * b)
         return cum_bias[-1] - cum_bias[:m]
-
-
-def _weighted(weights: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """weights * d, with 0 where d == 0 even if the weight is inf; a finite
-    weight gives that 0 anyway, so every other bit is unchanged."""
-    return np.multiply(weights, d, out=np.zeros(d.shape), where=d != 0.0)
 
 
 def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
@@ -312,7 +306,7 @@ def experiment_plans(config):
         window = alive_window(seq, n, n_coef)
         lam = seq.eigenvalues(n_coef)
         tau = float(np.sqrt(noise_var + np.sum(lam[window:] * beta[window:n_coef] ** 2)))
-        band = float(np.sum(omega[n_coef:] * beta[n_coef:] ** 2))  # n_coef < j <= ref
+        band = weighted_norm_sq(beta[n_coef:], omega[n_coef:])  # n_coef < j <= ref
         plans.append(
             _GridPlan(
                 config=config, seq=seq, n=n, n_coef=n_coef, window=window, tau=tau,

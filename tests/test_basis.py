@@ -62,6 +62,8 @@ class TestWeightedOps:
 
     def test_norm_hand_sum(self):
         assert weighted_norm_sq(CoefVector([1.0, 2.0]), WeightVector([1.0, 4.0])) == 17.0
+        # a zero coefficient adds 0 even where its weight overflowed to inf
+        assert weighted_norm_sq(CoefVector([1.0, 0.0]), np.array([1.0, np.inf])) == 1.0
 
     def test_norm_single_term(self):
         assert weighted_norm_sq(CoefVector([3.0]), WeightVector([1.0])) == 9.0
@@ -69,6 +71,8 @@ class TestWeightedOps:
     def test_inner_hand_sum(self):
         f = CoefVector([1.0, 1.0])
         assert weighted_inner(f, f, WeightVector([1.0, 1.0])) == 2.0
+        f = CoefVector([1.0, 0.0])
+        assert weighted_inner(f, f, np.array([1.0, np.inf])) == 1.0
 
     def test_inner_disjoint_support(self):
         assert weighted_inner(CoefVector([1.0, 0.0]), CoefVector([0.0, 1.0]),

@@ -219,7 +219,8 @@ def test_numeric_failure_exits_3(config_file, tmp_path, monkeypatch, capsys):
 
 
 def test_nan_risk_exits_3_naming_mean_risk(config_file, tmp_path, monkeypatch, capsys):
-    risk_module = importlib.import_module("circfreg.risk")
+    import circfreg.risk as risk_module
+
     run_replicate = risk_module._run_replicate
 
     def nan_at_r1(plan, r):
@@ -440,6 +441,23 @@ def test_mc_risk_refuses_replicate_array_over_size_budget(config_file, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: mc-risk: ")
     assert "replications = 4" in err[0] and "24 values" in err[0] and "2^24" in err[0]
+    assert not over.exists()
+
+
+def test_estimate_refuses_files_over_budget(config_file, tmp_path, monkeypatch, capsys):
+    # the fixture's 2 grid sizes x 1 variant x 3 replications write 2 files each: 12
+    import circfreg.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_MAX_FILES", 12)
+    fits, over = tmp_path / "fits", tmp_path / "over"
+    assert main(["estimate", "--config", str(config_file), "--out", str(fits)]) == 0
+    assert len(list(fits.iterdir())) == 12
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(config_file), "--out", str(over),
+                 "--override", "replications=4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: estimate: ")
+    assert "replications = 4" in err[0] and "16 files" in err[0] and "2^16" in err[0]
     assert not over.exists()
 
 

@@ -1,4 +1,4 @@
-import importlib
+import types
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import circfreg as cf
+import circfreg.risk as risk_module
 from circfreg import (
     CoefVector,
     NumericError,
@@ -17,10 +18,10 @@ from circfreg import (
     SlopeSpec,
     fit_slope,
     fixed_dim_risk_curve,
+    loss,
     make_slope,
     moments,
     oracle_risk,
-    risk,
     run_experiment,
     simulate,
     write_risk_csv,
@@ -36,27 +37,34 @@ from circfreg.risk import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-# the module: the package attribute circfreg.risk is the loss function
-risk_module = importlib.import_module("circfreg.risk")
 PP = SequenceSpec("PP", a=1.0, p=2.0, s=0.0)
+
+
+def test_risk_names_the_module_however_imported():
+    from circfreg import risk
+    import circfreg.risk as m
+
+    assert isinstance(m, types.ModuleType) and cf.risk is risk is m
 
 
 class TestRiskLoss:
     def test_zero_at_truth(self):
         beta = CoefVector([1.0, -2.0, 0.5])
-        assert risk(beta, beta, np.ones(3)) == 0.0
+        assert loss(beta, beta, np.ones(3)) == 0.0
 
     def test_hand_sum(self):
-        assert risk(CoefVector([0.0, 0.0]), CoefVector([1.0, 1.0]), [1.0, 4.0]) == 5.0
+        assert loss(CoefVector([0.0, 0.0]), CoefVector([1.0, 1.0]), [1.0, 4.0]) == 5.0
+        # an EP weight overflows to inf where the slope is 0: that term adds 0
+        assert loss(CoefVector([2.0, 0.0]), CoefVector([1.0, 0.0]), [1.0, np.inf]) == 1.0
 
     def test_padding_semantics(self):
-        assert risk(CoefVector([2.0]), CoefVector([1.0, 1.0]), np.ones(2)) == 2.0
+        assert loss(CoefVector([2.0]), CoefVector([1.0, 1.0]), np.ones(2)) == 2.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(2)
         f, g = rng.normal(size=6), rng.normal(size=6)
         w = np.ones(6)
-        assert risk(f, g, w) == risk(g, f, w)
+        assert loss(f, g, w) == loss(g, f, w)
 
 
 class TestFixedDimCurve:
@@ -64,12 +72,17 @@ class TestFixedDimCurve:
         rng = np.random.default_rng(5)
         mom = SampleMoments(ghat=rng.normal(size=8), lhat=rng.uniform(0.001, 1.0, 8),
                             sigma_y2=1.0, n=100)
-        beta = CoefVector(rng.normal(size=8))
-        w = np.ones(8)
-        curve = fixed_dim_risk_curve(mom, beta, w)
-        for m in range(1, 9):
-            direct = risk(cf.estimate_beta(mom, m), beta, w)
-            assert curve[m - 1] == pytest.approx(direct, rel=1e-12)
+        cases = [(mom, CoefVector(rng.normal(size=8)), np.ones(8))]
+        # coordinate 2 is thresholded (lhat_2 < 1/n) and beta_2 = 0: at weight
+        # inf both the curve and the loss add 0 for it
+        mom = SampleMoments(ghat=np.array([2.0, 0.0]), lhat=np.array([1.0, 0.0]),
+                            sigma_y2=1.0, n=10)
+        cases.append((mom, np.array([1.0, 0.0]), np.array([1.0, np.inf])))
+        for mom, beta, w in cases:
+            curve = fixed_dim_risk_curve(mom, beta, w)
+            for m in range(1, mom.n_coef + 1):
+                direct = loss(cf.estimate_beta(mom, m), beta, w)
+                assert curve[m - 1] == pytest.approx(direct, rel=1e-12)
 
     def test_tail_added_to_every_entry(self):
         mom = SampleMoments(ghat=np.zeros(3), lhat=np.ones(3), sigma_y2=1.0, n=100)
