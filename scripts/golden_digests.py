@@ -16,7 +16,8 @@ say); otherwise the script names the run, prints its stderr and exits 1.
 Then it runs the documented error paths in ``FAILS`` and prints one
 ``exit N  sha256  name`` line per run, digesting its stderr; a run whose exit
 code is not the expected 2 or 3 is named and the script exits 1.  None of
-these messages quotes a path; only ``estimate_files`` quotes a size bound.
+these messages quotes a path; only ``estimate_files`` and ``mc_risk_normals``
+quote a size bound.
 
 ``--against REV`` extracts git revision REV with ``git archive REV | tar -x``
 into a temporary directory (nothing is written under ``.git``), lists it with
@@ -70,6 +71,14 @@ RUNS = (
     ("pp_s1_mc", "mc-risk", "golden_pp.cfg", BOTH + _overrides("s=1", "p=3", "replications=50")),
     ("pp_s1_est", "estimate", "golden_pp.cfg",
      BOTH + _overrides("s=1", "p=3", "replications=1", "n_grid=250,1000")),
+    # plans past one 2^12-index block: n_coef = n up to 64000, alive windows to 261
+    ("pp_mc_wide", "mc-risk", "golden_pp.cfg",
+     BOTH + _overrides("n_grid=250,1000,4000,16000,64000", "replications=20")),
+    # perfect squares: the closed-form N_n = sqrt(n) = 64, 256 sets n_coef
+    ("pp_s1_squares", "mc-risk", "golden_pp.cfg",
+     BOTH + _overrides("s=1", "p=3", "n_grid=4096,65536", "replications=20")),
+    # 10000 rows of scales.csv, written a block at a time
+    ("pp_rates_wide", "rates", "golden_pp.cfg", _overrides("n_grid=250,10000")),
     ("pe_rates", "rates", "golden_pe.cfg", ()),
     ("pe_mc", "mc-risk", "golden_pe.cfg", ()),
     ("pe_mc_w2", "mc-risk", "golden_pe.cfg", ("--workers", "2")),
@@ -86,6 +95,9 @@ RUNS = (
      BOTH + _overrides("regime=EP", "p=1", "replications=50")),
     ("ep_est", "estimate", "golden_pp.cfg",
      BOTH + _overrides("regime=EP", "p=1", "replications=1", "n_grid=250,1000")),
+    # an EP slope is 0 past j = 37, so most of each plan's sums are runs of zeros
+    ("ep_mc_wide", "mc-risk", "golden_pp.cfg",
+     BOTH + _overrides("regime=EP", "p=1", "n_grid=250,4000,100000", "replications=10")),
 )
 
 # (name, subcommand, config name, extra CLI arguments, expected exit code)
@@ -105,6 +117,9 @@ FAILS = (
     ("eta_overflow", "estimate", "golden_pp.cfg", _overrides("eta=1e308"), 3),
     # 10^7 files, over the 2^16-file budget of estimate
     ("estimate_files", "estimate", "golden_pp.cfg", _overrides("replications=1000000"), 2),
+    # 5.8 x 10^9 normals, over the 2^30-normal budget of mc-risk: about 40 minutes
+    # of replicates, though its replicate array fits the 2^24-value budget
+    ("mc_risk_normals", "mc-risk", "golden_pp.cfg", _overrides("replications=1000000"), 2),
 )
 
 

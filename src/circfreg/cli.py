@@ -36,7 +36,8 @@ from .sequences import (
     balance_m_star,
     bound_M,
     bound_N,
-    intrinsic_scales,
+    scale_blocks,
+    scale_prefix,
     theoretical_rate_or_nan,
 )
 
@@ -96,6 +97,9 @@ def _prepare_out_dir(cfg) -> Path:
 _MAX_VALUES = 2**24
 # most CSV files estimate writes, a trace and a betahat per (n, variant, replicate)
 _MAX_FILES = 2**16
+# most normals mc-risk draws, about (J+1)^2/2 per replicate at alive window J:
+# about 30 s of draws on one core (numpy 2.4, 2 vCPUs)
+_MAX_NORMALS = 2**30
 
 
 def _check_size(tables) -> None:
@@ -142,19 +146,31 @@ def _cmd_mc_risk(cfg, echo: str) -> None:
     pairs = len(cfg.n_grid) * len(cfg.variant_names())
     _check_size([(3 * pairs * cfg.replications, f"mc-risk: replications = {cfg.replications} "
                   f"over {pairs} (n, variant) pairs: the replicate array")])
+    plans = experiment_plans(cfg)
+    # a replicate draws the entries below the diagonal of its (J+1)-row factor
+    normals = cfg.replications * sum((plan.window + 1) ** 2 // 2 for plan in plans)
+    if normals > _MAX_NORMALS:
+        raise ConfigError([f"mc-risk: replications = {cfg.replications} draws about {normals} "
+                           "normals over the n_grid, over the 2^30 budget"])
     out = _prepare_out_dir(cfg)
-    reports = run_experiment(cfg)
+    reports = run_experiment(cfg, plans=plans)
     write_risk_csv(reports, out / "risk_report.csv", echo)
 
 
 def _cmd_rates(cfg, echo: str) -> None:
     seq = cfg.sequence_spec()
     n_max = max(cfg.n_grid)
-    scales = intrinsic_scales(seq, n_max)
-    # the table ends before the first m whose linear scales overflow (golden PE: m = 700)
-    finite = np.isfinite(scales.delta) & np.isfinite(scales.Delta) & np.isfinite(scales.kappa)
-    m_last = int(np.argmin(np.append(finite, False)))
-    _check_size([(4 * m_last, f"rates: scales.csv of {m_last} rows for n_grid up to {n_max}")])
+    # the table ends before the first m whose linear scales overflow (golden PE:
+    # m = 700); its scan stops one row past the budget
+    m_last = cap = min(n_max, _MAX_VALUES // 4 + 1)
+    for start, block in scale_blocks(seq, cap):
+        finite = np.isfinite(block.delta) & np.isfinite(block.Delta) & np.isfinite(block.kappa)
+        if not finite.all():
+            m_last = start - 1 + int(np.argmin(finite))
+            break
+    over = "at least " if m_last == cap < n_max else ""
+    _check_size([(4 * m_last, f"rates: scales.csv of {over}{m_last} rows for n_grid up to {n_max}")])
+    scales = scale_prefix(seq, cfg.n_grid)
     out = _prepare_out_dir(cfg)
     rows = []
     for n in cfg.n_grid:
@@ -162,8 +178,9 @@ def _cmd_rates(cfg, echo: str) -> None:
                     f"{balance_m_dagger(seq, scales, n)},{theoretical_rate_or_nan(seq, n)!r}")
     write_csv(out / "rates.csv", echo, "", "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
     write_csv(out / "scales.csv", echo, "", "m,delta,Delta,kappa", (
-        f"{i + 1},{float(scales.delta[i])!r},{float(scales.Delta[i])!r},{float(scales.kappa[i])!r}"
-        for i in range(m_last)
+        f"{start + i},{float(block.delta[i])!r},{float(block.Delta[i])!r},"
+        f"{float(block.kappa[i])!r}"
+        for start, block in scale_blocks(seq, m_last) for i in range(len(block))
     ))
 
 

@@ -36,7 +36,15 @@ import numpy as np
 
 from .basis import CoefVector
 from .config import write_csv
-from .sequences import PenaltyScales, SequenceSpec, balance_m_dagger, bound_N, intrinsic_scales
+from .sequences import (
+    PenaltyScales,
+    SequenceSpec,
+    balance_m_dagger,
+    blocked_sum,
+    bound_N,
+    first_false,
+    intrinsic_scales,
+)
 
 __all__ = [
     "SlopeSpec",
@@ -51,15 +59,22 @@ __all__ = [
 ]
 
 
+# smallest normal float: subnormal profile values carry too much quantization
+# error for the exact ellipsoid normalization, so they are zeroed instead
+_TINY = np.finfo(float).tiny
+
+
 @dataclass(frozen=True)
 class SlopeSpec:
     """Recipe for a slope function lying exactly on the smoothness ellipsoid.
 
     The coefficient profile decays like j^-(p + 3/2) under PP and PE
     (exp(-j^(2p)/2)/j under EP), scaled so the gamma-weighted squared norm
-    over the first n_coef coefficients equals ``radius`` exactly.  The
-    normalized slope is cached on the instance (:attr:`profile`); ``==`` and
-    ``hash`` still compare the fields only.
+    over the first n_coef coefficients equals ``radius`` exactly.  The scale
+    and the support are cached on the instance, and so is the full slope
+    (:attr:`profile`) once read; ``==`` and ``hash`` still compare the fields
+    only.  Nothing here holds more than one block of coefficients unless the
+    full slope is read.
     """
 
     seq: SequenceSpec
@@ -72,21 +87,36 @@ class SlopeSpec:
         if self.n_coef < 1:
             raise ValueError(f"n_coef must be >= 1, got {self.n_coef}")
 
+    def _shape(self, start: int, stop: int) -> np.ndarray:
+        return np.exp(_log_slope_shape(self, np.arange(start, stop, dtype=float)))
+
+    @cached_property
+    def support(self) -> int:
+        """Number of nonzero coefficients: the profile decreases, so the values
+        below the smallest normal float, which are zeroed, form its tail (an
+        EP profile underflows there)."""
+        return first_false(lambda lo, hi: self._shape(lo, hi) >= _TINY, 1, self.n_coef + 1) - 1
+
+    @cached_property
+    def scale(self) -> float:
+        """The constant c scaling the profile onto the ellipsoid boundary: the
+        norm over the support is summed in blocks as np.sum sums it."""
+        def terms(lo, hi):
+            log_shape = _log_slope_shape(self, np.arange(lo, hi, dtype=float))
+            # gamma_j * shape_j^2 <= 1 for every regime, so the plain sum is safe
+            return np.exp(self.seq.log_smoothness_weights(hi - 1, lo) + 2.0 * log_shape)
+
+        return float(np.sqrt(self.radius / blocked_sum(terms, 1, self.support + 1)))
+
+    def coefficients(self, start: int, stop: int) -> np.ndarray:
+        """Slope coefficients [slope]_j for j = start..stop-1 (0 past the support)."""
+        shape = self._shape(start, stop)
+        return self.scale * np.where(shape >= _TINY, shape, 0.0)
+
     @cached_property
     def profile(self) -> tuple[CoefVector, float]:
-        """The slope's coefficients and the constant c scaling the profile onto
-        the ellipsoid boundary.  An EP profile underflows in the far tail; those
-        coordinates are zeroed and left out of the norm."""
-        log_shape = _log_slope_shape(self, np.arange(1, self.n_coef + 1, dtype=float))
-        shape = np.exp(log_shape)
-        # normal floats only: subnormal tail values carry too much quantization
-        # error for the exact ellipsoid normalization, so they are zeroed instead
-        mask = shape >= np.finfo(float).tiny
-        log_gamma = self.seq.log_smoothness_weights(self.n_coef)
-        # gamma_j * shape_j^2 <= 1 for every regime, so the plain sum is safe
-        norm = float(np.sum(np.exp(log_gamma[mask] + 2.0 * log_shape[mask])))
-        c = float(np.sqrt(self.radius / norm))
-        return CoefVector(c * np.where(mask, shape, 0.0)), c
+        """The slope's n_coef coefficients and its scale c."""
+        return CoefVector(self.coefficients(1, self.n_coef + 1)), self.scale
 
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
@@ -105,28 +135,32 @@ def slope_tail_bias(spec: SlopeSpec) -> float:
     """Tail sum_{j > n_coef} omega_j [slope]_j^2 with omega_j = j^(2s): the risk
     of the coefficients beyond the simulated truncation.
 
-    The profile is summed in blocks of 2^16 indices.  Under PP and PE its terms
-    are j^-x, so the first block is followed by the Euler-Maclaurin remainder
-    (integral, f/2, B2 and B4 terms).  Under EP blocks are added until the last
-    term is below 1e-19 of the total (relative error about 2e-13 at p = 0.1); a
-    tail still running after 2^24 terms raises FloatingPointError.
+    The profile is summed in runs of 2^16 indices, each added in blocks as
+    np.sum adds it.  Under PP and PE its terms are j^-x, so the first run is
+    followed by the Euler-Maclaurin remainder (integral, f/2, B2 and B4 terms).
+    Under EP runs are added until the last term is below 1e-19 of the total
+    (relative error about 2e-13 at p = 0.1); a tail still running after 2^24
+    terms raises FloatingPointError.
     """
     s, total = spec.seq.s, 0.0
-    for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
-        j = np.arange(start, start + 2**16, dtype=float)
+
+    def terms(lo, hi):
+        j = np.arange(lo, hi, dtype=float)
         with np.errstate(over="ignore"):  # a term past float range: the tail is inf
-            terms = np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
-        total += float(np.sum(terms))
+            return np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
+
+    for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
+        total += blocked_sum(terms, start, start + 2**16)
         if spec.seq.regime != "EP":
             a, x = float(start + 2**16), 2.0 * (spec.seq.p + 0.5 + 1.0) - 2.0 * s
             total += (a / (x - 1.0) + 0.5 + x / (12.0 * a)
                       - x * (x + 1.0) * (x + 2.0) / (720.0 * a**3)) * a**-x
             break
-        if terms[-1] <= 1e-19 * total:
+        if terms(start + 2**16 - 1, start + 2**16)[0] <= 1e-19 * total:
             break
     else:
         raise FloatingPointError(f"EP slope tail needs over 2^24 terms at p = {spec.seq.p!r}")
-    return float(spec.profile[1] ** 2 * total)
+    return float(spec.scale ** 2 * total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,13 @@ per replicate is about J^2/2 normals whatever n is.
 
 Truncation-tail bias of the simulated slope is added analytically to every
 reported risk, so the finite simulation never flatters the estimator.
+
+Plans (:func:`experiment_plans`) hold O(J + M_n) values at every n and are
+built in O(J + M_n + BLOCK) memory, bit for bit as from full-length arrays:
+tau, the bias sums and the band past n_coef run over blocks of indices in
+the order np.sum and np.cumsum add a whole array (runs of exact zeros are
+skipped), the alive window sums its tail down from the last nonzero bound,
+and the scales grow as prefixes until M_n and m_dagger_n are settled.
 """
 
 from __future__ import annotations
@@ -61,11 +68,16 @@ from .estimator import (
     select_data_driven,
     select_known,
 )
-from .sequences import (
+from .sequences import (  # intrinsic_scales: for perfbench/traced_cli.py
+    BLOCK,
     PenaltyScales,
     SequenceSpec,
+    accumulate,
+    blocked_sum,
     bound_M,
+    first_false,
     intrinsic_scales,
+    scale_prefix,
     theoretical_rate_or_nan,
 )
 
@@ -118,19 +130,31 @@ def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.n
     if b.size != weights.size or b.size < m:
         raise ValueError(f"beta (length {b.size}) and w (length {weights.size}) must have "
                          f"one length, at least the {m} moments")
-    return _risk_curve(mom, b, weights, _bias_beyond(b, weights, m), tail)
+    bias = _bias_beyond(lambda lo, hi: _bias_terms(weights[lo - 1:hi - 1], b[lo - 1:hi - 1]),
+                        m, b.size)
+    return _risk_curve(mom, b, weights, bias, tail)
 
 
-def _bias_beyond(b: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k<j<=len(b)} w_j b_j^2 for k = 1..m: the squared bias of the
-    fixed-k estimator, which does not depend on the replicate."""
-    # a zero coefficient adds zero even where its weight overflowed to inf
-    # (EP at large s).  Past float range a sum is inf, and inf - inf is NaN:
-    # the curve is then not finite, so mc-risk exits 3 at its oracle_risk
-    # check; estimate never reads the curve
+def _bias_terms(weights: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a zero coefficient adds zero even where its weight overflowed to inf (EP
+    # at large s)
+    return _weighted(weights, b) * b
+
+
+def _bias_beyond(terms, m: int, stop: int) -> np.ndarray:
+    """sum_{k<j<=stop} terms_j for k = 1..m: the squared bias of the fixed-k
+    estimator, which does not depend on the replicate.  ``terms(lo, hi)``
+    gives the terms w_j b_j^2 of j = lo..hi-1, all 0 past ``stop``.  The
+    running sum goes on from m in blocks, as np.cumsum adds the whole run."""
+    # past float range a sum is inf, and inf - inf is NaN: the curve is then
+    # not finite, so mc-risk exits 3 at its oracle_risk check; estimate never
+    # reads the curve
     with np.errstate(over="ignore", invalid="ignore"):
-        cum_bias = np.cumsum(_weighted(weights, b) * b)
-        return cum_bias[-1] - cum_bias[:m]
+        head = np.cumsum(terms(1, m + 1))
+        total = head[-1]
+        for lo in range(m + 1, stop + 1, BLOCK):
+            total = accumulate(np.add, terms(lo, min(lo + BLOCK, stop + 1)), total)[-1]
+        return total - head
 
 
 def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
@@ -209,30 +233,56 @@ def log_chi2_tail_bound(n: int, log_t) -> np.ndarray:
 
 def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
     """Smallest J <= n_coef whose tail j = J+1..n_coef holds a coordinate with
-    lhat_j >= 1/n with probability at most ALIVE_EPS (Chernoff union bound)."""
-    log_t = -np.log(n) - seq.log_eigenvalues(n_coef)
-    bound = np.exp(log_chi2_tail_bound(n, log_t))
-    tail = np.cumsum(bound[::-1])[::-1]  # tail[j-1] bounds P(any alive i >= j)
-    return int(np.count_nonzero(tail > ALIVE_EPS))
+    lhat_j >= 1/n with probability at most ALIVE_EPS (Chernoff union bound).
+
+    The bound does not increase with j (lambda_j does not), and stays exactly 0
+    once it reaches 0.  So the tail sums start at the last nonzero bound, found
+    by bisection, and run down in blocks, as the reversed np.cumsum over all
+    n_coef bounds adds them, until a block holds a tail over ALIVE_EPS."""
+    def bound(lo, hi):
+        return np.exp(log_chi2_tail_bound(n, -np.log(n) - seq.log_eigenvalues(hi - 1, lo)))
+
+    hi, tail = first_false(lambda lo, hi: bound(lo, hi) > 0.0, 1, n_coef + 1), None
+    while hi > 1:
+        lo = max(1, hi - BLOCK)
+        tail = accumulate(np.add, bound(lo, hi)[::-1], tail)  # j = hi-1 down to lo
+        alive = int(np.count_nonzero(tail > ALIVE_EPS))  # the tail grows as j falls
+        if alive:
+            return lo - 1 + alive
+        hi, tail = lo, tail[-1]
+    return 0
 
 
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
-    """Everything the replicates at one grid size n need; immutable."""
+    """Everything the replicates at one grid size n need; immutable.  Its
+    arrays run over the alive window, and the scales over a prefix."""
 
     config: RunConfig
     seq: SequenceSpec
+    slope: SlopeSpec  # the run's slope, normalized at its largest truncation
     n: int
     n_coef: int
     window: int   # alive window J <= n_coef: the length of every replicate's moments
     tau: float    # noise sd with the coordinates beyond J folded in
-    beta: np.ndarray  # slope coefficients 1..n_coef
-    weights: np.ndarray
+    beta_window: np.ndarray     # slope coefficients 1..J
+    weights_window: np.ndarray  # risk weights 1..J
     lam: np.ndarray   # eigenvalues 1..J
     bias: np.ndarray  # squared bias beyond m = 1..J, through n_coef
     tail: float
-    scales: PenaltyScales  # the run's scales, up to its largest n
+    scales: PenaltyScales  # the run's scales, a prefix settling M_n at every n
     m_bound: int  # known-degree bound min(M_n, n_coef)
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Slope coefficients 1..n_coef, built when read (by simulate and the
+        per-unit checks)."""
+        return make_slope(self.slope).coefs[:self.n_coef]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Risk weights 1..n_coef, built when read."""
+        return self.seq.risk_weights(self.n_coef)
 
 
 def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
@@ -250,7 +300,7 @@ def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     root = np.sqrt(lam)
     # a moment past float range is inf; replicate_traces then ends the run at exit 3
     with np.errstate(over="ignore"):
-        u = np.append(root * plan.beta[:window], plan.tau) @ factor  # B'c
+        u = np.append(root * plan.beta_window, plan.tau) @ factor  # B'c
         ghat = root * (factor[:window] @ u) / n
         sigma_y2 = float(u @ u) / n
     lhat = lam * np.einsum("ij,ij->i", factor[:window], factor[:window]) / n
@@ -264,10 +314,10 @@ def replicate_traces(plan: _GridPlan, r: int):
     traces = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = select_known(mom, plan.weights, plan.scales, plan.m_bound, cfg.eta,
+            trace = select_known(mom, plan.weights_window, plan.scales, plan.m_bound, cfg.eta,
                                  cfg.pen_const_known)
         else:
-            trace = select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
+            trace = select_data_driven(mom, plan.weights_window, cfg.eta, cfg.pen_const_unknown)
         _require_finite(lambda _: f"n = {plan.n}, r = {r}, variant = {variant}",
                         contrast=trace.contrast, penalty=trace.penalty,
                         delta_used=trace.delta_used)
@@ -278,40 +328,53 @@ def replicate_traces(plan: _GridPlan, r: int):
 def _run_replicate(plan: _GridPlan, r: int):
     """Risk curve of replicate r and, per variant, (risk, m_hat, M_hat)."""
     mom, traces = replicate_traces(plan, r)
-    curve = _risk_curve(mom, plan.beta, plan.weights, plan.bias, plan.tail)
+    curve = _risk_curve(mom, plan.beta_window, plan.weights_window, plan.bias, plan.tail)
     return curve, [(float(curve[t.m_hat - 1]), t.m_hat, t.admissible_max) for t in traces]
 
 
 def experiment_plans(config):
     """Per-n task plans for a RunConfig (one slope, normalized at the largest
-    truncation, and one set of scales, to the largest n, for the whole grid)."""
+    truncation, and one prefix of the scales for the whole grid).
+
+    Memory is O(J + M_n + BLOCK) at every n: each O(n) sum runs over blocks of
+    BLOCK indices in numpy's own order (:func:`circfreg.sequences.blocked_sum`,
+    ``accumulate``), runs of exact zeros are skipped, and the scales grow as
+    prefixes until M_n and m_dagger_n are settled."""
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
-    scales = intrinsic_scales(seq, grid[-1])  # the grid is strictly increasing
+    scales = scale_prefix(seq, grid)
 
     trunc = {n: config.j_max or default_truncation(seq, scales, n) for n in grid}
-    ref = max(trunc.values())
-    slope_spec = SlopeSpec(seq, config.rho, ref)
-    beta = make_slope(slope_spec).coefs
-    tail_ref = slope_tail_bias(slope_spec)
-    omega = seq.risk_weights(ref)
+    slope = SlopeSpec(seq, config.rho, max(trunc.values()))
+    tail_ref = slope_tail_bias(slope)
     try:
         noise_var = config.sigma**2
     except OverflowError:
         raise NumericError(f"sigma**2 overflows at sigma = {config.sigma!r}") from None
 
+    def folded(lo, hi):  # lambda_j beta_j^2: it does not increase with j
+        return seq.eigenvalues(hi - 1, lo) * slope.coefficients(lo, hi) ** 2
+
+    def weighted_sq(lo, hi):
+        return _weighted(seq.risk_weights(hi - 1, lo), slope.coefficients(lo, hi) ** 2)
+
+    def bias_terms(lo, hi):
+        return _bias_terms(seq.risk_weights(hi - 1, lo), slope.coefficients(lo, hi))
+
     plans = []
     for n in grid:
         n_coef = trunc[n]
         window = alive_window(seq, n, n_coef)
-        lam = seq.eigenvalues(n_coef)
-        tau = float(np.sqrt(noise_var + np.sum(lam[window:] * beta[window:n_coef] ** 2)))
-        band = weighted_norm_sq(beta[n_coef:], omega[n_coef:])  # n_coef < j <= ref
+        zero = first_false(lambda lo, hi: folded(lo, hi) > 0.0, window + 1, n_coef + 1)
+        tau = float(np.sqrt(noise_var + blocked_sum(folded, window + 1, n_coef + 1, zero)))
+        # n_coef < j <= the largest truncation; coefficients past the support are 0
+        band = blocked_sum(weighted_sq, n_coef + 1, slope.n_coef + 1, slope.support + 1)
         plans.append(
             _GridPlan(
-                config=config, seq=seq, n=n, n_coef=n_coef, window=window, tau=tau,
-                beta=beta[:n_coef], weights=omega[:n_coef], lam=lam[:window],
-                bias=_bias_beyond(beta[:n_coef], omega[:n_coef], window),
+                config=config, seq=seq, slope=slope, n=n, n_coef=n_coef, window=window, tau=tau,
+                beta_window=slope.coefficients(1, window + 1),
+                weights_window=seq.risk_weights(window), lam=seq.eigenvalues(window),
+                bias=_bias_beyond(bias_terms, window, min(n_coef, slope.support)),
                 tail=band + tail_ref, scales=scales, m_bound=min(bound_M(seq, scales, n), n_coef),
             )
         )
@@ -327,12 +390,13 @@ def _require_finite(where, **fields) -> None:
             raise NumericError(f"{name} is not finite at {where(bad[0])}")
 
 
-def run_experiment(config):
+def run_experiment(config, plans=None):
     """Run the replicated Monte Carlo experiment described by a RunConfig.
 
     Returns one :class:`RiskReport` per selection variant.  Deterministic for
     a fixed config: every replicate is a pure function of (seed, n, r) and
-    aggregation order is fixed.
+    aggregation order is fixed.  ``plans``, if given, are the config's
+    :func:`experiment_plans`, built by a caller that also read them.
     """
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
@@ -347,7 +411,9 @@ def run_experiment(config):
             curve, per_n[:, :, r] = _run_replicate(plan, r)
             yield curve
 
-    for plan, per_n in zip(experiment_plans(config), picks):
+    if plans is None:
+        plans = experiment_plans(config)
+    for plan, per_n in zip(plans, picks):
         oracle.append(_best_fixed_dim(curves(plan, per_n)))
     oracle_m, oracle_val = (np.array(col) for col in zip(*oracle))
     at_n = lambda gi: f"n = {grid[gi]}"

@@ -16,10 +16,26 @@ kappa), the admissible-model bounds M_n and N_n, the bias/variance balancing
 indices, and closed-form theoretical rates.  All internal computations run in
 log space so the exponential regimes never overflow; the exported linear-scale
 values may be ``inf`` where the exact value exceeds float range.
+
+Every sequence method also evaluates a range j = start..length, so no pass
+over n indices needs an array of length n:
+
+* N_n has a closed form, checked against omega over a few indices.
+* M_n, m_dagger_n and m_star_n scan upward and stop once a lower bound on
+  their criterion, which does not decrease with m, shows that no later index
+  can win.  M_n and m_dagger_n read the scales, which are running maxima and
+  so grow as prefixes (:func:`scale_prefix`); m_star_n carries its running
+  log-sum from block to block.
+* The scales can also be computed a block at a time, carrying their running
+  maxima (:func:`scale_blocks`).
+* :func:`blocked_sum` and :func:`accumulate` add terms BLOCK indices at a
+  time in the order ``np.sum`` and ``np.cumsum`` add a whole array, so every
+  result is the full-array one bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +53,10 @@ __all__ = [
 ]
 
 _REGIMES = ("PP", "EP", "PE")
+
+# Indices per block of every O(n) pass: 2^12 floats are 32 KiB, below glibc's
+# 128 KiB mmap threshold, so block arrays reuse heap memory
+BLOCK = 2**12
 
 
 def regime_violations(regime: str, a: float, p: float, s: float) -> list:
@@ -87,35 +107,39 @@ class SequenceSpec:
         if errors:
             raise ValueError("; ".join(errors))
 
-    # -- exact log-space sequences (index arrays are 1-based values j = 1..J) --
+    # -- exact log-space sequences over j = start..length (1-based values) ----
+    # each entry depends on j alone, so a range equals that slice of 1..length
 
-    def _indices(self, length: int) -> np.ndarray:
+    def _indices(self, length: int, start: int = 1) -> np.ndarray:
         if length < 1:
             raise ValueError(f"sequence length must be >= 1, got {length}")
-        return np.arange(1, length + 1, dtype=float)
+        if not 1 <= start <= length:
+            raise ValueError(f"sequence start must lie in 1..{length}, got {start}")
+        return np.arange(start, length + 1, dtype=float)
 
-    def log_risk_weights(self, length: int) -> np.ndarray:
-        """log omega_j for j = 1..length."""
-        return 2.0 * self.s * np.log(self._indices(length))
+    def log_risk_weights(self, length: int, start: int = 1) -> np.ndarray:
+        """log omega_j for j = start..length."""
+        return 2.0 * self.s * np.log(self._indices(length, start))
 
-    def log_smoothness_weights(self, length: int) -> np.ndarray:
-        """log gamma_j for j = 1..length."""
-        j = self._indices(length)
+    def log_smoothness_weights(self, length: int, start: int = 1) -> np.ndarray:
+        """log gamma_j for j = start..length."""
+        j = self._indices(length, start)
         if self.regime == "EP":
             with np.errstate(over="ignore"):  # gamma_j = inf is the exact limit
                 return j ** (2.0 * self.p) - 1.0
         return 2.0 * self.p * np.log(j)
 
-    def _eigen_indices(self, length: int) -> np.ndarray:
+    def _eigen_indices(self, length: int, start: int) -> np.ndarray:
         # lambda_{2k+1} = lambda_{2k}: odd indices >= 3 evaluate at j - 1
-        j = self._indices(length)
+        j = self._indices(length, start)
         if self.enforce_pair:
-            j[2::2] -= 1.0  # j = 3, 5, ...: exact, the entries are integers
+            first_odd = max(3, start | 1)
+            j[first_odd - start::2] -= 1.0  # exact, the entries are integers
         return j
 
-    def log_eigenvalues(self, length: int) -> np.ndarray:
-        """log lambda_j for j = 1..length, pairing applied if enforced."""
-        j = self._eigen_indices(length)
+    def log_eigenvalues(self, length: int, start: int = 1) -> np.ndarray:
+        """log lambda_j for j = start..length, pairing applied if enforced."""
+        j = self._eigen_indices(length, start)
         if self.regime == "PE":
             with np.errstate(over="ignore"):  # log lambda_j = -inf is the exact limit
                 return -(j ** (2.0 * self.a))
@@ -123,10 +147,10 @@ class SequenceSpec:
 
     # -- linear-scale views (direct powers, so integer-valued entries are exact)
 
-    def risk_weights(self, length: int) -> np.ndarray:
-        """omega_j = j^(2s) for j = 1..length (may overflow to inf for large s)."""
+    def risk_weights(self, length: int, start: int = 1) -> np.ndarray:
+        """omega_j = j^(2s) for j = start..length (may overflow to inf for large s)."""
         with np.errstate(over="ignore"):  # omega_j = inf is the exact limit
-            return self._indices(length) ** (2.0 * self.s)
+            return self._indices(length, start) ** (2.0 * self.s)
 
     def smoothness_weights(self, length: int) -> np.ndarray:
         """gamma_j for j = 1..length (may overflow to inf in regime EP)."""
@@ -136,9 +160,9 @@ class SequenceSpec:
                 return np.exp(j ** (2.0 * self.p) - 1.0)
         return j ** (2.0 * self.p)
 
-    def eigenvalues(self, length: int) -> np.ndarray:
-        """lambda_j for j = 1..length (may underflow to 0 in regime PE)."""
-        j = self._eigen_indices(length)
+    def eigenvalues(self, length: int, start: int = 1) -> np.ndarray:
+        """lambda_j for j = start..length (may underflow to 0 in regime PE)."""
+        j = self._eigen_indices(length, start)
         if self.regime == "PE":
             with np.errstate(over="ignore"):  # lambda_j = 0 is the exact limit
                 return np.exp(-(j ** (2.0 * self.a)))
@@ -167,50 +191,110 @@ class PenaltyScales:
         return int(self.delta.size)
 
 
-def delta_factor(log_kappa: np.ndarray) -> np.ndarray:
-    """|log(kappa_m v (m+2)) / log(m+2)| for m = 1..len(log_kappa), from log kappa_m
-    (the larger of the two logs, so log_kappa = -inf gives the factor 1)."""
-    log_m2 = np.log(np.arange(1, log_kappa.size + 1, dtype=float) + 2.0)
+def delta_factor(log_kappa: np.ndarray, start: int = 1) -> np.ndarray:
+    """|log(kappa_m v (m+2)) / log(m+2)| for m = start..start+len(log_kappa)-1, from
+    log kappa_m (the larger of the two logs, so log_kappa = -inf gives the factor 1)."""
+    log_m2 = np.log(np.arange(start, start + log_kappa.size, dtype=float) + 2.0)
     return np.abs(np.maximum(log_kappa, log_m2) / log_m2)
 
 
-def intrinsic_scales(spec: SequenceSpec, length: int) -> PenaltyScales:
-    """Compute the intrinsic penalty scales delta, Delta, kappa up to m = length."""
-    log_omega = spec.log_risk_weights(length)
-    log_lam = spec.log_eigenvalues(length)
-    m = np.arange(1, length + 1, dtype=float)
+def intrinsic_scales(spec: SequenceSpec, length: int, start: int = 1,
+                     before: PenaltyScales | None = None) -> PenaltyScales:
+    """Compute the intrinsic penalty scales delta, Delta, kappa for m = start..length.
 
-    log_Delta = np.maximum.accumulate(log_omega - log_lam)
-    log_kappa = np.maximum.accumulate(np.maximum(log_omega, 0.0) - log_lam)
-    factor = delta_factor(log_kappa)
+    ``before`` holds the scales of some indices ending at start - 1: the running
+    maxima go on from its last entries, so consecutive ranges give the scales
+    of their union bit for bit."""
+    log_omega = spec.log_risk_weights(length, start)
+    log_lam = spec.log_eigenvalues(length, start)
+    m = np.arange(start, length + 1, dtype=float)
+    last = lambda field: None if before is None else getattr(before, field)[-1]
+
+    log_Delta = accumulate(np.maximum, log_omega - log_lam, last("log_Delta"))
+    log_kappa = accumulate(np.maximum, np.maximum(log_omega, 0.0) - log_lam, last("log_kappa"))
+    factor = delta_factor(log_kappa, start)
     log_delta = np.log(m) + log_Delta + np.log(factor)
 
-    omega = spec.risk_weights(length)
-    lam = spec.eigenvalues(length)
+    omega = spec.risk_weights(length, start)
+    lam = spec.eigenvalues(length, start)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # where lambda_j underflows to 0, omega_j / lambda_j is inf or 0/0; the
         # exponential of the log ratio is the exact value there
-        Delta = np.maximum.accumulate(np.where(lam > 0.0, omega / lam,
-                                               np.exp(log_omega - log_lam)))
-        kappa = np.maximum.accumulate(np.maximum(omega, 1.0) / lam)
+        Delta = accumulate(np.maximum, np.where(lam > 0.0, omega / lam,
+                                                np.exp(log_omega - log_lam)), last("Delta"))
+        kappa = accumulate(np.maximum, np.maximum(omega, 1.0) / lam, last("kappa"))
         delta = m * Delta * factor
     return PenaltyScales(delta, Delta, kappa, log_delta, log_Delta, log_kappa)
+
+
+def scale_blocks(spec: SequenceSpec, length: int):
+    """(start, intrinsic_scales over start..) for consecutive blocks of BLOCK
+    indices covering 1..length."""
+    block = None
+    for start in range(1, length + 1, BLOCK):
+        block = intrinsic_scales(spec, min(start + BLOCK - 1, length), start, block)
+        yield start, block
+
+
+def scale_prefix(spec: SequenceSpec, grid) -> PenaltyScales:
+    """intrinsic_scales over the shortest of the prefixes 64, 128, 256, ...
+    (the last one cut at the largest n) that fixes M_n and m_dagger_n at every
+    n of ``grid`` (see :func:`bound_M` and :func:`balance_m_dagger`).  Every
+    scale is a running maximum over j <= m, so each prefix is exact."""
+    length = max(grid)
+    size = min(64, length)
+    while True:
+        scales = intrinsic_scales(spec, size)
+        if size == length or all(_bound_M(spec, scales, n)[1]
+                                 and _balance_m_dagger(spec, scales, n)[1] for n in grid):
+            return scales
+        size = min(2 * size, length)
+
+
+def _at(values, m: int) -> float:
+    """values(m, m): one entry of a SequenceSpec method."""
+    return float(values(m, m)[0])
+
+
+def _beyond(lower: float, level: float, size: float) -> bool:
+    """Whether lower > level with a margin that float rounding cannot close:
+    1 plus 1e-9 of |lower| + |level| + |size|, where ``size`` is one more
+    log-scale term of the criterion.  inf is beyond any finite level, and a
+    NaN is beyond nothing."""
+    lower, level, size = float(lower), float(level), float(size)  # Python floats never warn
+    if lower == math.inf:
+        return level < math.inf
+    return lower - level > 1.0 + 1e-9 * (abs(lower) + abs(level) + abs(size))
+
+
+def _bound_M(spec: SequenceSpec, scales: PenaltyScales, n: int) -> tuple:
+    """(M_n over the scales' prefix, whether the prefix settles it)."""
+    length = min(n, len(scales))
+    log_omega = spec.log_risk_weights(length)
+    level = scales.log_delta[0] + np.log(n)
+    ok = np.nonzero(scales.log_delta[:length] <= level + np.minimum(log_omega, 0.0))[0]
+    m = length + 1
+    settled = length == n or _beyond(math.log(m) - _at(spec.log_eigenvalues, m), level,
+                                     _at(spec.log_risk_weights, m))
+    return (int(ok[-1]) + 1 if ok.size else 1), settled
 
 
 def bound_M(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
     """Largest M in 1..n with delta_M <= delta_1 * n * min(omega_M, 1).
 
     Scans upward and keeps the last index satisfying the condition; the floor
-    M = 1 always qualifies.
+    M = 1 always qualifies.  A prefix of the scales suffices once no later m
+    can qualify: log delta_m >= log m + log omega_m - log lambda_m, since the
+    delta factor is >= 1 and Delta_m >= omega_m / lambda_m, so m qualifies only
+    while log m - log lambda_m <= log delta_1 + log n, and the left side never
+    decreases with m.  A prefix too short for that raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if len(scales) < n:
-        raise ValueError(f"scales of length {len(scales)} cover less than n = {n}")
-    log_omega = spec.log_risk_weights(n)
-    bound = scales.log_delta[0] + np.log(n) + np.minimum(log_omega, 0.0)
-    ok = np.nonzero(scales.log_delta[:n] <= bound)[0]
-    return int(ok[-1]) + 1 if ok.size else 1
+    m_n, settled = _bound_M(spec, scales, n)
+    if not settled:
+        raise ValueError(f"scales of length {len(scales)} do not settle M_n at n = {n}")
+    return m_n
 
 
 def weight_cap(weights: np.ndarray, n: int) -> int:
@@ -220,42 +304,128 @@ def weight_cap(weights: np.ndarray, n: int) -> int:
 
 
 def bound_N(spec: SequenceSpec, n: int) -> int:
-    """Largest N in 1..n with max_{j<=N} omega_j <= n."""
+    """Largest N in 1..n with max_{j<=N} omega_j <= n.
+
+    For s <= 1/2 that is n: omega_j = j^(2s) <= j.  For s > 1/2, omega_j grows
+    by a factor of at least 1 + 1/j per index, so N is within 2 of
+    floor(n^(1/(2s))), and omega is compared with n over the indices within 3
+    of it: exact at perfect powers, where omega_N = n.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return weight_cap(spec.risk_weights(n), n)
+    if spec.s <= 0.5:
+        return n
+    guess = int(n ** (0.5 / spec.s))
+    lo, hi = max(1, guess - 3), min(n, guess + 3)
+    return lo - 1 + weight_cap(spec.risk_weights(hi, lo), n)
 
 
 def balance_m_star(spec: SequenceSpec, n: int) -> int:
     """Dimension balancing bias and variance orders.
 
     Minimizes |log( (gamma_m / (n omega_m)) * sum_{j<=m} omega_j/lambda_j )|
-    over m = 1..n, ties broken toward the smallest m.
+    over m = 1..n, ties broken toward the smallest m.  Scans BLOCK indices at
+    a time, carrying the running log-sum, and stops once
+    log gamma_m - log lambda_m - log n, a lower bound on the criterion (the
+    sum holds omega_m/lambda_m) that never decreases with m, clears the best
+    value so far.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    log_omega = spec.log_risk_weights(n)
-    log_gamma = spec.log_smoothness_weights(n)
-    log_lam = spec.log_eigenvalues(n)
-    log_cumsum = np.logaddexp.accumulate(log_omega - log_lam)
-    crit = np.abs(log_gamma - np.log(n) - log_omega + log_cumsum)
-    return int(np.argmin(crit)) + 1
+    log_n = np.log(n)
+    best, value, carry = 1, np.inf, None
+    for lo in range(1, n + 1, BLOCK):
+        hi = min(lo + BLOCK - 1, n)
+        log_omega = spec.log_risk_weights(hi, lo)
+        log_cumsum = accumulate(np.logaddexp, log_omega - spec.log_eigenvalues(hi, lo), carry)
+        carry = log_cumsum[-1]
+        crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega + log_cumsum)
+        i = int(np.argmin(crit))  # np.argmin takes the first NaN, else the first minimum
+        if crit[i] < value or np.isnan(crit[i]) and not np.isnan(value):
+            best, value = lo + i, crit[i]
+        m = hi + 1
+        if m > n or np.isnan(value) or _beyond(
+                _at(spec.log_smoothness_weights, m) - _at(spec.log_eigenvalues, m) - math.log(n),
+                value, _at(spec.log_risk_weights, m)):
+            return best
+
+
+def _balance_m_dagger(spec: SequenceSpec, scales: PenaltyScales, n: int) -> tuple:
+    """(m_dagger_n over the scales' prefix, whether the prefix settles it)."""
+    length = min(n, len(scales))
+    log_omega = spec.log_risk_weights(length)
+    log_gamma = spec.log_smoothness_weights(length)
+    crit = np.abs(log_gamma + scales.log_delta[:length] - np.log(n) - log_omega)
+    best = int(np.argmin(crit))
+    m = length + 1
+    settled = length == n or np.isnan(crit[best]) or _beyond(
+        _at(spec.log_smoothness_weights, m) + math.log(m / n) - _at(spec.log_eigenvalues, m),
+        crit[best], _at(spec.log_risk_weights, m))
+    return best + 1, settled
 
 
 def balance_m_dagger(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
     """Dimension balancing the penalty against the bias order.
 
     Minimizes |log( gamma_m * delta_m / (n omega_m) )| over m = 1..n,
-    ties broken toward the smallest m.
+    ties broken toward the smallest m.  A prefix of the scales suffices once
+    log gamma_m + log m - log lambda_m - log n, a lower bound on the
+    criterion past it (see :func:`bound_M`) that never decreases with m,
+    clears the prefix's best value; a shorter prefix raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if len(scales) < n:
-        raise ValueError(f"scales of length {len(scales)} cover less than n = {n}")
-    log_omega = spec.log_risk_weights(n)
-    log_gamma = spec.log_smoothness_weights(n)
-    crit = np.abs(log_gamma + scales.log_delta[:n] - np.log(n) - log_omega)
-    return int(np.argmin(crit)) + 1
+    m_dagger, settled = _balance_m_dagger(spec, scales, n)
+    if not settled:
+        raise ValueError(f"scales of length {len(scales)} do not settle m_dagger at n = {n}")
+    return m_dagger
+
+
+# -- exact reductions in blocks of indices ------------------------------------
+
+def blocked_sum(terms, start: int, stop: int, zero_from=None) -> float:
+    """np.sum(terms(start, stop)) bit for bit, from blocks of at most BLOCK terms.
+
+    ``terms(lo, hi)`` returns the terms of indices lo..hi-1.  numpy adds a
+    float64 array pairwise: it splits a run of more than 128 values after
+    n2 = n//2 - (n//2) % 8 of them and adds the sums of the two parts.  The
+    same splits are made here down to runs of at most BLOCK indices, each added
+    by np.sum.  Runs starting at or past ``zero_from`` hold only exact zeros
+    and are not evaluated: their sum is 0.0 either way.
+    """
+    count = stop - start
+    if count <= 0 or zero_from is not None and start >= zero_from:
+        return 0.0
+    if count <= BLOCK:
+        return float(np.sum(terms(start, stop)))
+    half = count // 2
+    split = start + half - half % 8
+    return blocked_sum(terms, start, split, zero_from) + blocked_sum(terms, split, stop, zero_from)
+
+
+def accumulate(ufunc, values: np.ndarray, carry=None) -> np.ndarray:
+    """ufunc.accumulate(values) continued from ``carry``, the accumulated value
+    just before them: in blocks, a long np.cumsum or np.logaddexp.accumulate
+    gives the whole-array entries bit for bit."""
+    if carry is None:
+        return ufunc.accumulate(values)
+    return ufunc.accumulate(np.concatenate(([carry], values)))[1:]
+
+
+def first_false(holds, start: int, stop: int) -> int:
+    """Smallest j in start..stop-1 where holds(j, j + 1)[0] is false, or stop,
+    for a condition that holds on a prefix of the range and never after it:
+    one evaluation if it holds at stop - 1, else a bisection of about
+    log2(stop - start)."""
+    if start < stop and holds(stop - 1, stop)[0]:
+        return stop
+    while start < stop:
+        mid = (start + stop) // 2
+        if holds(mid, mid + 1)[0]:
+            start = mid + 1
+        else:
+            stop = mid
+    return start
 
 
 def theoretical_rate(spec: SequenceSpec, n: int) -> float:

@@ -1,0 +1,257 @@
+"""Every O(n) pass done in blocks against its full-array reference.
+
+The references below are the whole-array computations the blocked code
+replaces, kept only here.  Each blocked result must equal its reference bit
+for bit: the bounds N_n, M_n, m_dagger_n and m_star_n, the alive window, every
+blocked sum and running sum, and every plan quantity built from them.
+"""
+
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import circfreg as cf
+from circfreg.basis import _weighted, weighted_norm_sq
+from circfreg.datagen import SlopeSpec, _log_slope_shape
+from circfreg.risk import ALIVE_EPS, alive_window, experiment_plans, log_chi2_tail_bound
+from circfreg.sequences import (
+    BLOCK,
+    SequenceSpec,
+    accumulate,
+    balance_m_dagger,
+    balance_m_star,
+    blocked_sum,
+    bound_M,
+    bound_N,
+    first_false,
+    intrinsic_scales,
+    scale_blocks,
+    scale_prefix,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# sizes on both sides of block boundaries, perfect squares and cubes (where
+# N_n = n^(1/(2s)) exactly at s = 1 and 1.5), and the prefix lengths 64, 128
+SIZES = (2, 3, 4, 8, 9, 63, 64, 65, 127, 129, 4095, 4096, 4097, 8191, 8193, 9216,
+         15625, 16384, 46656, 65536)
+
+
+# -- full-array references -----------------------------------------------------
+
+def ref_bound_N(spec, n):
+    ok = np.nonzero(np.maximum.accumulate(spec.risk_weights(n)) <= n)[0]
+    return int(ok[-1]) + 1 if ok.size else 1
+
+
+def ref_bound_M(spec, n):
+    scales = intrinsic_scales(spec, n)
+    bound = scales.log_delta[0] + np.log(n) + np.minimum(spec.log_risk_weights(n), 0.0)
+    ok = np.nonzero(scales.log_delta[:n] <= bound)[0]
+    return int(ok[-1]) + 1 if ok.size else 1
+
+
+def ref_m_dagger(spec, n):
+    scales = intrinsic_scales(spec, n)
+    crit = np.abs(spec.log_smoothness_weights(n) + scales.log_delta[:n] - np.log(n)
+                  - spec.log_risk_weights(n))
+    return int(np.argmin(crit)) + 1
+
+
+def ref_m_star(spec, n):
+    log_omega = spec.log_risk_weights(n)
+    log_cumsum = np.logaddexp.accumulate(log_omega - spec.log_eigenvalues(n))
+    crit = np.abs(spec.log_smoothness_weights(n) - np.log(n) - log_omega + log_cumsum)
+    return int(np.argmin(crit)) + 1
+
+
+def ref_alive_window(seq, n, n_coef):
+    log_t = -np.log(n) - seq.log_eigenvalues(n_coef)
+    bound = np.exp(log_chi2_tail_bound(n, log_t))
+    tail = np.cumsum(bound[::-1])[::-1]
+    return int(np.count_nonzero(tail > ALIVE_EPS))
+
+
+def ref_slope(seq, radius, n_coef):
+    """The slope normalized over one full-length profile, and its scale c."""
+    log_shape = _log_slope_shape(SlopeSpec(seq, radius, n_coef),
+                                 np.arange(1, n_coef + 1, dtype=float))
+    shape = np.exp(log_shape)
+    mask = shape >= np.finfo(float).tiny
+    log_gamma = seq.log_smoothness_weights(n_coef)
+    norm = float(np.sum(np.exp(log_gamma[mask] + 2.0 * log_shape[mask])))
+    c = float(np.sqrt(radius / norm))
+    return c * np.where(mask, shape, 0.0), c
+
+
+def ref_tail_bias(spec, c):
+    """slope_tail_bias with each 2^16-term run summed as one array."""
+    s, total = spec.seq.s, 0.0
+    for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
+        j = np.arange(start, start + 2**16, dtype=float)
+        with np.errstate(over="ignore"):
+            terms = np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
+        total += float(np.sum(terms))
+        if spec.seq.regime != "EP":
+            a, x = float(start + 2**16), 2.0 * (spec.seq.p + 0.5 + 1.0) - 2.0 * s
+            total += (a / (x - 1.0) + 0.5 + x / (12.0 * a)
+                      - x * (x + 1.0) * (x + 2.0) / (720.0 * a**3)) * a**-x
+            break
+        if terms[-1] <= 1e-19 * total:
+            break
+    return float(c**2 * total)
+
+
+# -- strategies ------------------------------------------------------------------
+
+@st.composite
+def sequence_specs(draw):
+    regime = draw(st.sampled_from(["PP", "EP", "PE"]))
+    s = draw(st.sampled_from([-1.0, -0.3, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]))
+    a = draw(st.sampled_from([0.3, 1.0, 2.0] if regime == "PE" else [0.55, 0.75, 1.0, 2.0]))
+    # EP stays at p >= 0.5, where the slope's tail ends within one 2^16 run
+    p = draw(st.sampled_from([0.5, 1.0, 2.0])) + (max(s, 0.0) if regime != "EP" else 0.0)
+    return SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=draw(st.booleans()))
+
+
+sizes = st.one_of(st.sampled_from(SIZES), st.integers(2, 20000))
+
+
+# -- the reductions ----------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(length=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK,
+                                          BLOCK + 1, 2 * BLOCK + 8, 5 * BLOCK + 3]),
+                        st.integers(0, 6 * BLOCK)),
+       start=st.integers(1, 50), zero_at=st.floats(0.0, 1.2), seed=st.integers(0, 2**32 - 1))
+def test_blocked_sum_is_np_sum(length, start, zero_at, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(size=length) * np.exp(rng.uniform(-30.0, 30.0, length))
+    zero_from = start + int(zero_at * length)
+    values[zero_from - start:] = 0.0
+    terms = lambda lo, hi: values[lo - start:hi - start]
+    expected = float(np.sum(values))
+    assert blocked_sum(terms, start, start + length) == expected
+    assert blocked_sum(terms, start, start + length, zero_from) == expected
+
+
+def test_blocked_sum_at_ten_million_and_one():
+    values = np.random.default_rng(3).standard_normal(10**7 + 1)
+    assert blocked_sum(lambda lo, hi: values[lo:hi], 0, values.size) == float(np.sum(values))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(length=st.integers(1, 3 * BLOCK), cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_carried_accumulate_is_whole_array_accumulate(length, cuts, seed):
+    values = np.random.default_rng(seed).standard_normal(length) * 50.0
+    edges = sorted({0, length, *(int(c * length) for c in cuts)})
+    for ufunc in (np.add, np.logaddexp):
+        carry, parts = None, []
+        for lo, hi in zip(edges, edges[1:]):
+            parts.append(accumulate(ufunc, values[lo:hi], carry))
+            carry = parts[-1][-1]
+        assert np.array_equal(np.concatenate(parts), ufunc.accumulate(values))
+
+
+def test_first_false_bisects_a_prefix():
+    for stop in (1, 2, 3, 17, 4096):
+        for edge in range(0, stop + 1, max(1, stop // 7)):
+            assert first_false(lambda lo, hi: np.arange(lo, hi) < edge, 0, stop) == edge
+
+
+# -- bounds, balancing indices and the alive window --------------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=sequence_specs(), n=sizes)
+def test_bounds_and_balancing_match_full_scans(spec, n):
+    scales = scale_prefix(spec, (n,))
+    assert bound_N(spec, n) == ref_bound_N(spec, n)
+    assert bound_M(spec, scales, n) == ref_bound_M(spec, n)
+    assert balance_m_dagger(spec, scales, n) == ref_m_dagger(spec, n)
+    assert balance_m_star(spec, n) == ref_m_star(spec, n)
+    full = intrinsic_scales(spec, n)
+    blocks = [block for _, block in scale_blocks(spec, n)]
+    for field in ("delta", "Delta", "kappa", "log_delta", "log_Delta", "log_kappa"):
+        whole = getattr(full, field)
+        assert np.array_equal(np.concatenate([getattr(b, field) for b in blocks]), whole,
+                              equal_nan=True)
+        assert np.array_equal(getattr(scales, field), whole[:len(scales)], equal_nan=True)
+
+
+def test_scales_too_short_to_settle_raise():
+    spec = SequenceSpec("PP", a=1.0, p=2.0)
+    short = intrinsic_scales(spec, 2)
+    with pytest.raises(ValueError, match="do not settle M_n at n = 1000000"):
+        bound_M(spec, short, 10**6)
+    with pytest.raises(ValueError, match="do not settle m_dagger at n = 1000000"):
+        balance_m_dagger(spec, short, 10**6)
+
+
+def test_closed_form_N_at_perfect_powers():
+    for s, root in ((1.0, 2), (1.5, 3), (2.0, 4)):
+        spec = SequenceSpec("PP", a=1.0, p=3.0, s=s)
+        for k in (2, 10, 31, 64, 100, 215, 1000):
+            n = k**root
+            if n <= 10**6:
+                for m in (n - 1, n, n + 1):
+                    assert bound_N(spec, m) == ref_bound_N(spec, m), (s, m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=sequence_specs(), n=sizes, coverage=st.floats(0.0, 3.0))
+def test_alive_window_matches_full_tail_sums(spec, n, coverage):
+    n_coef = max(1, int(coverage * n))
+    assert alive_window(spec, n, n_coef) == ref_alive_window(spec, n, n_coef)
+
+
+# -- plans ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=sequence_specs(), grid=st.lists(sizes, min_size=1, max_size=3, unique=True),
+       j_max=st.one_of(st.none(), st.sampled_from([1, 50, BLOCK + 1, 3 * BLOCK])))
+def test_plans_match_full_array_plans(spec, grid, j_max):
+    grid = tuple(sorted(grid))
+    cfg = cf.RunConfig(regime=spec.regime, a=spec.a, p=spec.p, s=spec.s, sigma=0.5, rho=1.3,
+                       n_grid=grid, replications=1, seed=1, variant="both",
+                       enforce_pair=spec.enforce_pair, j_max=j_max)
+    plans = experiment_plans(cfg)
+    trunc = [j_max or max(ref_bound_N(spec, n), 2 * ref_m_dagger(spec, n)) for n in grid]
+    ref = max(trunc)
+    beta, c = ref_slope(spec, cfg.rho, ref)
+    omega = spec.risk_weights(ref)
+    slope = plans[0].slope
+    tail = ref_tail_bias(slope, c)
+    assert slope.scale == c and np.array_equal(slope.profile[0].coefs, beta)
+    for plan, n, n_coef in zip(plans, grid, trunc):
+        window = ref_alive_window(spec, n, n_coef)
+        lam = spec.eigenvalues(n_coef)
+        cum_bias = np.cumsum(_weighted(omega[:n_coef], beta[:n_coef]) * beta[:n_coef])
+        assert (plan.n_coef, plan.window) == (n_coef, window)
+        assert plan.m_bound == min(ref_bound_M(spec, n), n_coef)
+        assert plan.tau == float(np.sqrt(cfg.sigma**2 + np.sum(lam[window:] * beta[window:n_coef] ** 2)))
+        assert plan.tail == weighted_norm_sq(beta[n_coef:], omega[n_coef:]) + tail
+        assert np.array_equal(plan.bias, cum_bias[-1] - cum_bias[:window])
+        assert np.array_equal(plan.beta_window, beta[:window])
+        assert np.array_equal(plan.weights_window, omega[:window])
+        assert np.array_equal(plan.lam, lam[:window])
+        assert np.array_equal(plan.beta, beta[:n_coef])
+
+
+def test_golden_pe_plans_hold_bounded_memory():
+    # tracemalloc peak of 139 KiB at this grid (numpy 2.4.6); a plan holding
+    # any length-n array would need 8 MB at n = 10^6
+    cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
+    cfg = replace(cfg, n_grid=(500, 8000, 10**6), variant="both")
+    tracemalloc.start()
+    try:
+        plans = experiment_plans(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [plan.n_coef for plan in plans] == [500, 8000, 10**6]
+    assert peak < 256 * 1024

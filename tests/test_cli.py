@@ -209,7 +209,7 @@ def test_numeric_failure_exits_3(config_file, tmp_path, monkeypatch, capsys):
     import circfreg.cli as cli_module
     from circfreg import NumericError
 
-    def explode(cfg):
+    def explode(cfg, plans=None):
         raise NumericError("synthetic numeric breakdown")
 
     monkeypatch.setattr(cli_module, "run_experiment", explode)
@@ -427,6 +427,27 @@ def test_rates_refuses_scales_table_over_size_budget(tmp_path, monkeypatch, caps
     assert not pp.exists()
 
 
+def test_rates_sizes_scales_table_in_blocks(tmp_path, capsys):
+    # golden PP's table to n = 10^7 is refused after a scan of one block of
+    # scales at a time, to one row past the budget: a tracemalloc peak of
+    # 0.8 MiB, where the 10^7 scales take 480 MB
+    import tracemalloc
+
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = main(["rates", "--config", str(ROOT / "configs" / "golden_pp.cfg"), "--out", str(out),
+                     "--override", "n_grid=250,10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2 * 2**20
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: rates: scales.csv of at least 4194305 rows for n_grid up to "
+                   "10000000 is 16777220 values, over the 2^24 budget"]
+    assert not out.exists()
+
+
 def test_mc_risk_refuses_replicate_array_over_size_budget(config_file, tmp_path, monkeypatch,
                                                           capsys):
     # the fixture's 2 grid sizes x 1 variant x 3 replications hold 3 values each: 18
@@ -441,6 +462,23 @@ def test_mc_risk_refuses_replicate_array_over_size_budget(config_file, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: mc-risk: ")
     assert "replications = 4" in err[0] and "24 values" in err[0] and "2^24" in err[0]
+    assert not over.exists()
+
+
+def test_mc_risk_refuses_normals_over_work_budget(config_file, tmp_path, monkeypatch, capsys):
+    # the fixture's alive windows J = 15 and 19 draw (J+1)^2 // 2 = 128 and 200
+    # normals per replicate: 984 over 3 replications, 1312 over 4
+    import circfreg.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_MAX_NORMALS", 984)
+    fits, over = tmp_path / "fits", tmp_path / "over"
+    assert main(["mc-risk", "--config", str(config_file), "--out", str(fits)]) == 0
+    capsys.readouterr()
+    assert main(["mc-risk", "--config", str(config_file), "--out", str(over),
+                 "--override", "replications=4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: mc-risk: ")
+    assert "replications = 4" in err[0] and "1312 normals" in err[0] and "2^30" in err[0]
     assert not over.exists()
 
 

@@ -392,17 +392,35 @@ class TestReplicateEngine:
             assert all(plan.tau >= cfg.sigma for plan in plans)
 
     def test_plans_normalize_the_slope_once(self, monkeypatch):
-        # one profile pass at the run's largest truncation; slope_tail_bias
-        # reads the same scale c instead of building the profile again
-        shape, lengths = cf.datagen._log_slope_shape, []
+        # one normalization per run, at the run's largest truncation: its pass
+        # shapes each index 1..n_coef once, a block at a time, and
+        # slope_tail_bias and the plans read its scale c instead of building
+        # the profile again
+        shape, summed = cf.datagen._log_slope_shape, cf.datagen.blocked_sum
+        passes, open_pass = {}, []  # (start, stop) of each sum datagen takes -> indices shaped
 
         def counted(spec, j):
-            lengths.append(j.size)
+            assert j.size <= cf.sequences.BLOCK
+            if open_pass:
+                passes[open_pass[0]].append(j)
             return shape(spec, j)
 
+        def recorded(terms, start, stop, *rest):
+            passes[(start, stop)] = []
+            open_pass.append((start, stop))
+            try:
+                return summed(terms, start, stop, *rest)
+            finally:
+                open_pass.pop()
+
         monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
+        monkeypatch.setattr(cf.datagen, "blocked_sum", recorded)
         plans = experiment_plans(cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text()))
-        assert lengths.count(plans[-1].n_coef) == 1
+        ref = plans[-1].n_coef
+        assert sorted(passes) == [(1, ref + 1), (ref + 1, ref + 1 + 2**16)]
+        for (start, stop), shaped in passes.items():
+            assert np.array_equal(np.concatenate(shaped), np.arange(start, stop))
+        assert "profile" not in vars(plans[-1].slope)
 
     def test_known_bound_within_window(self):
         # select_known reads the moments up to M_n, which stop at J
