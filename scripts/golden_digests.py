@@ -74,6 +74,9 @@ RUNS = (
     # plans past one 2^12-index block: n_coef = n up to 64000, alive windows to 261
     ("pp_mc_wide", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("n_grid=250,1000,4000,16000,64000", "replications=20")),
+    # M_n = 79 at n = 10^6: the bound's upward scan reads scales over 256 indices
+    ("pp_mc_1e6", "mc-risk", "golden_pp.cfg",
+     BOTH + _overrides("n_grid=250,1000000", "replications=2")),
     # perfect squares: the closed-form N_n = sqrt(n) = 64, 256 sets n_coef
     ("pp_s1_squares", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("s=1", "p=3", "n_grid=4096,65536", "replications=20")),

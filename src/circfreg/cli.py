@@ -37,7 +37,6 @@ from .sequences import (
     bound_M,
     bound_N,
     scale_blocks,
-    scale_prefix,
     theoretical_rate_or_nan,
 )
 
@@ -70,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file: {exc}"])
     raw = _parse_raw(text)
     for item in args.override:
@@ -163,24 +162,23 @@ def _cmd_rates(cfg, echo: str) -> None:
     # the table ends before the first m whose linear scales overflow (golden PE:
     # m = 700); its scan stops one row past the budget
     m_last = cap = min(n_max, _MAX_VALUES // 4 + 1)
-    for start, block in scale_blocks(seq, cap):
+    for start, _, block in scale_blocks(seq, cap):
         finite = np.isfinite(block.delta) & np.isfinite(block.Delta) & np.isfinite(block.kappa)
         if not finite.all():
             m_last = start - 1 + int(np.argmin(finite))
             break
     over = "at least " if m_last == cap < n_max else ""
     _check_size([(4 * m_last, f"rates: scales.csv of {over}{m_last} rows for n_grid up to {n_max}")])
-    scales = scale_prefix(seq, cfg.n_grid)
     out = _prepare_out_dir(cfg)
     rows = []
     for n in cfg.n_grid:
-        rows.append(f"{n},{bound_M(seq, scales, n)},{bound_N(seq, n)},{balance_m_star(seq, n)},"
-                    f"{balance_m_dagger(seq, scales, n)},{theoretical_rate_or_nan(seq, n)!r}")
+        rows.append(f"{n},{bound_M(seq, n)},{bound_N(seq, n)},{balance_m_star(seq, n)},"
+                    f"{balance_m_dagger(seq, n)},{theoretical_rate_or_nan(seq, n)!r}")
     write_csv(out / "rates.csv", echo, "", "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
     write_csv(out / "scales.csv", echo, "", "m,delta,Delta,kappa", (
         f"{start + i},{float(block.delta[i])!r},{float(block.Delta[i])!r},"
         f"{float(block.kappa[i])!r}"
-        for start, block in scale_blocks(seq, m_last) for i in range(len(block))
+        for start, _, block in scale_blocks(seq, m_last) for i in range(len(block))
     ))
 
 

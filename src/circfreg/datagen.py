@@ -36,8 +36,7 @@ import numpy as np
 
 from .basis import CoefVector
 from .config import write_csv
-from .sequences import (
-    PenaltyScales,
+from .sequences import (  # intrinsic_scales: for perfbench/traced_cli.py
     SequenceSpec,
     balance_m_dagger,
     blocked_sum,
@@ -153,8 +152,9 @@ def slope_tail_bias(spec: SlopeSpec) -> float:
         total += blocked_sum(terms, start, start + 2**16)
         if spec.seq.regime != "EP":
             a, x = float(start + 2**16), 2.0 * (spec.seq.p + 0.5 + 1.0) - 2.0 * s
-            total += (a / (x - 1.0) + 0.5 + x / (12.0 * a)
-                      - x * (x + 1.0) * (x + 2.0) / (720.0 * a**3)) * a**-x
+            if a**-x:  # 0 where x^3 may overflow: the remainder is 0, not inf * 0
+                total += (a / (x - 1.0) + 0.5 + x / (12.0 * a)
+                          - x * (x + 1.0) * (x + 2.0) / (720.0 * a**3)) * a**-x
             break
         if terms(start + 2**16 - 1, start + 2**16)[0] <= 1e-19 * total:
             break
@@ -182,13 +182,13 @@ class Sample:
         return int(self.xcoef.shape[1])
 
 
-def default_truncation(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
-    """Default coefficient truncation max(N_n, 2 m_dagger), from scales over 1..n.
+def default_truncation(spec: SequenceSpec, n: int) -> int:
+    """Default coefficient truncation max(N_n, 2 m_dagger_n).
 
     Guarantees every admissible model dimension sees genuinely simulated
     coefficients.
     """
-    return max(bound_N(spec, n), 2 * balance_m_dagger(spec, scales, n))
+    return max(bound_N(spec, n), 2 * balance_m_dagger(spec, n))
 
 
 def substream(seed: int, *keys: int) -> np.random.Generator:
@@ -231,7 +231,7 @@ def simulate(
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if n_coef is None:
-        n_coef = default_truncation(spec, intrinsic_scales(spec, n), n)
+        n_coef = default_truncation(spec, n)
     if len(slope) > n_coef:
         raise ValueError(
             f"slope has {len(slope)} coefficients but only {n_coef} are simulated"

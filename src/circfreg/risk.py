@@ -49,7 +49,7 @@ built in O(J + M_n + BLOCK) memory, bit for bit as from full-length arrays:
 tau, the bias sums and the band past n_coef run over blocks of indices in
 the order np.sum and np.cumsum add a whole array (runs of exact zeros are
 skipped), the alive window sums its tail down from the last nonzero bound,
-and the scales grow as prefixes until M_n and m_dagger_n are settled.
+and the known-degree penalty reads the scales over 1..max min(M_n, n_coef).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .estimator import (
     select_data_driven,
     select_known,
 )
-from .sequences import (  # intrinsic_scales: for perfbench/traced_cli.py
+from .sequences import (
     BLOCK,
     PenaltyScales,
     SequenceSpec,
@@ -77,7 +77,6 @@ from .sequences import (  # intrinsic_scales: for perfbench/traced_cli.py
     bound_M,
     first_false,
     intrinsic_scales,
-    scale_prefix,
     theoretical_rate_or_nan,
 )
 
@@ -256,7 +255,7 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """Everything the replicates at one grid size n need; immutable.  Its
-    arrays run over the alive window, and the scales over a prefix."""
+    arrays run over the alive window, and the scales over 1..max m_bound."""
 
     config: RunConfig
     seq: SequenceSpec
@@ -270,7 +269,7 @@ class _GridPlan:
     lam: np.ndarray   # eigenvalues 1..J
     bias: np.ndarray  # squared bias beyond m = 1..J, through n_coef
     tail: float
-    scales: PenaltyScales  # the run's scales, a prefix settling M_n at every n
+    scales: PenaltyScales  # the run's scales over 1..the largest m_bound of the grid
     m_bound: int  # known-degree bound min(M_n, n_coef)
 
     @property
@@ -334,17 +333,17 @@ def _run_replicate(plan: _GridPlan, r: int):
 
 def experiment_plans(config):
     """Per-n task plans for a RunConfig (one slope, normalized at the largest
-    truncation, and one prefix of the scales for the whole grid).
+    truncation, and the scales over 1..the largest known-degree bound).
 
     Memory is O(J + M_n + BLOCK) at every n: each O(n) sum runs over blocks of
     BLOCK indices in numpy's own order (:func:`circfreg.sequences.blocked_sum`,
-    ``accumulate``), runs of exact zeros are skipped, and the scales grow as
-    prefixes until M_n and m_dagger_n are settled."""
+    ``accumulate``), runs of exact zeros are skipped, and M_n and m_dagger_n
+    scan the scales a block at a time."""
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
-    scales = scale_prefix(seq, grid)
-
-    trunc = {n: config.j_max or default_truncation(seq, scales, n) for n in grid}
+    trunc = {n: config.j_max or default_truncation(seq, n) for n in grid}
+    m_bound = {n: min(bound_M(seq, n), trunc[n]) for n in grid}
+    scales = intrinsic_scales(seq, max(m_bound.values()))
     slope = SlopeSpec(seq, config.rho, max(trunc.values()))
     tail_ref = slope_tail_bias(slope)
     try:
@@ -375,7 +374,7 @@ def experiment_plans(config):
                 beta_window=slope.coefficients(1, window + 1),
                 weights_window=seq.risk_weights(window), lam=seq.eigenvalues(window),
                 bias=_bias_beyond(bias_terms, window, min(n_coef, slope.support)),
-                tail=band + tail_ref, scales=scales, m_bound=min(bound_M(seq, scales, n), n_coef),
+                tail=band + tail_ref, scales=scales, m_bound=m_bound[n],
             )
         )
     return plans

@@ -21,13 +21,13 @@ Every sequence method also evaluates a range j = start..length, so no pass
 over n indices needs an array of length n:
 
 * N_n has a closed form, checked against omega over a few indices.
-* M_n, m_dagger_n and m_star_n scan upward and stop once a lower bound on
-  their criterion, which does not decrease with m, shows that no later index
-  can win.  M_n and m_dagger_n read the scales, which are running maxima and
-  so grow as prefixes (:func:`scale_prefix`); m_star_n carries its running
-  log-sum from block to block.
-* The scales can also be computed a block at a time, carrying their running
-  maxima (:func:`scale_blocks`).
+* M_n, m_dagger_n and m_star_n scan m upward over one sequence of index
+  blocks (:func:`index_blocks`: ends at 64, 128, 256, ..., then every BLOCK
+  indices), each carrying its state, and stop once a lower bound on their
+  criterion, which does not decrease with m, shows that no later index can
+  win.  M_n and m_dagger_n read the scales, which carry their running maxima
+  from block to block (:func:`scale_blocks`); m_star_n carries its running
+  log-sum.
 * :func:`blocked_sum` and :func:`accumulate` add terms BLOCK indices at a
   time in the order ``np.sum`` and ``np.cumsum`` add a whole array, so every
   result is the full-array one bit for bit.
@@ -227,28 +227,22 @@ def intrinsic_scales(spec: SequenceSpec, length: int, start: int = 1,
     return PenaltyScales(delta, Delta, kappa, log_delta, log_Delta, log_kappa)
 
 
+def index_blocks(length: int):
+    """(lo, hi) of the blocks that split 1..length for every upward scan: they
+    end at 64, 128, 256, ..., BLOCK, then every BLOCK indices, and at length."""
+    lo, hi = 1, 64
+    while lo <= length:
+        yield lo, min(hi, length)
+        lo, hi = hi + 1, hi + min(hi, BLOCK)
+
+
 def scale_blocks(spec: SequenceSpec, length: int):
-    """(start, intrinsic_scales over start..) for consecutive blocks of BLOCK
-    indices covering 1..length."""
+    """(lo, hi, intrinsic_scales over lo..hi) for the blocks of
+    :func:`index_blocks` covering 1..length."""
     block = None
-    for start in range(1, length + 1, BLOCK):
-        block = intrinsic_scales(spec, min(start + BLOCK - 1, length), start, block)
-        yield start, block
-
-
-def scale_prefix(spec: SequenceSpec, grid) -> PenaltyScales:
-    """intrinsic_scales over the shortest of the prefixes 64, 128, 256, ...
-    (the last one cut at the largest n) that fixes M_n and m_dagger_n at every
-    n of ``grid`` (see :func:`bound_M` and :func:`balance_m_dagger`).  Every
-    scale is a running maximum over j <= m, so each prefix is exact."""
-    length = max(grid)
-    size = min(64, length)
-    while True:
-        scales = intrinsic_scales(spec, size)
-        if size == length or all(_bound_M(spec, scales, n)[1]
-                                 and _balance_m_dagger(spec, scales, n)[1] for n in grid):
-            return scales
-        size = min(2 * size, length)
+    for lo, hi in index_blocks(length):
+        block = intrinsic_scales(spec, hi, lo, block)
+        yield lo, hi, block
 
 
 def _at(values, m: int) -> float:
@@ -267,34 +261,37 @@ def _beyond(lower: float, level: float, size: float) -> bool:
     return lower - level > 1.0 + 1e-9 * (abs(lower) + abs(level) + abs(size))
 
 
-def _bound_M(spec: SequenceSpec, scales: PenaltyScales, n: int) -> tuple:
-    """(M_n over the scales' prefix, whether the prefix settles it)."""
-    length = min(n, len(scales))
-    log_omega = spec.log_risk_weights(length)
-    level = scales.log_delta[0] + np.log(n)
-    ok = np.nonzero(scales.log_delta[:length] <= level + np.minimum(log_omega, 0.0))[0]
-    m = length + 1
-    settled = length == n or _beyond(math.log(m) - _at(spec.log_eigenvalues, m), level,
-                                     _at(spec.log_risk_weights, m))
-    return (int(ok[-1]) + 1 if ok.size else 1), settled
+def _settles(spec: SequenceSpec, n: int, hi: int, lower, level) -> bool:
+    """Whether a scan over 1..hi fixes a criterion over 1..n: hi = n, or at
+    m = hi + 1 the lower bound lower(m), which never decreases with m, is
+    beyond ``level``."""
+    m = hi + 1
+    return m > n or _beyond(lower(m), level, _at(spec.log_risk_weights, m))
 
 
-def bound_M(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
+def bound_M(spec: SequenceSpec, n: int) -> int:
     """Largest M in 1..n with delta_M <= delta_1 * n * min(omega_M, 1).
 
-    Scans upward and keeps the last index satisfying the condition; the floor
-    M = 1 always qualifies.  A prefix of the scales suffices once no later m
-    can qualify: log delta_m >= log m + log omega_m - log lambda_m, since the
+    Scans the scales upward and keeps the last index satisfying the
+    condition; the floor M = 1 always qualifies.  The scan stops once no later
+    m can qualify: log delta_m >= log m + log omega_m - log lambda_m, since the
     delta factor is >= 1 and Delta_m >= omega_m / lambda_m, so m qualifies only
     while log m - log lambda_m <= log delta_1 + log n, and the left side never
-    decreases with m.  A prefix too short for that raises ValueError.
+    decreases with m.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m_n, settled = _bound_M(spec, scales, n)
-    if not settled:
-        raise ValueError(f"scales of length {len(scales)} do not settle M_n at n = {n}")
-    return m_n
+    lower = lambda m: math.log(m) - _at(spec.log_eigenvalues, m)
+    best = 1
+    for lo, hi, block in scale_blocks(spec, n):
+        if lo == 1:
+            level = block.log_delta[0] + np.log(n)
+        log_omega = spec.log_risk_weights(hi, lo)
+        ok = np.nonzero(block.log_delta <= level + np.minimum(log_omega, 0.0))[0]
+        if ok.size:
+            best = lo + int(ok[-1])
+        if _settles(spec, n, hi, lower, level):
+            return best
 
 
 def weight_cap(weights: np.ndarray, n: int) -> int:
@@ -320,65 +317,65 @@ def bound_N(spec: SequenceSpec, n: int) -> int:
     return lo - 1 + weight_cap(spec.risk_weights(hi, lo), n)
 
 
+def _argmin_scan(spec: SequenceSpec, n: int, crits, lower) -> int:
+    """Smallest m in 1..n minimizing a criterion that ``crits`` yields a block
+    at a time as (lo, hi, values); a NaN is the minimum, as in np.argmin.  Stops
+    once lower(m), a lower bound on the criterion at m past the scan that
+    never decreases with m, clears the best value so far."""
+    best, value = 1, np.inf
+    for lo, hi, crit in crits:
+        i = int(np.argmin(crit))  # np.argmin takes the first NaN, else the first minimum
+        if crit[i] < value or np.isnan(crit[i]) and not np.isnan(value):
+            best, value = lo + i, crit[i]
+        if np.isnan(value) or _settles(spec, n, hi, lower, value):
+            return best
+
+
 def balance_m_star(spec: SequenceSpec, n: int) -> int:
     """Dimension balancing bias and variance orders.
 
     Minimizes |log( (gamma_m / (n omega_m)) * sum_{j<=m} omega_j/lambda_j )|
-    over m = 1..n, ties broken toward the smallest m.  Scans BLOCK indices at
-    a time, carrying the running log-sum, and stops once
-    log gamma_m - log lambda_m - log n, a lower bound on the criterion (the
-    sum holds omega_m/lambda_m) that never decreases with m, clears the best
-    value so far.
+    over m = 1..n, ties broken toward the smallest m.  Scans upward carrying
+    the running log-sum, and stops once log gamma_m - log lambda_m - log n, a
+    lower bound on the criterion (the sum holds omega_m/lambda_m), clears the
+    best value so far.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     log_n = np.log(n)
-    best, value, carry = 1, np.inf, None
-    for lo in range(1, n + 1, BLOCK):
-        hi = min(lo + BLOCK - 1, n)
-        log_omega = spec.log_risk_weights(hi, lo)
-        log_cumsum = accumulate(np.logaddexp, log_omega - spec.log_eigenvalues(hi, lo), carry)
-        carry = log_cumsum[-1]
-        crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega + log_cumsum)
-        i = int(np.argmin(crit))  # np.argmin takes the first NaN, else the first minimum
-        if crit[i] < value or np.isnan(crit[i]) and not np.isnan(value):
-            best, value = lo + i, crit[i]
-        m = hi + 1
-        if m > n or np.isnan(value) or _beyond(
-                _at(spec.log_smoothness_weights, m) - _at(spec.log_eigenvalues, m) - math.log(n),
-                value, _at(spec.log_risk_weights, m)):
-            return best
+
+    def crits():
+        carry = None
+        for lo, hi in index_blocks(n):
+            log_omega = spec.log_risk_weights(hi, lo)
+            log_cumsum = accumulate(np.logaddexp, log_omega - spec.log_eigenvalues(hi, lo), carry)
+            carry = log_cumsum[-1]
+            yield lo, hi, np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega
+                                 + log_cumsum)
+
+    return _argmin_scan(spec, n, crits(), lambda m: _at(spec.log_smoothness_weights, m)
+                        - _at(spec.log_eigenvalues, m) - math.log(n))
 
 
-def _balance_m_dagger(spec: SequenceSpec, scales: PenaltyScales, n: int) -> tuple:
-    """(m_dagger_n over the scales' prefix, whether the prefix settles it)."""
-    length = min(n, len(scales))
-    log_omega = spec.log_risk_weights(length)
-    log_gamma = spec.log_smoothness_weights(length)
-    crit = np.abs(log_gamma + scales.log_delta[:length] - np.log(n) - log_omega)
-    best = int(np.argmin(crit))
-    m = length + 1
-    settled = length == n or np.isnan(crit[best]) or _beyond(
-        _at(spec.log_smoothness_weights, m) + math.log(m / n) - _at(spec.log_eigenvalues, m),
-        crit[best], _at(spec.log_risk_weights, m))
-    return best + 1, settled
-
-
-def balance_m_dagger(spec: SequenceSpec, scales: PenaltyScales, n: int) -> int:
+def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
     """Dimension balancing the penalty against the bias order.
 
-    Minimizes |log( gamma_m * delta_m / (n omega_m) )| over m = 1..n,
-    ties broken toward the smallest m.  A prefix of the scales suffices once
-    log gamma_m + log m - log lambda_m - log n, a lower bound on the
-    criterion past it (see :func:`bound_M`) that never decreases with m,
-    clears the prefix's best value; a shorter prefix raises ValueError.
+    Minimizes |log( gamma_m * delta_m / (n omega_m) )| over m = 1..n, ties
+    broken toward the smallest m.  Scans the scales upward and stops once
+    log gamma_m + log m - log lambda_m - log n, a lower bound on the criterion
+    (see :func:`bound_M`), clears the best value so far.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m_dagger, settled = _balance_m_dagger(spec, scales, n)
-    if not settled:
-        raise ValueError(f"scales of length {len(scales)} do not settle m_dagger at n = {n}")
-    return m_dagger
+    log_n = np.log(n)
+
+    def crits():
+        for lo, hi, block in scale_blocks(spec, n):
+            yield lo, hi, np.abs(spec.log_smoothness_weights(hi, lo) + block.log_delta - log_n
+                             - spec.log_risk_weights(hi, lo))
+
+    return _argmin_scan(spec, n, crits(), lambda m: _at(spec.log_smoothness_weights, m)
+                        + math.log(m / n) - _at(spec.log_eigenvalues, m))
 
 
 # -- exact reductions in blocks of indices ------------------------------------

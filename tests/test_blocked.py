@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import circfreg as cf
@@ -28,17 +27,18 @@ from circfreg.sequences import (
     bound_M,
     bound_N,
     first_false,
+    index_blocks,
     intrinsic_scales,
     scale_blocks,
-    scale_prefix,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# sizes on both sides of block boundaries, perfect squares and cubes (where
-# N_n = n^(1/(2s)) exactly at s = 1 and 1.5), and the prefix lengths 64, 128
-SIZES = (2, 3, 4, 8, 9, 63, 64, 65, 127, 129, 4095, 4096, 4097, 8191, 8193, 9216,
-         15625, 16384, 46656, 65536)
+# sizes on both sides of block boundaries (the scans' blocks end at 64, 128,
+# 256, ..., 4096, then every 4096 indices; 4160 ends one block 64 past 4096),
+# and perfect squares and cubes (where N_n = n^(1/(2s)) exactly at s = 1 and 1.5)
+SIZES = (2, 3, 4, 8, 9, 63, 64, 65, 127, 128, 129, 256, 257, 512, 513, 4095, 4096, 4097,
+         4160, 8191, 8193, 9216, 15625, 16384, 46656, 65536)
 
 
 # -- full-array references -----------------------------------------------------
@@ -169,27 +169,24 @@ def test_first_false_bisects_a_prefix():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(spec=sequence_specs(), n=sizes)
 def test_bounds_and_balancing_match_full_scans(spec, n):
-    scales = scale_prefix(spec, (n,))
     assert bound_N(spec, n) == ref_bound_N(spec, n)
-    assert bound_M(spec, scales, n) == ref_bound_M(spec, n)
-    assert balance_m_dagger(spec, scales, n) == ref_m_dagger(spec, n)
+    assert bound_M(spec, n) == ref_bound_M(spec, n)
+    assert balance_m_dagger(spec, n) == ref_m_dagger(spec, n)
     assert balance_m_star(spec, n) == ref_m_star(spec, n)
     full = intrinsic_scales(spec, n)
-    blocks = [block for _, block in scale_blocks(spec, n)]
+    blocks = [block for _, _, block in scale_blocks(spec, n)]
     for field in ("delta", "Delta", "kappa", "log_delta", "log_Delta", "log_kappa"):
-        whole = getattr(full, field)
-        assert np.array_equal(np.concatenate([getattr(b, field) for b in blocks]), whole,
-                              equal_nan=True)
-        assert np.array_equal(getattr(scales, field), whole[:len(scales)], equal_nan=True)
+        assert np.array_equal(np.concatenate([getattr(b, field) for b in blocks]),
+                              getattr(full, field), equal_nan=True)
 
 
-def test_scales_too_short_to_settle_raise():
-    spec = SequenceSpec("PP", a=1.0, p=2.0)
-    short = intrinsic_scales(spec, 2)
-    with pytest.raises(ValueError, match="do not settle M_n at n = 1000000"):
-        bound_M(spec, short, 10**6)
-    with pytest.raises(ValueError, match="do not settle m_dagger at n = 1000000"):
-        balance_m_dagger(spec, short, 10**6)
+def test_index_blocks_double_up_to_BLOCK_then_step_by_it():
+    ends = [hi for _, hi in index_blocks(5 * BLOCK)]
+    assert ends == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 12288, 16384, 20480]
+    for n in SIZES:
+        blocks = list(index_blocks(n))
+        assert blocks[0][0] == 1 and blocks[-1][1] == n
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
 
 
 def test_closed_form_N_at_perfect_powers():

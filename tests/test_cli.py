@@ -49,6 +49,17 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exits_2_without_output(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"regime = PP\xff\n")
+    out = tmp_path / "o"
+    code = main(["rates", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: cannot read config file: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_invalid_value_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE.replace("a = 1.0", "a = 0.2"))
@@ -235,18 +246,29 @@ def test_nan_risk_exits_3_naming_mean_risk(config_file, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("command, override", [
     ("simulate", "sigma=1e200"), ("estimate", "sigma=1e200"), ("mc-risk", "sigma=1e200"),
-    ("mc-risk", "p=1e300"), ("mc-risk", "s=-1e300"),
 ])
 def test_overflow_or_nonfinite_result_exits_3(config_file, tmp_path, capsys, command,
                                                override):
-    # sigma**2 overflows; a huge p or -s makes the slope's tail bias NaN
+    # sigma**2 overflows
     code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
                  "--override", override])
     err = capsys.readouterr().err
     assert code == 3
     assert "numeric failure" in err and "Traceback" not in err
-    if override.startswith("sigma="):
-        assert "sigma" in err.split("numeric failure", 1)[1]
+    assert "sigma" in err.split("numeric failure", 1)[1]
+
+
+@pytest.mark.parametrize("override", ["p=1e300", "s=-1e300", "p=1e103"])
+def test_huge_p_or_negative_s_exits_0_with_finite_outputs(config_file, tmp_path, override):
+    # the slope's tail bias is 0: its remainder's x^3 overflows where a^-x is 0
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["mc-risk", "--config", str(config_file), "--out", str(out),
+                     "--override", override])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert _nonfinite_outputs(out, one_point_grid=False) == []
 
 
 @pytest.mark.parametrize("override", ["sigma=1e154", "eta=1e308"])

@@ -12,7 +12,6 @@ from circfreg import (
     SlopeSpec,
     covariance_kernel,
     default_truncation,
-    intrinsic_scales,
     make_slope,
     simulate,
     slope_tail_bias,
@@ -97,6 +96,12 @@ class TestMakeSlope:
                 expected = spec.profile[1] ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
                 assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("regime", ["PP", "PE"])
+    def test_tail_bias_is_zero_where_the_remainder_underflows(self, regime):
+        # at p = 1e103 the remainder's x^3 overflows to inf while a^-x is 0
+        spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=1e103), radius=1.0, n_coef=5)
+        assert slope_tail_bias(spec) == 0.0
+
     def test_tail_bias_ep_slow_decay_matches_direct_sum(self):
         spec = SlopeSpec(SequenceSpec("EP", a=1.0, p=0.1, s=0.0), radius=1.0, n_coef=4000)
         # (c exp(-j^0.2 / 2) / j)^2 summed over 2^25 indices, far past where
@@ -133,12 +138,12 @@ class TestSimulate:
 
     def test_default_truncation_covers_weight_cap(self):
         for spec, n in ((PP, 100), (SequenceSpec("PP", a=1.0, p=2.0, s=1.0), 100)):
-            assert default_truncation(spec, intrinsic_scales(spec, n), n) >= cf.bound_N(spec, n)
+            assert default_truncation(spec, n) >= cf.bound_N(spec, n)
 
     def test_simulate_default_truncation(self):
         slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=10))
         sample = simulate(PP, slope, n=50, sigma=0.5, seed=3)
-        assert sample.n_coef == default_truncation(PP, intrinsic_scales(PP, 50), 50)
+        assert sample.n_coef == default_truncation(PP, 50)
 
     def test_noise_variance(self):
         sample = simulate(PP, CoefVector([0.0]), n=10**5, sigma=1.0, seed=9, n_coef=2)

@@ -308,7 +308,7 @@ class TestSelection:
     def test_known_agrees_with_naive_scan(self):
         slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=40))
         scales = intrinsic_scales(PP, 250)
-        m_max = cf.bound_M(PP, scales, 250)
+        m_max = cf.bound_M(PP, 250)
         w = np.ones(40)
         for r in range(20):
             sample = simulate(PP, slope, n=250, sigma=0.5, seed=9, replicate=r, n_coef=40)

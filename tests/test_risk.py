@@ -152,7 +152,7 @@ class TestSelectionGoldens:
         trace_dd = cf.select_data_driven(mom, w, pen_const=0.3)
         assert (trace_dd.m_hat, trace_dd.admissible_max) == (3, 5)
         scales = cf.intrinsic_scales(PP, 1000)
-        m_known = cf.bound_M(PP, scales, 1000)
+        m_known = cf.bound_M(PP, 1000)
         assert m_known == 8
         trace_k = cf.select_known(mom, w, scales, m_known, eta=3.0, pen_const=0.5)
         assert trace_k.m_hat == 2

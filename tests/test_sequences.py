@@ -107,12 +107,10 @@ class TestIntrinsicScales:
 
 class TestBounds:
     def test_bound_M_golden(self):
-        sc = intrinsic_scales(PP, 100)
-        assert bound_M(PP, sc, 100) == 4
+        assert bound_M(PP, 100) == 4
 
     def test_bound_M_small_n_floor(self):
-        sc = intrinsic_scales(PP, 100)
-        assert bound_M(PP, sc, 2) == 1
+        assert bound_M(PP, 2) == 1
 
     def test_bound_N_examples(self):
         assert bound_N(SequenceSpec("PP", a=1.0, p=2.0, s=0.0), 500) == 500
@@ -121,10 +119,9 @@ class TestBounds:
 
     def test_bounds_monotone_in_n(self):
         spec = SequenceSpec("PP", a=1.0, p=2.0, s=1.0)
-        sc = intrinsic_scales(spec, 3000)
         prev_m, prev_n = 0, 0
         for n in (10, 50, 100, 500, 1000, 3000):
-            m_n = bound_M(spec, sc, n)
+            m_n = bound_M(spec, n)
             n_n = bound_N(spec, n)
             assert m_n <= n and n_n <= n
             assert m_n >= prev_m and n_n >= prev_n
@@ -133,9 +130,8 @@ class TestBounds:
     def test_eigenvalues_above_threshold_on_grid(self):
         # min_{j <= M_n} lambda_j >= 2/n over the default experiment grids
         for spec, grid in ((PP, (250, 500, 1000, 2000, 4000)), (PE, (500, 2000, 8000))):
-            sc = intrinsic_scales(spec, max(grid))
             for n in grid:
-                m_n = bound_M(spec, sc, n)
+                m_n = bound_M(spec, n)
                 assert spec.eigenvalues(m_n).min() >= 2.0 / n
 
     def test_bound_M_independent_scan(self):
@@ -149,7 +145,7 @@ class TestBounds:
                 for m in range(1, n + 1):
                     if sc.delta[m - 1] <= sc.delta[0] * n * min(omega[m - 1], 1.0):
                         best = m
-                assert bound_M(spec, sc, n) == best
+                assert bound_M(spec, n) == best
 
 
 class TestBalancing:
@@ -180,21 +176,17 @@ class TestBalancing:
             assert balance_m_star(spec, n) == best_m
 
     def test_m_dagger_goldens(self):
-        sc = intrinsic_scales(PP, 1000)
-        assert balance_m_dagger(PP, sc, 100) == 2
-        assert balance_m_dagger(PP, sc, 1000) == 3
-        sc_pe = intrinsic_scales(PE, 10**4)
-        assert balance_m_dagger(PE, sc_pe, 10**4) == 4
+        assert balance_m_dagger(PP, 100) == 2
+        assert balance_m_dagger(PP, 1000) == 3
+        assert balance_m_dagger(PE, 10**4) == 4
 
     def test_m_dagger_growth_window(self):
-        sc = intrinsic_scales(PP, 10**6)
-        ratio = balance_m_dagger(PP, sc, 10**6) / balance_m_dagger(PP, sc, 10**3)
+        ratio = balance_m_dagger(PP, 10**6) / balance_m_dagger(PP, 10**3)
         target = 10.0 ** (3.0 / 7.0)
         assert target / 2.0 <= ratio <= 2.0 * target
 
     def test_m_dagger_trivial(self):
-        sc = intrinsic_scales(PP, 10)
-        assert balance_m_dagger(PP, sc, 1) == 1
+        assert balance_m_dagger(PP, 1) == 1
 
     def test_m_dagger_independent_scan(self):
         for spec, n in ((PP, 120), (PE, 60), (EP, 40)):
@@ -211,8 +203,7 @@ class TestBalancing:
                           - np.log(omega[m - 1]))
                 if best_val is None or val < best_val - 1e-12:
                     best_val, best_m = val, m
-            sc = intrinsic_scales(spec, n)
-            assert balance_m_dagger(spec, sc, n) == best_m
+            assert balance_m_dagger(spec, n) == best_m
 
 
 class TestTheoreticalRate:
