@@ -16,8 +16,8 @@ say); otherwise the script names the run, prints its stderr and exits 1.
 Then it runs the documented error paths in ``FAILS`` and prints one
 ``exit N  sha256  name`` line per run, digesting its stderr; a run whose exit
 code is not the expected 2 or 3 is named and the script exits 1.  None of
-these messages quotes a path; only ``estimate_files`` and ``mc_risk_normals``
-quote a size bound.
+these messages quotes a path; only ``estimate_files``, ``mc_risk_normals``,
+``estimate_normals`` and ``mc_risk_factor`` quote a size bound.
 
 ``--against REV`` extracts git revision REV with ``git archive REV | tar -x``
 into a temporary directory (nothing is written under ``.git``), lists it with
@@ -123,6 +123,14 @@ FAILS = (
     # 5.8 x 10^9 normals, over the 2^30-normal budget of mc-risk: about 40 minutes
     # of replicates, though its replicate array fits the 2^24-value budget
     ("mc_risk_normals", "mc-risk", "golden_pp.cfg", _overrides("replications=1000000"), 2),
+    # 2^16 files, within the file budget of estimate, but 1.12 x 10^9 normals at
+    # J = 261, over the normals budget it shares with mc-risk
+    ("estimate_normals", "estimate", "golden_pp.cfg",
+     _overrides("n_grid=64000", "replications=32768"), 2),
+    # 1.18 x 10^8 normals, within the normals budget, but a 15338 x 15338 factor
+    # (1.75 GiB) at n = 10^5, over the factor budget
+    ("mc_risk_factor", "mc-risk", "golden_pp.cfg",
+     _overrides("a=0.6", "n_grid=100000", "replications=1"), 2),
 )
 
 

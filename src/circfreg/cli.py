@@ -96,9 +96,12 @@ def _prepare_out_dir(cfg) -> Path:
 _MAX_VALUES = 2**24
 # most CSV files estimate writes, a trace and a betahat per (n, variant, replicate)
 _MAX_FILES = 2**16
-# most normals mc-risk draws, about (J+1)^2/2 per replicate at alive window J:
-# about 30 s of draws on one core (numpy 2.4, 2 vCPUs)
+# most normals mc-risk or estimate draws, about (J+1)^2/2 per replicate at
+# alive window J: about 30 s of draws on one core (numpy 2.4, 2 vCPUs)
 _MAX_NORMALS = 2**30
+# most values of one replicate's Bartlett factor: 1 GiB, about 1.6 GiB with the
+# mask and the normals that fill it
+_MAX_FACTOR = 2**27
 
 
 def _check_size(tables) -> None:
@@ -107,6 +110,24 @@ def _check_size(tables) -> None:
                  for values, name in tables if values > _MAX_VALUES]
     if too_large:
         raise ConfigError(too_large)
+
+
+def _check_draws(command: str, cfg, plans) -> None:
+    """Refuse a replicate factor over the factor budget at any n, and a run's
+    draws over the normals budget, before any replicate runs or output is made."""
+    messages = []
+    for plan in plans:
+        rows, cols = plan.factor_shape
+        if rows * cols > _MAX_FACTOR:
+            messages.append(f"{command}: n = {plan.n} draws a {rows} x {cols} Bartlett factor "
+                            f"of {rows * cols} values, over the 2^27 budget")
+    # a replicate draws the entries below the diagonal of its factor
+    normals = cfg.replications * sum(plan.factor_shape[0] ** 2 // 2 for plan in plans)
+    if normals > _MAX_NORMALS:
+        messages.append(f"{command}: replications = {cfg.replications} draws about {normals} "
+                        "normals over the n_grid, over the 2^30 budget")
+    if messages:
+        raise ConfigError(messages)
 
 
 def _cmd_simulate(cfg, echo: str) -> None:
@@ -127,8 +148,10 @@ def _cmd_estimate(cfg, echo: str) -> None:
     if files > _MAX_FILES:
         raise ConfigError([f"estimate: replications = {cfg.replications} writes {files} "
                            "files, over the 2^16 budget"])
+    plans = experiment_plans(cfg)
+    _check_draws("estimate", cfg, plans)
     out = _prepare_out_dir(cfg)
-    for plan in experiment_plans(cfg):
+    for plan in plans:
         for r in range(cfg.replications):
             mom, traces = replicate_traces(plan, r)
             for trace in traces:
@@ -146,11 +169,7 @@ def _cmd_mc_risk(cfg, echo: str) -> None:
     _check_size([(3 * pairs * cfg.replications, f"mc-risk: replications = {cfg.replications} "
                   f"over {pairs} (n, variant) pairs: the replicate array")])
     plans = experiment_plans(cfg)
-    # a replicate draws the entries below the diagonal of its (J+1)-row factor
-    normals = cfg.replications * sum((plan.window + 1) ** 2 // 2 for plan in plans)
-    if normals > _MAX_NORMALS:
-        raise ConfigError([f"mc-risk: replications = {cfg.replications} draws about {normals} "
-                           "normals over the n_grid, over the 2^30 budget"])
+    _check_draws("mc-risk", cfg, plans)
     out = _prepare_out_dir(cfg)
     reports = run_experiment(cfg, plans=plans)
     write_risk_csv(reports, out / "risk_report.csv", echo)

@@ -70,10 +70,9 @@ class SlopeSpec:
     The coefficient profile decays like j^-(p + 3/2) under PP and PE
     (exp(-j^(2p)/2)/j under EP), scaled so the gamma-weighted squared norm
     over the first n_coef coefficients equals ``radius`` exactly.  The scale
-    and the support are cached on the instance, and so is the full slope
-    (:attr:`profile`) once read; ``==`` and ``hash`` still compare the fields
-    only.  Nothing here holds more than one block of coefficients unless the
-    full slope is read.
+    and the support are cached on the instance; ``==`` and ``hash`` still
+    compare the fields only.  Nothing here holds more than one block of
+    coefficients unless a caller asks for more.
     """
 
     seq: SequenceSpec
@@ -112,11 +111,6 @@ class SlopeSpec:
         shape = self._shape(start, stop)
         return self.scale * np.where(shape >= _TINY, shape, 0.0)
 
-    @cached_property
-    def profile(self) -> tuple[CoefVector, float]:
-        """The slope's n_coef coefficients and its scale c."""
-        return CoefVector(self.coefficients(1, self.n_coef + 1)), self.scale
-
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
     if spec.seq.regime == "EP":
@@ -127,7 +121,7 @@ def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
 
 def make_slope(spec: SlopeSpec) -> CoefVector:
     """Slope coefficients with gamma-weighted norm exactly radius."""
-    return spec.profile[0]
+    return CoefVector(spec.coefficients(1, spec.n_coef + 1))
 
 
 def slope_tail_bias(spec: SlopeSpec) -> float:

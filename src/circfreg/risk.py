@@ -283,18 +283,22 @@ class _GridPlan:
         """Risk weights 1..n_coef, built when read."""
         return self.seq.risk_weights(self.n_coef)
 
+    @property
+    def factor_shape(self) -> tuple[int, int]:
+        """Shape of a replicate's Bartlett factor: J + 1 rows, min(n, J + 1) columns."""
+        return self.window + 1, min(self.n, self.window + 1)
+
 
 def replicate_moments(plan: _GridPlan, r: int) -> SampleMoments:
     """Sample moments of replicate r, drawn from a Bartlett factor over the
     alive window (module docstring: law, error event and draw layout)."""
     n, window, lam = plan.n, plan.window, plan.lam
     rng = substream(plan.config.seed, n, r)
-    width = min(n, window + 1)
-    factor = np.zeros((window + 1, width))
-    diag = np.arange(width)
-    factor[diag, diag] = np.sqrt(rng.chisquare(n - diag))
-    rows, cols = np.tril_indices(window + 1, -1, width)
-    factor[rows, cols] = rng.standard_normal(rows.size)
+    rows, cols = plan.factor_shape
+    factor = np.zeros((rows, cols))
+    np.fill_diagonal(factor, np.sqrt(rng.chisquare(n - np.arange(cols))))
+    below = np.tri(rows, cols, -1, dtype=bool)  # boolean indexing runs in row-major order
+    factor[below] = rng.standard_normal(np.count_nonzero(below))
 
     root = np.sqrt(lam)
     # a moment past float range is inf; replicate_traces then ends the run at exit 3

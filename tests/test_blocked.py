@@ -11,11 +11,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import circfreg as cf
 from circfreg.basis import _weighted, weighted_norm_sq
-from circfreg.datagen import SlopeSpec, _log_slope_shape
+from circfreg.datagen import SlopeSpec, _log_slope_shape, default_truncation, make_slope
 from circfreg.risk import ALIVE_EPS, alive_window, experiment_plans, log_chi2_tail_bound
 from circfreg.sequences import (
     BLOCK,
@@ -206,6 +207,28 @@ def test_alive_window_matches_full_tail_sums(spec, n, coverage):
     assert alive_window(spec, n, n_coef) == ref_alive_window(spec, n, n_coef)
 
 
+@pytest.mark.parametrize("name, a, n", [("golden_pp", None, 250), ("golden_pp", None, 4000),
+                                        ("golden_pe", None, 250), ("golden_pe", None, 4000),
+                                        ("golden_pp", 0.55, 10**4)])
+def test_alive_window_walks_many_blocks(monkeypatch, name, a, n):
+    # with 8-index blocks the PP tail sums run down over several blocks before
+    # one holds a tail over ALIVE_EPS; under PE the last nonzero bound is at
+    # J + 1, so its walk stays one block long
+    blocks = []
+
+    def counted(*args):
+        blocks.append(args[1].size)
+        return accumulate(*args)
+
+    monkeypatch.setattr(cf.risk, "BLOCK", 8)
+    monkeypatch.setattr(cf.risk, "accumulate", counted)
+    cfg = cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+    seq = replace(cfg, a=a or cfg.a).sequence_spec()
+    n_coef = default_truncation(seq, n)
+    assert alive_window(seq, n, n_coef) == ref_alive_window(seq, n, n_coef)
+    assert max(blocks) <= 8 and (len(blocks) > 1) == (name == "golden_pp")
+
+
 # -- plans ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -223,7 +246,7 @@ def test_plans_match_full_array_plans(spec, grid, j_max):
     omega = spec.risk_weights(ref)
     slope = plans[0].slope
     tail = ref_tail_bias(slope, c)
-    assert slope.scale == c and np.array_equal(slope.profile[0].coefs, beta)
+    assert slope.scale == c and np.array_equal(make_slope(slope).coefs, beta)
     for plan, n, n_coef in zip(plans, grid, trunc):
         window = ref_alive_window(spec, n, n_coef)
         lam = spec.eigenvalues(n_coef)

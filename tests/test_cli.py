@@ -487,20 +487,39 @@ def test_mc_risk_refuses_replicate_array_over_size_budget(config_file, tmp_path,
     assert not over.exists()
 
 
-def test_mc_risk_refuses_normals_over_work_budget(config_file, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["mc-risk", "estimate"])
+def test_refuses_normals_over_work_budget(config_file, tmp_path, monkeypatch, capsys, command):
     # the fixture's alive windows J = 15 and 19 draw (J+1)^2 // 2 = 128 and 200
     # normals per replicate: 984 over 3 replications, 1312 over 4
     import circfreg.cli as cli_module
 
     monkeypatch.setattr(cli_module, "_MAX_NORMALS", 984)
     fits, over = tmp_path / "fits", tmp_path / "over"
-    assert main(["mc-risk", "--config", str(config_file), "--out", str(fits)]) == 0
+    assert main([command, "--config", str(config_file), "--out", str(fits)]) == 0
     capsys.readouterr()
-    assert main(["mc-risk", "--config", str(config_file), "--out", str(over),
+    assert main([command, "--config", str(config_file), "--out", str(over),
                  "--override", "replications=4"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: mc-risk: ")
+    assert len(err) == 1 and err[0].startswith(f"config error: {command}: ")
     assert "replications = 4" in err[0] and "1312 normals" in err[0] and "2^30" in err[0]
+    assert not over.exists()
+
+
+@pytest.mark.parametrize("command", ["mc-risk", "estimate"])
+def test_refuses_replicate_factor_over_budget(config_file, tmp_path, monkeypatch, capsys,
+                                              command):
+    # the fixture's factors are 16 x 16 at n = 40 and 20 x 20 at n = 80: 400 values fit
+    import circfreg.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_MAX_FACTOR", 400)
+    fits, over = tmp_path / "fits", tmp_path / "over"
+    assert main([command, "--config", str(config_file), "--out", str(fits)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_module, "_MAX_FACTOR", 399)
+    assert main([command, "--config", str(config_file), "--out", str(over)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {command}: n = 80 draws a 20 x 20 Bartlett factor of "
+                   "400 values, over the 2^27 budget"]
     assert not over.exists()
 
 

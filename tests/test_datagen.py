@@ -61,18 +61,18 @@ class TestMakeSlope:
 
     def test_profile_cached_and_spec_compared_by_fields(self):
         spec = SlopeSpec(PP, radius=1.0, n_coef=20)
-        assert make_slope(spec) is make_slope(spec) is spec.profile[0]
+        make_slope(spec)  # caches the scale on spec only
         twin = SlopeSpec(PP, radius=1.0, n_coef=20)
-        assert "profile" not in vars(twin)
+        assert "scale" in vars(spec) and "scale" not in vars(twin)
         assert spec == twin and hash(spec) == hash(twin)
-        assert "profile" not in vars(replace(spec, radius=4.0))
-        assert make_slope(replace(spec, radius=4.0)).coefs[0] == 2.0 * spec.profile[0].coefs[0]
+        assert "scale" not in vars(replace(spec, radius=4.0))
+        assert make_slope(replace(spec, radius=4.0)).coefs[0] == 2.0 * make_slope(spec).coefs[0]
 
     def test_tail_bias_matches_direct_sum(self):
         spec = SlopeSpec(PP, radius=1.0, n_coef=30)
         slope_long = make_slope(SlopeSpec(PP, radius=1.0, n_coef=30))
         # direct continuation of the coefficient profile beyond the truncation
-        c = spec.profile[1]
+        c = spec.scale
         j = np.arange(31, 200001, dtype=float)
         direct = float(np.sum((c * j ** -3.5) ** 2))  # s = 0
         assert slope_tail_bias(spec) == pytest.approx(direct, rel=1e-9)
@@ -93,7 +93,7 @@ class TestMakeSlope:
                 spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=p, s=s), radius=1.0,
                                  n_coef=n_coef)
                 # sum_{j > n_coef} j^(2s) (c j^-(p + 3/2))^2
-                expected = spec.profile[1] ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
+                expected = spec.scale ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
                 assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("regime", ["PP", "PE"])
@@ -110,7 +110,7 @@ class TestMakeSlope:
         for start in range(4001, 4001 + 2**25, 2**20):
             j = np.arange(start, start + 2**20, dtype=float)
             total += float(np.sum(np.exp(-(j**0.2)) / j**2))
-        expected = spec.profile[1] ** 2 * total
+        expected = spec.scale ** 2 * total
         assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-12)
 
 

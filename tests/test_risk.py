@@ -420,7 +420,6 @@ class TestReplicateEngine:
         assert sorted(passes) == [(1, ref + 1), (ref + 1, ref + 1 + 2**16)]
         for (start, stop), shaped in passes.items():
             assert np.array_equal(np.concatenate(shaped), np.arange(start, stop))
-        assert "profile" not in vars(plans[-1].slope)
 
     def test_known_bound_within_window(self):
         # select_known reads the moments up to M_n, which stop at J
