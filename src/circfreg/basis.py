@@ -88,17 +88,21 @@ def _check_unit_interval(t: np.ndarray):
         raise ValueError("evaluation points must lie in [0, 1]")
 
 
+def _phi(j: int, t: np.ndarray) -> np.ndarray:
+    """phi_j(t) for t already checked to lie in [0, 1]."""
+    if j == 1:
+        return np.ones_like(t)
+    trig = np.cos if j % 2 == 0 else np.sin
+    return _SQRT2 * trig(2.0 * np.pi * (t * (j // 2)))
+
+
 def basis_eval(j: int, t):
     """Evaluate the j-th basis function at t (scalar or array) in [0, 1]."""
     if j < 1:
         raise ValueError(f"basis index must be >= 1, got {j}")
     t_arr = np.asarray(t, dtype=float)
     _check_unit_interval(t_arr)
-    if j == 1:
-        out = np.ones_like(t_arr)
-    else:
-        angle = 2.0 * np.pi * (j // 2) * t_arr
-        out = _SQRT2 * (np.cos(angle) if j % 2 == 0 else np.sin(angle))
+    out = _phi(j, t_arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -108,17 +112,7 @@ def design_matrix(n_basis: int, t) -> np.ndarray:
         raise ValueError(f"n_basis must be >= 1, got {n_basis}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_unit_interval(t_arr)
-    out = np.empty((t_arr.size, n_basis))
-    out[:, 0] = 1.0
-    if n_basis > 1:
-        freqs = np.arange(1, n_basis // 2 + 1)
-        angle = 2.0 * np.pi * np.outer(t_arr, freqs)
-        n_cos = n_basis // 2           # columns j = 2, 4, ...
-        n_sin = (n_basis - 1) // 2     # columns j = 3, 5, ...
-        out[:, 1::2] = _SQRT2 * np.cos(angle[:, :n_cos])
-        if n_sin:
-            out[:, 2::2] = _SQRT2 * np.sin(angle[:, :n_sin])
-    return out
+    return np.stack([_phi(j, t_arr) for j in range(1, n_basis + 1)], axis=1)
 
 
 def function_eval(f, t):

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file: {exc}"])
     raw = _parse_raw(text)

@@ -138,9 +138,9 @@ def slope_tail_bias(spec: SlopeSpec) -> float:
     s, total = spec.seq.s, 0.0
 
     def terms(lo, hi):
-        j = np.arange(lo, hi, dtype=float)
         with np.errstate(over="ignore"):  # a term past float range: the tail is inf
-            return np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
+            return np.exp(spec.seq.log_risk_weights(hi - 1, lo)
+                          + 2.0 * _log_slope_shape(spec, np.arange(lo, hi, dtype=float)))
 
     for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
         total += blocked_sum(terms, start, start + 2**16)

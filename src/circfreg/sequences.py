@@ -35,6 +35,7 @@ over n indices needs an array of length n:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -154,19 +155,16 @@ class SequenceSpec:
 
     def smoothness_weights(self, length: int) -> np.ndarray:
         """gamma_j for j = 1..length (may overflow to inf in regime EP)."""
-        j = self._indices(length)
         if self.regime == "EP":
-            with np.errstate(over="ignore"):
-                return np.exp(j ** (2.0 * self.p) - 1.0)
-        return j ** (2.0 * self.p)
+            with np.errstate(over="ignore"):  # gamma_j = inf is the exact limit
+                return np.exp(self.log_smoothness_weights(length))
+        return self._indices(length) ** (2.0 * self.p)
 
     def eigenvalues(self, length: int, start: int = 1) -> np.ndarray:
         """lambda_j for j = start..length (may underflow to 0 in regime PE)."""
-        j = self._eigen_indices(length, start)
         if self.regime == "PE":
-            with np.errstate(over="ignore"):  # lambda_j = 0 is the exact limit
-                return np.exp(-(j ** (2.0 * self.a)))
-        return j ** (-2.0 * self.a)
+            return np.exp(self.log_eigenvalues(length, start))
+        return self._eigen_indices(length, start) ** (-2.0 * self.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,23 +248,21 @@ def _at(values, m: int) -> float:
     return float(values(m, m)[0])
 
 
-def _beyond(lower: float, level: float, size: float) -> bool:
-    """Whether lower > level with a margin that float rounding cannot close:
-    1 plus 1e-9 of |lower| + |level| + |size|, where ``size`` is one more
-    log-scale term of the criterion.  inf is beyond any finite level, and a
-    NaN is beyond nothing."""
-    lower, level, size = float(lower), float(level), float(size)  # Python floats never warn
-    if lower == math.inf:
-        return level < math.inf
-    return lower - level > 1.0 + 1e-9 * (abs(lower) + abs(level) + abs(size))
-
-
 def _settles(spec: SequenceSpec, n: int, hi: int, lower, level) -> bool:
     """Whether a scan over 1..hi fixes a criterion over 1..n: hi = n, or at
-    m = hi + 1 the lower bound lower(m), which never decreases with m, is
-    beyond ``level``."""
+    m = hi + 1 the lower bound lower(m), which never decreases with m, exceeds
+    ``level`` by a margin that float rounding cannot close: 1 plus 1e-9 of
+    |lower| + |level| + |log omega_m|, log omega_m being one more log-scale
+    term of the criterion.  An inf bound exceeds any finite level, and a NaN
+    exceeds nothing."""
     m = hi + 1
-    return m > n or _beyond(lower(m), level, _at(spec.log_risk_weights, m))
+    if m > n:
+        return True
+    bound, level = float(lower(m)), float(level)  # Python floats never warn
+    if bound == math.inf:
+        return level < math.inf
+    size = _at(spec.log_risk_weights, m)
+    return bound - level > 1.0 + 1e-9 * (abs(bound) + abs(level) + abs(size))
 
 
 def bound_M(spec: SequenceSpec, n: int) -> int:
@@ -416,13 +412,8 @@ def first_false(holds, start: int, stop: int) -> int:
     log2(stop - start)."""
     if start < stop and holds(stop - 1, stop)[0]:
         return stop
-    while start < stop:
-        mid = (start + stop) // 2
-        if holds(mid, mid + 1)[0]:
-            start = mid + 1
-        else:
-            stop = mid
-    return start
+    return start + bisect.bisect_left(range(start, stop), True,
+                                      key=lambda j: not holds(j, j + 1)[0])
 
 
 def theoretical_rate(spec: SequenceSpec, n: int) -> float:

@@ -181,6 +181,18 @@ def test_bounds_and_balancing_match_full_scans(spec, n):
                               getattr(full, field), equal_nan=True)
 
 
+@pytest.mark.parametrize("n", [65, 1000])
+@pytest.mark.parametrize("enforce_pair", [False, True])
+@pytest.mark.parametrize("regime, a, p", [("EP", 1.0, 1e300), ("PE", 1e300, 2.0)])
+def test_scans_stop_at_an_infinite_lower_bound(regime, a, p, enforce_pair, n):
+    # gamma_m or 1/lambda_m is inf from m = 2 on, so past the first block of 64
+    # the scans' lower bound is inf and each scan stops on it
+    spec = SequenceSpec(regime, a=a, p=p, enforce_pair=enforce_pair)
+    assert bound_M(spec, n) == ref_bound_M(spec, n)
+    assert balance_m_dagger(spec, n) == ref_m_dagger(spec, n)
+    assert balance_m_star(spec, n) == ref_m_star(spec, n)
+
+
 def test_index_blocks_double_up_to_BLOCK_then_step_by_it():
     ends = [hi for _, hi in index_blocks(5 * BLOCK)]
     assert ends == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 12288, 16384, 20480]

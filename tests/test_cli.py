@@ -60,6 +60,32 @@ def test_config_file_not_utf8_exits_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_utf8_bom_reads_as_plain(tmp_path):
+    # many editors save UTF-8 with a byte-order mark; it is not part of line 1
+    golden = ROOT / "configs" / "golden_pp.cfg"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+    out, outputs = tmp_path / "o", []  # one directory: out_dir is echoed in every CSV
+    for path in (golden, bom):
+        assert main(["rates", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("rates.csv", "scales.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("override, message", [
+    ("n_grid=", "n_grid: must contain at least one sample size"),
+    ("seed=18446744073709551616", "seed: must be a 64-bit unsigned integer, got "),
+    ("n_grid", "override must look like KEY=VALUE, got 'n_grid'"),
+])
+def test_bad_override_exits_2_with_one_line(config_file, tmp_path, capsys, override, message):
+    code = main(["rates", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--override", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_value_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE.replace("a = 1.0", "a = 0.2"))
