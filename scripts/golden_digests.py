@@ -93,6 +93,9 @@ RUNS = (
     # alive window J of 7..13 against n_coef up to 10^6
     ("pe_mc_wide", "mc-risk", "golden_pe.cfg",
      BOTH + _overrides("n_grid=500,8000,100000,1000000", "replications=20")),
+    # n_coef = 10^8, the largest n a plan takes, against an alive window of 19
+    ("pe_mc_1e8", "mc-risk", "golden_pe.cfg",
+     BOTH + _overrides("n_grid=500,100000000", "replications=20")),
     ("ep_rates", "rates", "golden_pp.cfg", _overrides("regime=EP", "p=1")),
     ("ep_mc", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("regime=EP", "p=1", "replications=50")),

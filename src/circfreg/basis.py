@@ -135,10 +135,7 @@ def weighted_norm_sq(f, w) -> float:
     Length mismatches are resolved by conceptually zero-padding the shorter
     vector, so only the common support contributes.
     """
-    coefs = _coef_array(f)
-    weights = _weight_array(w)
-    m = min(coefs.size, weights.size)
-    return float(np.sum(_weighted(weights[:m], coefs[:m] ** 2)))
+    return weighted_inner(f, f, w)
 
 
 def weighted_inner(f, g, w) -> float:

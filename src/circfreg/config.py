@@ -24,7 +24,7 @@ _DEFAULT_GRID = {
     "PE": (500, 2000, 8000),
 }
 _DEFAULT_REPLICATIONS = 200
-_N_MAX = 10**7  # the largest n and j_max the per-n plans are sized for
+_N_MAX = 10**8  # the largest n and j_max the per-n plans are sized for
 
 
 class ConfigError(ValueError):

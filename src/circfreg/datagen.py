@@ -39,10 +39,10 @@ from .config import write_csv
 from .sequences import (  # intrinsic_scales: for perfbench/traced_cli.py
     SequenceSpec,
     balance_m_dagger,
-    blocked_sum,
     bound_N,
     first_false,
     intrinsic_scales,
+    series_sum,
 )
 
 __all__ = [
@@ -62,6 +62,10 @@ __all__ = [
 # error for the exact ellipsoid normalization, so they are zeroed instead
 _TINY = np.finfo(float).tiny
 
+# past 2^53 consecutive indices are no longer distinct floats: a support is
+# counted up to 2^53 - 1 at most
+_INDEX_MAX = 2**53
+
 
 @dataclass(frozen=True)
 class SlopeSpec:
@@ -69,10 +73,12 @@ class SlopeSpec:
 
     The coefficient profile decays like j^-(p + 3/2) under PP and PE
     (exp(-j^(2p)/2)/j under EP), scaled so the gamma-weighted squared norm
-    over the first n_coef coefficients equals ``radius`` exactly.  The scale
-    and the support are cached on the instance; ``==`` and ``hash`` still
-    compare the fields only.  Nothing here holds more than one block of
-    coefficients unless a caller asks for more.
+    over its whole support equals ``radius``: gamma_j shape_j^2 is j^-3 (PP,
+    PE) or e^-1 j^-2 (EP), one power series, so the scale c depends on
+    neither ``n_coef`` (the length :func:`make_slope` returns) nor any grid.
+    The scale and the support are cached on the instance; ``==`` and
+    ``hash`` still compare the fields only.  Nothing here holds more than one
+    block of coefficients unless a caller asks for more.
     """
 
     seq: SequenceSpec
@@ -90,26 +96,43 @@ class SlopeSpec:
 
     @cached_property
     def support(self) -> int:
-        """Number of nonzero coefficients: the profile decreases, so the values
-        below the smallest normal float, which are zeroed, form its tail (an
-        EP profile underflows there)."""
-        return first_false(lambda lo, hi: self._shape(lo, hi) >= _TINY, 1, self.n_coef + 1) - 1
+        """Number of nonzero coefficients, at most 2^53 - 1: the profile
+        decreases, so the values below the smallest normal float, which are
+        zeroed, form its tail (an EP profile underflows there)."""
+        return first_false(lambda lo, hi: self._shape(lo, hi) >= _TINY, 1, _INDEX_MAX) - 1
 
     @cached_property
     def scale(self) -> float:
-        """The constant c scaling the profile onto the ellipsoid boundary: the
-        norm over the support is summed in blocks as np.sum sums it."""
-        def terms(lo, hi):
-            log_shape = _log_slope_shape(self, np.arange(lo, hi, dtype=float))
-            # gamma_j * shape_j^2 <= 1 for every regime, so the plain sum is safe
-            return np.exp(self.seq.log_smoothness_weights(hi - 1, lo) + 2.0 * log_shape)
-
-        return float(np.sqrt(self.radius / blocked_sum(terms, 1, self.support + 1)))
+        """The constant c scaling the profile onto the ellipsoid boundary:
+        radius over the norm summed over the whole support."""
+        x, const = (2.0, np.exp(-1.0)) if self.seq.regime == "EP" else (3.0, 1.0)
+        norm = series_sum(lambda lo, hi: const * np.arange(lo, hi, dtype=float) ** -x,
+                          1, self.support + 1, x)
+        return float(np.sqrt(self.radius / norm))
 
     def coefficients(self, start: int, stop: int) -> np.ndarray:
         """Slope coefficients [slope]_j for j = start..stop-1 (0 past the support)."""
         shape = self._shape(start, stop)
         return self.scale * np.where(shape >= _TINY, shape, 0.0)
+
+    def tail(self, start: int) -> float:
+        """sum_{j >= start} omega_j [slope]_j^2, 0 past the support, from terms
+        in log space: j^-x with x = 2(p + 3/2) - 2s under PP and PE, one power
+        series; under EP summed to their early stop, within 2^24 terms."""
+        def terms(lo, hi):
+            log_shape = _log_slope_shape(self, np.arange(lo, hi, dtype=float))
+            with np.errstate(over="ignore"):  # a term past float range: the tail is inf
+                values = np.exp(self.seq.log_risk_weights(hi - 1, lo) + 2.0 * log_shape)
+            return np.where(np.exp(log_shape) >= _TINY, values, 0.0)
+
+        seq = self.seq
+        x = None if seq.regime == "EP" else 2.0 * (seq.p + 1.5) - 2.0 * seq.s
+        try:
+            total = series_sum(terms, start, None, x)
+        except FloatingPointError:
+            message = f"EP slope tail needs over 2^24 terms at p = {seq.p!r}"
+            raise FloatingPointError(message) from None
+        return float(self.scale ** 2 * total)
 
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
@@ -120,41 +143,14 @@ def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
 
 
 def make_slope(spec: SlopeSpec) -> CoefVector:
-    """Slope coefficients with gamma-weighted norm exactly radius."""
+    """Slope coefficients 1..n_coef of a slope on the ellipsoid boundary."""
     return CoefVector(spec.coefficients(1, spec.n_coef + 1))
 
 
 def slope_tail_bias(spec: SlopeSpec) -> float:
     """Tail sum_{j > n_coef} omega_j [slope]_j^2 with omega_j = j^(2s): the risk
-    of the coefficients beyond the simulated truncation.
-
-    The profile is summed in runs of 2^16 indices, each added in blocks as
-    np.sum adds it.  Under PP and PE its terms are j^-x, so the first run is
-    followed by the Euler-Maclaurin remainder (integral, f/2, B2 and B4 terms).
-    Under EP runs are added until the last term is below 1e-19 of the total
-    (relative error about 2e-13 at p = 0.1); a tail still running after 2^24
-    terms raises FloatingPointError.
-    """
-    s, total = spec.seq.s, 0.0
-
-    def terms(lo, hi):
-        with np.errstate(over="ignore"):  # a term past float range: the tail is inf
-            return np.exp(spec.seq.log_risk_weights(hi - 1, lo)
-                          + 2.0 * _log_slope_shape(spec, np.arange(lo, hi, dtype=float)))
-
-    for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
-        total += blocked_sum(terms, start, start + 2**16)
-        if spec.seq.regime != "EP":
-            a, x = float(start + 2**16), 2.0 * (spec.seq.p + 0.5 + 1.0) - 2.0 * s
-            if a**-x:  # 0 where x^3 may overflow: the remainder is 0, not inf * 0
-                total += (a / (x - 1.0) + 0.5 + x / (12.0 * a)
-                          - x * (x + 1.0) * (x + 2.0) / (720.0 * a**3)) * a**-x
-            break
-        if terms(start + 2**16 - 1, start + 2**16)[0] <= 1e-19 * total:
-            break
-    else:
-        raise FloatingPointError(f"EP slope tail needs over 2^24 terms at p = {spec.seq.p!r}")
-    return float(spec.scale ** 2 * total)
+    of the coefficients beyond the simulated truncation (:meth:`SlopeSpec.tail`)."""
+    return spec.tail(spec.n_coef + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,25 +41,25 @@ call draws the squared diagonal, top to bottom; one ``standard_normal``
 call then fills the entries below the diagonal in row-major order.  Cost
 per replicate is about J^2/2 normals whatever n is.
 
-Truncation-tail bias of the simulated slope is added analytically to every
-reported risk, so the finite simulation never flatters the estimator.
+Every reported risk counts the whole slope: the risk curve adds the bias of
+the window past m and the tail past J, so a finite window never flatters.
 
-Plans (:func:`experiment_plans`) hold O(J + M_n) values at every n and are
-built in O(J + M_n + BLOCK) memory, bit for bit as from full-length arrays:
-tau, the bias sums and the band past n_coef run over blocks of indices in
-the order np.sum and np.cumsum add a whole array (runs of exact zeros are
-skipped), the alive window sums its tail down from the last nonzero bound,
-and the known-degree penalty reads the scales over 1..max min(M_n, n_coef).
+Plans (:func:`experiment_plans`) hold O(J + M_n) values and take
+O(J + M_n + BLOCK) time at every n: tau and the tail past J are each one
+:func:`circfreg.sequences.series_sum` over a slope normalized over its
+whole profile, so no plan depends on the rest of the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import _coef_array, _weight_array, _weighted, weighted_norm_sq
 from .config import RunConfig, write_csv
+# slope_tail_bias: for perfbench/traced_cli.py
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
     SampleMoments,
@@ -73,10 +73,10 @@ from .sequences import (
     PenaltyScales,
     SequenceSpec,
     accumulate,
-    blocked_sum,
     bound_M,
     first_false,
     intrinsic_scales,
+    series_sum,
     theoretical_rate_or_nan,
 )
 
@@ -129,31 +129,17 @@ def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.n
     if b.size != weights.size or b.size < m:
         raise ValueError(f"beta (length {b.size}) and w (length {weights.size}) must have "
                          f"one length, at least the {m} moments")
-    bias = _bias_beyond(lambda lo, hi: _bias_terms(weights[lo - 1:hi - 1], b[lo - 1:hi - 1]),
-                        m, b.size)
-    return _risk_curve(mom, b, weights, bias, tail)
+    return _risk_curve(mom, b, weights, _bias_beyond(weights, b, m), tail)
 
 
-def _bias_terms(weights: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a zero coefficient adds zero even where its weight overflowed to inf (EP
-    # at large s)
-    return _weighted(weights, b) * b
-
-
-def _bias_beyond(terms, m: int, stop: int) -> np.ndarray:
-    """sum_{k<j<=stop} terms_j for k = 1..m: the squared bias of the fixed-k
-    estimator, which does not depend on the replicate.  ``terms(lo, hi)``
-    gives the terms w_j b_j^2 of j = lo..hi-1, all 0 past ``stop``.  The
-    running sum goes on from m in blocks, as np.cumsum adds the whole run."""
-    # past float range a sum is inf, and inf - inf is NaN: the curve is then
-    # not finite, so mc-risk exits 3 at its oracle_risk check; estimate never
-    # reads the curve
-    with np.errstate(over="ignore", invalid="ignore"):
-        head = np.cumsum(terms(1, m + 1))
-        total = head[-1]
-        for lo in range(m + 1, stop + 1, BLOCK):
-            total = accumulate(np.add, terms(lo, min(lo + BLOCK, stop + 1)), total)[-1]
-        return total - head
+def _bias_beyond(weights: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<j<=len(b)} w_j b_j^2 for k = 1..m: the squared bias of the fixed-k
+    estimator, which does not depend on the replicate.  A reversed running sum,
+    so a sum past float range is inf, never inf - inf; a zero coefficient adds
+    zero even where its weight overflowed to inf (EP at large s)."""
+    with np.errstate(over="ignore"):
+        beyond = np.cumsum((_weighted(weights, b) * b)[::-1])[::-1]
+    return np.append(beyond[1:], 0.0)[:m]
 
 
 def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
@@ -255,22 +241,35 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """Everything the replicates at one grid size n need; immutable.  Its
-    arrays run over the alive window, and the scales over 1..max m_bound."""
+    arrays run over the alive window and are built when first read, so a plan
+    the draw check refuses holds none; the scales run over 1..max m_bound."""
 
     config: RunConfig
     seq: SequenceSpec
-    slope: SlopeSpec  # the run's slope, normalized at its largest truncation
+    slope: SlopeSpec  # the run's slope, normalized over its whole profile
     n: int
     n_coef: int
     window: int   # alive window J <= n_coef: the length of every replicate's moments
     tau: float    # noise sd with the coordinates beyond J folded in
-    beta_window: np.ndarray     # slope coefficients 1..J
-    weights_window: np.ndarray  # risk weights 1..J
-    lam: np.ndarray   # eigenvalues 1..J
-    bias: np.ndarray  # squared bias beyond m = 1..J, through n_coef
-    tail: float
+    tail: float   # sum_{j > J} omega_j beta_j^2
     scales: PenaltyScales  # the run's scales over 1..the largest m_bound of the grid
     m_bound: int  # known-degree bound min(M_n, n_coef)
+
+    @cached_property
+    def beta_window(self) -> np.ndarray:  # slope coefficients 1..J
+        return self.slope.coefficients(1, self.window + 1)
+
+    @cached_property
+    def weights_window(self) -> np.ndarray:  # risk weights 1..J
+        return self.seq.risk_weights(self.window)
+
+    @cached_property
+    def lam(self) -> np.ndarray:  # eigenvalues 1..J
+        return self.seq.eigenvalues(self.window)
+
+    @cached_property
+    def bias(self) -> np.ndarray:  # squared bias beyond m = 1..J, through J
+        return _bias_beyond(self.weights_window, self.beta_window, self.window)
 
     @property
     def beta(self) -> np.ndarray:
@@ -336,20 +335,18 @@ def _run_replicate(plan: _GridPlan, r: int):
 
 
 def experiment_plans(config):
-    """Per-n task plans for a RunConfig (one slope, normalized at the largest
-    truncation, and the scales over 1..the largest known-degree bound).
+    """Per-n task plans for a RunConfig (one slope, normalized over its whole
+    profile, and the scales over 1..the largest known-degree bound).
 
-    Memory is O(J + M_n + BLOCK) at every n: each O(n) sum runs over blocks of
-    BLOCK indices in numpy's own order (:func:`circfreg.sequences.blocked_sum`,
-    ``accumulate``), runs of exact zeros are skipped, and M_n and m_dagger_n
-    scan the scales a block at a time."""
+    Time is O(J + M_n + BLOCK) at every n, and memory O(M_n + BLOCK) until a
+    plan's window arrays are read: tau and the tail past J are each one
+    series_sum, and M_n and m_dagger_n scan the scales a block at a time."""
     seq = config.sequence_spec()
     grid = tuple(config.n_grid)
     trunc = {n: config.j_max or default_truncation(seq, n) for n in grid}
     m_bound = {n: min(bound_M(seq, n), trunc[n]) for n in grid}
     scales = intrinsic_scales(seq, max(m_bound.values()))
     slope = SlopeSpec(seq, config.rho, max(trunc.values()))
-    tail_ref = slope_tail_bias(slope)
     try:
         noise_var = config.sigma**2
     except OverflowError:
@@ -358,27 +355,15 @@ def experiment_plans(config):
     def folded(lo, hi):  # lambda_j beta_j^2: it does not increase with j
         return seq.eigenvalues(hi - 1, lo) * slope.coefficients(lo, hi) ** 2
 
-    def weighted_sq(lo, hi):
-        return _weighted(seq.risk_weights(hi - 1, lo), slope.coefficients(lo, hi) ** 2)
-
-    def bias_terms(lo, hi):
-        return _bias_terms(seq.risk_weights(hi - 1, lo), slope.coefficients(lo, hi))
-
     plans = []
     for n in grid:
         n_coef = trunc[n]
         window = alive_window(seq, n, n_coef)
-        zero = first_false(lambda lo, hi: folded(lo, hi) > 0.0, window + 1, n_coef + 1)
-        tau = float(np.sqrt(noise_var + blocked_sum(folded, window + 1, n_coef + 1, zero)))
-        # n_coef < j <= the largest truncation; coefficients past the support are 0
-        band = blocked_sum(weighted_sq, n_coef + 1, slope.n_coef + 1, slope.support + 1)
+        tau = float(np.sqrt(noise_var + series_sum(folded, window + 1, n_coef + 1)))
         plans.append(
             _GridPlan(
                 config=config, seq=seq, slope=slope, n=n, n_coef=n_coef, window=window, tau=tau,
-                beta_window=slope.coefficients(1, window + 1),
-                weights_window=seq.risk_weights(window), lam=seq.eigenvalues(window),
-                bias=_bias_beyond(bias_terms, window, min(n_coef, slope.support)),
-                tail=band + tail_ref, scales=scales, m_bound=m_bound[n],
+                tail=slope.tail(window + 1), scales=scales, m_bound=m_bound[n],
             )
         )
     return plans

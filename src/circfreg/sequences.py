@@ -28,9 +28,8 @@ over n indices needs an array of length n:
   win.  M_n and m_dagger_n read the scales, which carry their running maxima
   from block to block (:func:`scale_blocks`); m_star_n carries its running
   log-sum.
-* :func:`blocked_sum` and :func:`accumulate` add terms BLOCK indices at a
-  time in the order ``np.sum`` and ``np.cumsum`` add a whole array, so every
-  result is the full-array one bit for bit.
+* :func:`accumulate` carries a running sum or maximum from block to block;
+  :func:`series_sum` adds a slope series a block at a time, stopping early.
 """
 
 from __future__ import annotations
@@ -374,26 +373,47 @@ def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
                         + math.log(m / n) - _at(spec.log_eigenvalues, m))
 
 
-# -- exact reductions in blocks of indices ------------------------------------
+# -- reductions in blocks of indices -------------------------------------------
 
-def blocked_sum(terms, start: int, stop: int, zero_from=None) -> float:
-    """np.sum(terms(start, stop)) bit for bit, from blocks of at most BLOCK terms.
+# Terms an unbounded series may take before it is declared divergent
+_SERIES_MAX = 2**24
 
-    ``terms(lo, hi)`` returns the terms of indices lo..hi-1.  numpy adds a
-    float64 array pairwise: it splits a run of more than 128 values after
-    n2 = n//2 - (n//2) % 8 of them and adds the sums of the two parts.  The
-    same splits are made here down to runs of at most BLOCK indices, each added
-    by np.sum.  Runs starting at or past ``zero_from`` hold only exact zeros
-    and are not evaluated: their sum is 0.0 either way.
+
+def series_sum(terms, start: int, stop: int | None = None, x: float | None = None) -> float:
+    """sum_{start <= j < stop} (to infinity if stop is None) of nonnegative terms
+    that do not increase past their peak; terms(lo, hi) gives those of j = lo..hi-1.
+
+    Adds BLOCK terms at a time with np.sum until it reaches stop; for terms
+    C j^-x, until the first block ends, then adds the Euler-Maclaurin remainder
+    (integral, f/2, B2 and B4 terms) up to stop, scaled by the next term; else
+    until a block's last term is at most 1e-19 of the total.  A series with no
+    stop still running after 2^24 terms raises FloatingPointError.
     """
-    count = stop - start
-    if count <= 0 or zero_from is not None and start >= zero_from:
+    total, lo = 0.0, start
+    while stop is None or lo < stop:
+        hi = lo + BLOCK if stop is None else min(lo + BLOCK, stop)
+        block = terms(lo, hi)
+        total += float(np.sum(block))
+        if x is not None:
+            return total + _power_remainder(terms, hi, stop, x)
+        if block[-1] <= 1e-19 * total:
+            return total
+        lo = hi
+        if stop is None and lo - start >= _SERIES_MAX:
+            raise FloatingPointError(f"series from j = {start} needs over 2^24 terms")
+    return total
+
+
+def _power_remainder(terms, a: int, stop: int | None, x: float) -> float:
+    """sum_{a <= j < stop} of terms C j^-x by Euler-Maclaurin, from f(a) alone."""
+    f_a = float(terms(a, a + 1)[0]) if stop is None or a < stop else 0.0
+    if not f_a:  # 0 where x^3 may overflow: the remainder is 0, not inf * 0
         return 0.0
-    if count <= BLOCK:
-        return float(np.sum(terms(start, stop)))
-    half = count // 2
-    split = start + half - half % 8
-    return blocked_sum(terms, start, split, zero_from) + blocked_sum(terms, split, stop, zero_from)
+
+    def tail(b):  # sum_{j >= b} (b/j)^x
+        return b / (x - 1.0) + 0.5 + x / (12.0 * b) - x * (x + 1.0) * (x + 2.0) / (720.0 * b**3)
+
+    return f_a * (tail(a) - (0.0 if stop is None else (a / stop) ** x * tail(stop)))
 
 
 def accumulate(ufunc, values: np.ndarray, carry=None) -> np.ndarray:

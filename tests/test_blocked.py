@@ -1,11 +1,15 @@
 """Every O(n) pass done in blocks against its full-array reference.
 
 The references below are the whole-array computations the blocked code
-replaces, kept only here.  Each blocked result must equal its reference bit
-for bit: the bounds N_n, M_n, m_dagger_n and m_star_n, the alive window, every
-blocked sum and running sum, and every plan quantity built from them.
+replaces, kept only here.  The bounds N_n, M_n, m_dagger_n and m_star_n, the
+alive window, every running sum and every plan array read off them must equal
+their references bit for bit.  The slope's series (its normalization, the
+folded noise, the bias past m and the tail past J) are summed a block at a
+time with an early stop or an Euler-Maclaurin remainder, and must match
+math.fsum over the explicit terms, plus an exact remainder, within 1e-12.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -13,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import zeta
 
 import circfreg as cf
-from circfreg.basis import _weighted, weighted_norm_sq
-from circfreg.datagen import SlopeSpec, _log_slope_shape, default_truncation, make_slope
+from circfreg.datagen import _log_slope_shape, default_truncation
 from circfreg.risk import ALIVE_EPS, alive_window, experiment_plans, log_chi2_tail_bound
 from circfreg.sequences import (
     BLOCK,
@@ -24,13 +28,13 @@ from circfreg.sequences import (
     accumulate,
     balance_m_dagger,
     balance_m_star,
-    blocked_sum,
     bound_M,
     bound_N,
     first_false,
     index_blocks,
     intrinsic_scales,
     scale_blocks,
+    series_sum,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -77,34 +81,34 @@ def ref_alive_window(seq, n, n_coef):
     return int(np.count_nonzero(tail > ALIVE_EPS))
 
 
-def ref_slope(seq, radius, n_coef):
-    """The slope normalized over one full-length profile, and its scale c."""
-    log_shape = _log_slope_shape(SlopeSpec(seq, radius, n_coef),
-                                 np.arange(1, n_coef + 1, dtype=float))
-    shape = np.exp(log_shape)
-    mask = shape >= np.finfo(float).tiny
-    log_gamma = seq.log_smoothness_weights(n_coef)
-    norm = float(np.sum(np.exp(log_gamma[mask] + 2.0 * log_shape[mask])))
-    c = float(np.sqrt(radius / norm))
-    return c * np.where(mask, shape, 0.0), c
+def ref_norm(slope, length):
+    """sum_{j <= support} gamma_j shape_j^2 as defined, in log space: math.fsum
+    over j < length, and past it the exact remainder of j^-3 (PP, PE) or
+    e^-1 j^-2 (EP) through the support."""
+    seq, stop = slope.seq, min(length, slope.support + 1)
+    j = np.arange(1, stop, dtype=float)
+    terms = np.exp(seq.log_smoothness_weights(stop - 1) + 2.0 * _log_slope_shape(slope, j))
+    x, const = (2.0, math.exp(-1.0)) if seq.regime == "EP" else (3.0, 1.0)
+    rest = const * (zeta(x, length) - zeta(x, slope.support + 1)) if stop == length else 0.0
+    return math.fsum(terms.tolist()) + rest
 
 
-def ref_tail_bias(spec, c):
-    """slope_tail_bias with each 2^16-term run summed as one array."""
-    s, total = spec.seq.s, 0.0
-    for start in range(spec.n_coef + 1, spec.n_coef + 1 + 2**24, 2**16):
-        j = np.arange(start, start + 2**16, dtype=float)
-        with np.errstate(over="ignore"):
-            terms = np.exp(2.0 * s * np.log(j) + 2.0 * _log_slope_shape(spec, j))
-        total += float(np.sum(terms))
-        if spec.seq.regime != "EP":
-            a, x = float(start + 2**16), 2.0 * (spec.seq.p + 0.5 + 1.0) - 2.0 * s
-            total += (a / (x - 1.0) + 0.5 + x / (12.0 * a)
-                      - x * (x + 1.0) * (x + 2.0) / (720.0 * a**3)) * a**-x
-            break
-        if terms[-1] <= 1e-19 * total:
-            break
-    return float(c**2 * total)
+def ref_tail(slope, start, length):
+    """sum_{j >= start} omega_j [slope]_j^2 as defined, in log space and 0 past
+    the support: math.fsum over j < length, and past it the Hurwitz zeta
+    remainder under PP and PE (EP terms there are far below 1e-12 of the sum)."""
+    seq = slope.seq
+    if start >= length:
+        return 0.0
+    log_shape = _log_slope_shape(slope, np.arange(start, length, dtype=float))
+    with np.errstate(over="ignore"):
+        terms = np.exp(seq.log_risk_weights(length - 1, start) + 2.0 * log_shape)
+    terms[np.exp(log_shape) < np.finfo(float).tiny] = 0.0
+    rest = 0.0
+    if seq.regime != "EP" and slope.support >= length:
+        x = 2.0 * (seq.p + 1.5) - 2.0 * seq.s
+        rest = zeta(x, length) - zeta(x, slope.support + 1)
+    return slope.scale**2 * (math.fsum(terms.tolist()) + rest)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -124,25 +128,30 @@ sizes = st.one_of(st.sampled_from(SIZES), st.integers(2, 20000))
 
 # -- the reductions ----------------------------------------------------------------
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(length=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK,
-                                          BLOCK + 1, 2 * BLOCK + 8, 5 * BLOCK + 3]),
-                        st.integers(0, 6 * BLOCK)),
-       start=st.integers(1, 50), zero_at=st.floats(0.0, 1.2), seed=st.integers(0, 2**32 - 1))
-def test_blocked_sum_is_np_sum(length, start, zero_at, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.exponential(size=length) * np.exp(rng.uniform(-30.0, 30.0, length))
-    zero_from = start + int(zero_at * length)
-    values[zero_from - start:] = 0.0
-    terms = lambda lo, hi: values[lo - start:hi - start]
-    expected = float(np.sum(values))
-    assert blocked_sum(terms, start, start + length) == expected
-    assert blocked_sum(terms, start, start + length, zero_from) == expected
+@pytest.mark.parametrize("x", [1.5, 3.0, 40.0])
+@pytest.mark.parametrize("start", [1, 5000])
+@pytest.mark.parametrize("stop", [None, 4096, 10**5, 2**53])
+def test_power_series_sum_matches_fsum(x, start, stop):
+    # the first block, then the Euler-Maclaurin remainder of 2.5 j^-x up to stop
+    terms = lambda lo, hi: 2.5 * np.arange(lo, hi, dtype=float) ** -x
+    length = min(stop or 10**5, 10**5)
+    explicit = math.fsum(terms(start, length).tolist()) if start < length else 0.0
+    rest = 2.5 * (zeta(x, length) - (0.0 if stop is None else zeta(x, stop)))
+    expected = explicit + (rest if length < (stop or math.inf) else 0.0)
+    assert series_sum(terms, start, stop, x) == pytest.approx(expected, rel=1e-12)
 
 
-def test_blocked_sum_at_ten_million_and_one():
-    values = np.random.default_rng(3).standard_normal(10**7 + 1)
-    assert blocked_sum(lambda lo, hi: values[lo:hi], 0, values.size) == float(np.sum(values))
+def test_series_sum_stops_early_or_raises():
+    geometric = lambda lo, hi: 0.5 ** np.arange(lo, hi, dtype=float)
+    assert series_sum(geometric, 1) == pytest.approx(1.0, rel=1e-15)
+    assert series_sum(geometric, 3, 5) == 0.5**3 + 0.5**4
+    assert series_sum(geometric, 5, 5) == 0.0
+    # a stop bounds a slow series; without one it raises after 2^24 terms
+    harmonic = lambda lo, hi: 1.0 / np.arange(lo, hi, dtype=float)
+    assert series_sum(harmonic, 1, 10**5) == pytest.approx(
+        math.fsum(harmonic(1, 10**5).tolist()), rel=1e-13)
+    with pytest.raises(FloatingPointError, match="2\\^24 terms"):
+        series_sum(harmonic, 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -247,31 +256,58 @@ def test_alive_window_walks_many_blocks(monkeypatch, name, a, n):
 @given(spec=sequence_specs(), grid=st.lists(sizes, min_size=1, max_size=3, unique=True),
        j_max=st.one_of(st.none(), st.sampled_from([1, 50, BLOCK + 1, 3 * BLOCK])))
 def test_plans_match_full_array_plans(spec, grid, j_max):
+    # sigma = 0, so tau^2 is the folded sum itself
     grid = tuple(sorted(grid))
-    cfg = cf.RunConfig(regime=spec.regime, a=spec.a, p=spec.p, s=spec.s, sigma=0.5, rho=1.3,
+    cfg = cf.RunConfig(regime=spec.regime, a=spec.a, p=spec.p, s=spec.s, sigma=0.0, rho=1.3,
                        n_grid=grid, replications=1, seed=1, variant="both",
                        enforce_pair=spec.enforce_pair, j_max=j_max)
     plans = experiment_plans(cfg)
     trunc = [j_max or max(ref_bound_N(spec, n), 2 * ref_m_dagger(spec, n)) for n in grid]
-    ref = max(trunc)
-    beta, c = ref_slope(spec, cfg.rho, ref)
-    omega = spec.risk_weights(ref)
     slope = plans[0].slope
-    tail = ref_tail_bias(slope, c)
-    assert slope.scale == c and np.array_equal(make_slope(slope).coefs, beta)
+    assert slope.scale**2 == pytest.approx(cfg.rho / ref_norm(slope, 2**16), rel=1e-12)
+    tiny = np.finfo(float).tiny
     for plan, n, n_coef in zip(plans, grid, trunc):
         window = ref_alive_window(spec, n, n_coef)
-        lam = spec.eigenvalues(n_coef)
-        cum_bias = np.cumsum(_weighted(omega[:n_coef], beta[:n_coef]) * beta[:n_coef])
+        shape = np.exp(_log_slope_shape(slope, np.arange(1, n_coef + 1, dtype=float)))
+        beta = slope.scale * np.where(shape >= tiny, shape, 0.0)
+        omega, lam = spec.risk_weights(n_coef), spec.eigenvalues(n_coef)
         assert (plan.n_coef, plan.window) == (n_coef, window)
         assert plan.m_bound == min(ref_bound_M(spec, n), n_coef)
-        assert plan.tau == float(np.sqrt(cfg.sigma**2 + np.sum(lam[window:] * beta[window:n_coef] ** 2)))
-        assert plan.tail == weighted_norm_sq(beta[n_coef:], omega[n_coef:]) + tail
-        assert np.array_equal(plan.bias, cum_bias[-1] - cum_bias[:window])
+        assert np.array_equal(plan.beta, beta)
         assert np.array_equal(plan.beta_window, beta[:window])
         assert np.array_equal(plan.weights_window, omega[:window])
         assert np.array_equal(plan.lam, lam[:window])
-        assert np.array_equal(plan.beta, beta[:n_coef])
+        # subnormal folded sums lose relative precision through the square root
+        folded = math.fsum((lam[window:] * beta[window:] ** 2).tolist())
+        assert plan.tau**2 == pytest.approx(folded, rel=1e-12, abs=1e-300)
+        with np.errstate(over="ignore"):
+            bias_terms = np.where(beta[:window] == 0.0, 0.0, omega[:window] * beta[:window] ** 2)
+        for m in {1, window // 2, window - 1, window} - {0}:
+            expected = math.fsum(bias_terms[m:].tolist())
+            assert plan.bias[m - 1] == pytest.approx(expected, rel=1e-12)
+        assert plan.tail == pytest.approx(ref_tail(slope, window + 1, 2**16), rel=1e-12)
+
+
+@pytest.mark.parametrize("enforce_pair", [False, True])
+@pytest.mark.parametrize("regime, a, p, s", [
+    *[(regime, a, 1.0, s) for regime, a in (("PP", 1.0), ("PE", 0.5), ("EP", 1.0))
+      for s in (-1.0, 0.0, 0.5, 0.95)],
+    ("PP", 1.0, 500.0, 0.0),  # the support, j <= 4, ends inside the first block
+    ("EP", 1.0, 0.5, 0.0),
+])
+def test_slope_series_match_fsum(regime, a, p, s, enforce_pair):
+    # the normalization, the tail past J and tau against math.fsum over about
+    # 10^6 explicit terms plus an exact remainder; at n = 10^5, n_coef is up
+    # to 10^5 (s <= 1/2) or N_n = 10^5^(1/1.9) = 427 (s = 0.95)
+    cfg = cf.RunConfig(regime=regime, a=a, p=p, s=s, sigma=0.0, rho=1.3, n_grid=(10**5,),
+                       replications=1, seed=1, enforce_pair=enforce_pair)
+    plan = experiment_plans(cfg)[0]
+    slope, seq, window = plan.slope, plan.seq, plan.window
+    assert slope.scale**2 == pytest.approx(cfg.rho / ref_norm(slope, 10**6), rel=1e-12)
+    assert plan.tail == pytest.approx(ref_tail(slope, window + 1, 10**6), rel=1e-12)
+    lam = seq.eigenvalues(plan.n_coef, window + 1)
+    folded = math.fsum((lam * slope.coefficients(window + 1, plan.n_coef + 1) ** 2).tolist())
+    assert plan.tau**2 == pytest.approx(folded, rel=1e-12, abs=1e-300)
 
 
 def test_golden_pe_plans_hold_bounded_memory():

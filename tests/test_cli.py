@@ -118,7 +118,7 @@ def test_size_above_bound_exits_2_at_config_time(config_file, tmp_path, capsys, 
     assert code == 2
     err = capsys.readouterr().err
     key = override.split("=")[0]
-    assert err.startswith(f"config error: {key}: ") and re.search(r"<= 10000000\b", err)
+    assert err.startswith(f"config error: {key}: ") and re.search(r"<= 100000000\b", err)
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
@@ -232,6 +232,22 @@ def test_mc_risk_byte_identical_and_worker_invariant(config_file, tmp_path, monk
         assert code == 0
         runs.append((out / "risk_report.csv").read_bytes())
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_mc_risk_rows_do_not_depend_on_the_rest_of_the_grid(tmp_path):
+    # the slope is normalized over its whole profile and each plan sums its own
+    # series, so adding n = 10^5 to golden PE leaves the n = 500, 8000 rows
+    # byte-identical (it used to move the n = 500 median risk in its 10th digit)
+    rows = []
+    for grid in ("500,8000", "500,8000,100000"):
+        out = tmp_path / grid
+        code = main(["mc-risk", "--config", str(ROOT / "configs" / "golden_pe.cfg"),
+                     "--out", str(out), "--override", f"n_grid={grid}", "--override",
+                     "replications=4", "--override", "variant=both"])
+        assert code == 0
+        lines = (out / "risk_report.csv").read_text().splitlines()[2:]
+        rows.append([line for line in lines if line.split(",")[0] in ("500", "8000")])
+    assert len(rows[0]) == 4 and rows[0] == rows[1]
 
 
 def test_echo_line_carries_full_config(config_file, tmp_path):

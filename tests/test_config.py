@@ -71,12 +71,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="n >= 2"):
             parse_config(MINIMAL_PP.replace("n_grid = 250,500,1000", "n_grid = 1,250"))
 
-    @pytest.mark.parametrize("key, value", [("n_grid", (10**8,)), ("j_max", 10**8)],
+    @pytest.mark.parametrize("key, value", [("n_grid", (10**8 + 1,)), ("j_max", 10**8 + 1)],
                              ids=["n_grid", "j_max"])
     def test_size_bound_named(self, key, value):
-        # plans hold length-n arrays; 10^8 would take about 12 GB
-        with pytest.raises(ConfigError, match=f"^{key}: .*<= 10000000\\b"):
+        # one past the bound of 10^8, the largest n the plans are sized for
+        with pytest.raises(ConfigError, match=f"^{key}: .*<= 100000000\\b"):
             dataclasses.replace(parse_config(MINIMAL_PP), **{key: value})
+
+    @pytest.mark.parametrize("key, value", [("n_grid", (10**8,)), ("j_max", 10**8)],
+                             ids=["n_grid", "j_max"])
+    def test_size_bound_admits_its_value(self, key, value):
+        assert getattr(dataclasses.replace(parse_config(MINIMAL_PP), **{key: value}), key) == value
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError, match="strictly increasing"):

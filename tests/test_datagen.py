@@ -26,18 +26,30 @@ PP_PAIRED = SequenceSpec("PP", a=1.0, p=2.0, s=0.0, enforce_pair=True)
 
 class TestMakeSlope:
     def test_single_coefficient(self):
+        # normalized over the whole profile, where gamma_j shape_j^2 = j^-3
+        from scipy.special import zeta
+
         slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=1))
-        assert slope.coefs[0] == 1.0
+        assert slope.coefs[0] == pytest.approx(zeta(3.0) ** -0.5, rel=1e-15)
 
     def test_sqrt_radius(self):
         slope = make_slope(SlopeSpec(PP, radius=4.0, n_coef=1))
-        assert slope.coefs[0] == 2.0
+        assert slope.coefs[0] == 2.0 * make_slope(SlopeSpec(PP, radius=1.0, n_coef=1)).coefs[0]
 
     def test_ellipsoid_equality(self):
+        # the first 200 coefficients and the tail past them, sum_{j > 200} c^2 j^-3
+        from scipy.special import zeta
+
         spec = SlopeSpec(PP, radius=1.0, n_coef=200)
         slope = make_slope(spec)
         norm = weighted_norm_sq(slope, PP.smoothness_weights(200))
-        assert norm == pytest.approx(1.0, rel=1e-12)
+        assert norm + spec.scale**2 * zeta(3.0, 201) == pytest.approx(1.0, rel=1e-12)
+
+    def test_scale_is_free_of_n_coef(self):
+        for seq in (PP, PP_PAIRED, SequenceSpec("EP", a=1.0, p=1.0),
+                    SequenceSpec("PE", a=0.5, p=1.0, s=-1.0)):
+            scales = {SlopeSpec(seq, radius=1.3, n_coef=k).scale for k in (1, 8, 4000, 10**8)}
+            assert len(scales) == 1
 
     def test_ellipsoid_equality_ep_logspace(self):
         seq = SequenceSpec("EP", a=1.0, p=1.0, s=0.0)

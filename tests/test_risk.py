@@ -1,6 +1,7 @@
 import types
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -132,7 +133,7 @@ class TestOracle:
                    for r in range(100)]
         best_m, best = oracle_risk(samples, slope, np.ones(200))
         assert best_m == 2
-        assert best == pytest.approx(0.006276737897463179, rel=1e-12)
+        assert best == pytest.approx(0.006276684673274327, rel=1e-12)
 
     @pytest.mark.parametrize("lengths", [(3, 1), (1, 3)])
     def test_unequal_lengths_rejected(self, lengths):
@@ -392,34 +393,43 @@ class TestReplicateEngine:
             assert all(plan.tau >= cfg.sigma for plan in plans)
 
     def test_plans_normalize_the_slope_once(self, monkeypatch):
-        # one normalization per run, at the run's largest truncation: its pass
-        # shapes each index 1..n_coef once, a block at a time, and
-        # slope_tail_bias and the plans read its scale c instead of building
-        # the profile again
-        shape, summed = cf.datagen._log_slope_shape, cf.datagen.blocked_sum
-        passes, open_pass = {}, []  # (start, stop) of each sum datagen takes -> indices shaped
+        # one normalization per run, over the whole profile, and two series per
+        # plan, tau over J < j <= n_coef and the tail past J; each shapes at
+        # most a block and the remainder's first term, so n_coef = 10^6 costs
+        # no more than 500 does
+        shape, summed = cf.datagen._log_slope_shape, cf.sequences.series_sum
+        calls, shaped = [], []
 
         def counted(spec, j):
-            assert j.size <= cf.sequences.BLOCK
-            if open_pass:
-                passes[open_pass[0]].append(j)
+            shaped.append(j.size)
             return shape(spec, j)
 
-        def recorded(terms, start, stop, *rest):
-            passes[(start, stop)] = []
-            open_pass.append((start, stop))
-            try:
-                return summed(terms, start, stop, *rest)
-            finally:
-                open_pass.pop()
+        def recorded(terms, start, stop=None, x=None):
+            calls.append((start, stop, x))
+            return summed(terms, start, stop, x)
 
         monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
-        monkeypatch.setattr(cf.datagen, "blocked_sum", recorded)
-        plans = experiment_plans(cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text()))
-        ref = plans[-1].n_coef
-        assert sorted(passes) == [(1, ref + 1), (ref + 1, ref + 1 + 2**16)]
-        for (start, stop), shaped in passes.items():
-            assert np.array_equal(np.concatenate(shaped), np.arange(start, stop))
+        monkeypatch.setattr(cf.datagen, "series_sum", recorded)
+        monkeypatch.setattr(cf.risk, "series_sum", recorded)
+        cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
+        plans = experiment_plans(replace(cfg, n_grid=(500, 8000, 10**6)))
+        expected = [(1, plans[0].slope.support + 1, 3.0)]  # sum_j j^-3 over the support
+        for p in plans:  # the tail's terms are j^-x with x = 2 (p + 3/2) - 2 s = 5
+            expected += [(p.window + 1, p.n_coef + 1, None), (p.window + 1, None, 5.0)]
+        assert Counter(calls) == Counter(expected)
+        assert max(shaped) <= cf.sequences.BLOCK
+        assert sum(shaped) <= 1 + sum(2 * cf.sequences.BLOCK + 1 + p.window for p in plans)
+
+    def test_plans_build_window_arrays_when_read(self):
+        # the draw check reads only factor_shape, so a plan whose window it
+        # refuses never builds its O(J) arrays
+        plan = experiment_plans(tiny_config())[0]
+        lazy = {"beta_window", "weights_window", "lam", "bias"}
+        assert not lazy & set(vars(plan))
+        assert plan.factor_shape[0] == plan.window + 1
+        assert not lazy & set(vars(plan))
+        replicate_moments(plan, 0)
+        assert set(vars(plan)) >= {"beta_window", "lam"}
 
     def test_known_bound_within_window(self):
         # select_known reads the moments up to M_n, which stop at J
