@@ -11,8 +11,8 @@ family-wise level of 0.01 split over all tests by Bonferroni:
 
 * two-sample chi-square tests of the m_hat and M_hat histograms, per
   variant, with adjacent values pooled to at least 10 replicates a bin (a
-  histogram with one bin, such as the known-degree M_hat = min(M_n, n_coef),
-  is not tested);
+  histogram with one bin, such as the known-degree M_hat, which is the
+  plan's ``m_bound``, is not tested);
 * two-sample z-tests of the mean risk curve at each m <= min(J, 10).
 
 The per-unit risk curve counts the tail past n_coef, ``slope_tail_bias``;
@@ -66,7 +66,8 @@ def per_unit(plan, r):
     sample = cf.simulate(plan.seq, cf.CoefVector(plan.beta), n, cfg.sigma, cfg.seed + 1,
                          replicate=(n, r), n_coef=plan.n_coef)
     mom = cf.moments(sample)
-    curve = cf.fixed_dim_risk_curve(mom, plan.beta, plan.weights, cf.slope_tail_bias(plan.slope))
+    tail = cf.slope_tail_bias(plan.slope, plan.n_coef)
+    curve = cf.fixed_dim_risk_curve(mom, plan.beta, plan.weights, tail)
     picks = []
     for variant in cfg.variant_names():
         if variant == "known_degree":

@@ -74,22 +74,19 @@ class SlopeSpec:
     The coefficient profile decays like j^-(p + 3/2) under PP and PE
     (exp(-j^(2p)/2)/j under EP), scaled so the gamma-weighted squared norm
     over its whole support equals ``radius``: gamma_j shape_j^2 is j^-3 (PP,
-    PE) or e^-1 j^-2 (EP), one power series, so the scale c depends on
-    neither ``n_coef`` (the length :func:`make_slope` returns) nor any grid.
-    The scale and the support are cached on the instance; ``==`` and
-    ``hash`` still compare the fields only.  Nothing here holds more than one
-    block of coefficients unless a caller asks for more.
+    PE) or e^-1 j^-2 (EP), one power series.  The slope has no length: it is
+    read through :meth:`coefficients` and :meth:`tail`, and truncated by the
+    caller's n_coef.  The scale and the support are cached on the instance;
+    ``==`` and ``hash`` still compare the fields only.  Nothing here holds
+    more than one block of coefficients unless a caller asks for more.
     """
 
     seq: SequenceSpec
     radius: float
-    n_coef: int
 
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.n_coef < 1:
-            raise ValueError(f"n_coef must be >= 1, got {self.n_coef}")
 
     def _shape(self, start: int, stop: int) -> np.ndarray:
         return np.exp(_log_slope_shape(self, np.arange(start, stop, dtype=float)))
@@ -142,15 +139,15 @@ def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
     return -(spec.seq.p + 0.5 + 1.0) * np.log(j)
 
 
-def make_slope(spec: SlopeSpec) -> CoefVector:
+def make_slope(spec: SlopeSpec, n_coef: int) -> CoefVector:
     """Slope coefficients 1..n_coef of a slope on the ellipsoid boundary."""
-    return CoefVector(spec.coefficients(1, spec.n_coef + 1))
+    return CoefVector(spec.coefficients(1, n_coef + 1))
 
 
-def slope_tail_bias(spec: SlopeSpec) -> float:
+def slope_tail_bias(spec: SlopeSpec, n_coef: int) -> float:
     """Tail sum_{j > n_coef} omega_j [slope]_j^2 with omega_j = j^(2s): the risk
     of the coefficients beyond the simulated truncation (:meth:`SlopeSpec.tail`)."""
-    return spec.tail(spec.n_coef + 1)
+    return spec.tail(n_coef + 1)
 
 
 @dataclass(frozen=True, eq=False)

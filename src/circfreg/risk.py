@@ -44,10 +44,11 @@ per replicate is about J^2/2 normals whatever n is.
 Every reported risk counts the whole slope: the risk curve adds the bias of
 the window past m and the tail past J, so a finite window never flatters.
 
-Plans (:func:`experiment_plans`) hold O(J + M_n) values and take
-O(J + M_n + BLOCK) time at every n: tau and the tail past J are each one
-:func:`circfreg.sequences.series_sum` over a slope normalized over its
-whole profile, so no plan depends on the rest of the grid.
+Plans (:func:`experiment_plans`) are built from (config, slope, n) alone,
+so no plan depends on the rest of the grid: tau and the tail past J are each
+one :func:`circfreg.sequences.series_sum` over a slope normalized over its
+whole profile, and a plan's O(J) arrays, its known-degree bound and the
+scales over 1..min(M_n, n_coef) are built when first read.
 """
 
 from __future__ import annotations
@@ -241,19 +242,29 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """Everything the replicates at one grid size n need; immutable.  Its
-    arrays run over the alive window and are built when first read, so a plan
-    the draw check refuses holds none; the scales run over 1..max m_bound."""
+    arrays, the known-degree bound and its scales are built when first read,
+    so a plan the draw check refuses holds none, and a data-driven run never
+    scans for M_n."""
 
     config: RunConfig
-    seq: SequenceSpec
     slope: SlopeSpec  # the run's slope, normalized over its whole profile
     n: int
     n_coef: int
     window: int   # alive window J <= n_coef: the length of every replicate's moments
     tau: float    # noise sd with the coordinates beyond J folded in
     tail: float   # sum_{j > J} omega_j beta_j^2
-    scales: PenaltyScales  # the run's scales over 1..the largest m_bound of the grid
-    m_bound: int  # known-degree bound min(M_n, n_coef)
+
+    @property
+    def seq(self) -> SequenceSpec:
+        return self.slope.seq
+
+    @cached_property
+    def m_bound(self) -> int:  # known-degree bound min(M_n, n_coef)
+        return min(bound_M(self.seq, self.n), self.n_coef)
+
+    @cached_property
+    def scales(self) -> PenaltyScales:  # intrinsic scales over 1..m_bound
+        return intrinsic_scales(self.seq, self.m_bound)
 
     @cached_property
     def beta_window(self) -> np.ndarray:  # slope coefficients 1..J
@@ -272,14 +283,11 @@ class _GridPlan:
         return _bias_beyond(self.weights_window, self.beta_window, self.window)
 
     @property
-    def beta(self) -> np.ndarray:
-        """Slope coefficients 1..n_coef, built when read (by simulate and the
-        per-unit checks)."""
-        return make_slope(self.slope).coefs[:self.n_coef]
+    def beta(self) -> np.ndarray:  # slope coefficients 1..n_coef, for simulate
+        return make_slope(self.slope, self.n_coef).coefs
 
     @property
-    def weights(self) -> np.ndarray:
-        """Risk weights 1..n_coef, built when read."""
+    def weights(self) -> np.ndarray:  # risk weights 1..n_coef
         return self.seq.risk_weights(self.n_coef)
 
     @property
@@ -335,18 +343,15 @@ def _run_replicate(plan: _GridPlan, r: int):
 
 
 def experiment_plans(config):
-    """Per-n task plans for a RunConfig (one slope, normalized over its whole
-    profile, and the scales over 1..the largest known-degree bound).
+    """Per-n task plans for a RunConfig: one slope, normalized over its whole
+    profile, and one plan per n built from (config, slope, n) alone.
 
-    Time is O(J + M_n + BLOCK) at every n, and memory O(M_n + BLOCK) until a
-    plan's window arrays are read: tau and the tail past J are each one
-    series_sum, and M_n and m_dagger_n scan the scales a block at a time."""
+    Time is O(J + m_dagger_n + BLOCK) at every n, and memory O(BLOCK) until
+    a plan's arrays are read: tau and the tail past J are each one
+    series_sum, and the default truncation's m_dagger_n scans the scales a
+    block at a time."""
     seq = config.sequence_spec()
-    grid = tuple(config.n_grid)
-    trunc = {n: config.j_max or default_truncation(seq, n) for n in grid}
-    m_bound = {n: min(bound_M(seq, n), trunc[n]) for n in grid}
-    scales = intrinsic_scales(seq, max(m_bound.values()))
-    slope = SlopeSpec(seq, config.rho, max(trunc.values()))
+    slope = SlopeSpec(seq, config.rho)
     try:
         noise_var = config.sigma**2
     except OverflowError:
@@ -356,16 +361,12 @@ def experiment_plans(config):
         return seq.eigenvalues(hi - 1, lo) * slope.coefficients(lo, hi) ** 2
 
     plans = []
-    for n in grid:
-        n_coef = trunc[n]
+    for n in config.n_grid:
+        n_coef = config.j_max or default_truncation(seq, n)
         window = alive_window(seq, n, n_coef)
         tau = float(np.sqrt(noise_var + series_sum(folded, window + 1, n_coef + 1)))
-        plans.append(
-            _GridPlan(
-                config=config, seq=seq, slope=slope, n=n, n_coef=n_coef, window=window, tau=tau,
-                tail=slope.tail(window + 1), scales=scales, m_bound=m_bound[n],
-            )
-        )
+        plans.append(_GridPlan(config=config, slope=slope, n=n, n_coef=n_coef, window=window,
+                               tau=tau, tail=slope.tail(window + 1)))
     return plans
 
 

@@ -123,7 +123,7 @@ def test_criterion_2_identity_suite():
 
 def test_criterion_3_invariance_suite():
     start = time.perf_counter()
-    slope = cf.make_slope(cf.SlopeSpec(PP, radius=1.0, n_coef=50))
+    slope = cf.make_slope(cf.SlopeSpec(PP, radius=1.0), 50)
     w = np.ones(50)
     for r in range(100):
         sample = cf.simulate(PP, slope, n=300, sigma=0.5, seed=314, replicate=r, n_coef=50)
@@ -153,7 +153,7 @@ def test_criterion_4_statistical_moments():
     start = time.perf_counter()
     n = 10**5
     n_coef = 12
-    slope = cf.make_slope(cf.SlopeSpec(PP, radius=1.0, n_coef=n_coef))
+    slope = cf.make_slope(cf.SlopeSpec(PP, radius=1.0), n_coef)
     sigma = 0.5
     sample = cf.simulate(PP, slope, n=n, sigma=sigma, seed=20260810, n_coef=n_coef)
     lam = PP.eigenvalues(n_coef)

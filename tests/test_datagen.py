@@ -29,32 +29,26 @@ class TestMakeSlope:
         # normalized over the whole profile, where gamma_j shape_j^2 = j^-3
         from scipy.special import zeta
 
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=1))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 1)
         assert slope.coefs[0] == pytest.approx(zeta(3.0) ** -0.5, rel=1e-15)
 
     def test_sqrt_radius(self):
-        slope = make_slope(SlopeSpec(PP, radius=4.0, n_coef=1))
-        assert slope.coefs[0] == 2.0 * make_slope(SlopeSpec(PP, radius=1.0, n_coef=1)).coefs[0]
+        slope = make_slope(SlopeSpec(PP, radius=4.0), 1)
+        assert slope.coefs[0] == 2.0 * make_slope(SlopeSpec(PP, radius=1.0), 1).coefs[0]
 
     def test_ellipsoid_equality(self):
         # the first 200 coefficients and the tail past them, sum_{j > 200} c^2 j^-3
         from scipy.special import zeta
 
-        spec = SlopeSpec(PP, radius=1.0, n_coef=200)
-        slope = make_slope(spec)
+        spec = SlopeSpec(PP, radius=1.0)
+        slope = make_slope(spec, 200)
         norm = weighted_norm_sq(slope, PP.smoothness_weights(200))
         assert norm + spec.scale**2 * zeta(3.0, 201) == pytest.approx(1.0, rel=1e-12)
 
-    def test_scale_is_free_of_n_coef(self):
-        for seq in (PP, PP_PAIRED, SequenceSpec("EP", a=1.0, p=1.0),
-                    SequenceSpec("PE", a=0.5, p=1.0, s=-1.0)):
-            scales = {SlopeSpec(seq, radius=1.3, n_coef=k).scale for k in (1, 8, 4000, 10**8)}
-            assert len(scales) == 1
-
     def test_ellipsoid_equality_ep_logspace(self):
         seq = SequenceSpec("EP", a=1.0, p=1.0, s=0.0)
-        spec = SlopeSpec(seq, radius=2.0, n_coef=50)
-        slope = make_slope(spec)
+        spec = SlopeSpec(seq, radius=2.0)
+        slope = make_slope(spec, 50)
         live = slope.coefs != 0.0  # far tail underflows to exact zeros
         log_terms = (seq.log_smoothness_weights(50)[live]
                      + 2.0 * np.log(np.abs(slope.coefs[live])))
@@ -63,36 +57,37 @@ class TestMakeSlope:
     def test_norm_monotone_in_radius(self):
         norms = []
         for rho in (0.5, 1.0, 2.0, 4.0):
-            slope = make_slope(SlopeSpec(PP, radius=rho, n_coef=100))
+            slope = make_slope(SlopeSpec(PP, radius=rho), 100)
             norms.append(weighted_norm_sq(slope, PP.smoothness_weights(100)))
         assert np.all(np.diff(norms) > 0)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            SlopeSpec(PP, radius=0.0, n_coef=10)
+            SlopeSpec(PP, radius=0.0)
 
     def test_profile_cached_and_spec_compared_by_fields(self):
-        spec = SlopeSpec(PP, radius=1.0, n_coef=20)
-        make_slope(spec)  # caches the scale on spec only
-        twin = SlopeSpec(PP, radius=1.0, n_coef=20)
+        spec = SlopeSpec(PP, radius=1.0)
+        make_slope(spec, 20)  # caches the scale on spec only
+        twin = SlopeSpec(PP, radius=1.0)
         assert "scale" in vars(spec) and "scale" not in vars(twin)
         assert spec == twin and hash(spec) == hash(twin)
         assert "scale" not in vars(replace(spec, radius=4.0))
-        assert make_slope(replace(spec, radius=4.0)).coefs[0] == 2.0 * make_slope(spec).coefs[0]
+        assert (make_slope(replace(spec, radius=4.0), 20).coefs[0]
+                == 2.0 * make_slope(spec, 20).coefs[0])
 
     def test_tail_bias_matches_direct_sum(self):
-        spec = SlopeSpec(PP, radius=1.0, n_coef=30)
-        slope_long = make_slope(SlopeSpec(PP, radius=1.0, n_coef=30))
+        spec = SlopeSpec(PP, radius=1.0)
+        slope_long = make_slope(SlopeSpec(PP, radius=1.0), 30)
         # direct continuation of the coefficient profile beyond the truncation
         c = spec.scale
         j = np.arange(31, 200001, dtype=float)
         direct = float(np.sum((c * j ** -3.5) ** 2))  # s = 0
-        assert slope_tail_bias(spec) == pytest.approx(direct, rel=1e-9)
+        assert slope_tail_bias(spec, 30) == pytest.approx(direct, rel=1e-9)
         del slope_long
 
     def test_tail_bias_ep_converges(self):
         seq = SequenceSpec("EP", a=1.0, p=1.0, s=0.0)
-        tail = slope_tail_bias(SlopeSpec(seq, radius=1.0, n_coef=5))
+        tail = slope_tail_bias(SlopeSpec(seq, radius=1.0), 5)
         assert 0.0 < tail < 1e-10
 
     @pytest.mark.parametrize("regime", ["PP", "PE"])
@@ -102,20 +97,19 @@ class TestMakeSlope:
 
         for s in (-1.0, 0.0, 0.25):
             for n_coef in (1, 5, 60, 4000, 8000):
-                spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=p, s=s), radius=1.0,
-                                 n_coef=n_coef)
+                spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=p, s=s), radius=1.0)
                 # sum_{j > n_coef} j^(2s) (c j^-(p + 3/2))^2
                 expected = spec.scale ** 2 * zeta(2.0 * (p + 1.5 - s), n_coef + 1)
-                assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-13)
+                assert slope_tail_bias(spec, n_coef) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("regime", ["PP", "PE"])
     def test_tail_bias_is_zero_where_the_remainder_underflows(self, regime):
         # at p = 1e103 the remainder's x^3 overflows to inf while a^-x is 0
-        spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=1e103), radius=1.0, n_coef=5)
-        assert slope_tail_bias(spec) == 0.0
+        spec = SlopeSpec(SequenceSpec(regime, a=1.0, p=1e103), radius=1.0)
+        assert slope_tail_bias(spec, 5) == 0.0
 
     def test_tail_bias_ep_slow_decay_matches_direct_sum(self):
-        spec = SlopeSpec(SequenceSpec("EP", a=1.0, p=0.1, s=0.0), radius=1.0, n_coef=4000)
+        spec = SlopeSpec(SequenceSpec("EP", a=1.0, p=0.1, s=0.0), radius=1.0)
         # (c exp(-j^0.2 / 2) / j)^2 summed over 2^25 indices, far past where
         # the terms stop mattering in float64
         total = 0.0
@@ -123,7 +117,7 @@ class TestMakeSlope:
             j = np.arange(start, start + 2**20, dtype=float)
             total += float(np.sum(np.exp(-(j**0.2)) / j**2))
         expected = spec.scale ** 2 * total
-        assert slope_tail_bias(spec) == pytest.approx(expected, rel=1e-12)
+        assert slope_tail_bias(spec, 4000) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSimulate:
@@ -132,19 +126,19 @@ class TestSimulate:
         assert np.all(sample.y == 0.0)
 
     def test_bit_identical_replay(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=20))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 20)
         a = simulate(PP, slope, n=100, sigma=0.5, seed=42, replicate=3, n_coef=20)
         b = simulate(PP, slope, n=100, sigma=0.5, seed=42, replicate=3, n_coef=20)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.xcoef, b.xcoef)
 
     def test_distinct_replicates_differ(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=20))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 20)
         a = simulate(PP, slope, n=100, sigma=0.5, seed=42, replicate=0, n_coef=20)
         b = simulate(PP, slope, n=100, sigma=0.5, seed=42, replicate=1, n_coef=20)
         assert not np.array_equal(a.y, b.y)
 
     def test_slope_longer_than_truncation_rejected(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=30))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 30)
         with pytest.raises(ValueError):
             simulate(PP, slope, n=50, sigma=0.5, seed=1, n_coef=20)
 
@@ -153,7 +147,7 @@ class TestSimulate:
             assert default_truncation(spec, n) >= cf.bound_N(spec, n)
 
     def test_simulate_default_truncation(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=10))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 10)
         sample = simulate(PP, slope, n=50, sigma=0.5, seed=3)
         assert sample.n_coef == default_truncation(PP, 50)
 
@@ -164,7 +158,7 @@ class TestSimulate:
 
     def test_response_variance_matches_model(self):
         # Var(Y) = sum_j lambda_j beta_j^2 + sigma^2
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=12))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 12)
         sigma = 0.7
         n = 10**5
         sample = simulate(PP, slope, n=n, sigma=sigma, seed=5, n_coef=12)
@@ -231,7 +225,7 @@ class TestSubstreamAndCsv:
         assert not np.array_equal(a, b)
 
     def test_sample_csv_layout(self, tmp_path):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=4))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 4)
         sample = simulate(PP, slope, n=6, sigma=0.5, seed=3, n_coef=4)
         path = tmp_path / "sample.csv"
         write_sample_csv(sample, path, echo="unit test")

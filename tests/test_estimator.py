@@ -69,7 +69,7 @@ class TestMoments:
         assert mom.ghat[0] == 0.0 and mom.lhat[0] == 1.0
 
     def test_eigenvalue_estimates_unbiased(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=8))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 8)
         n = 10**5
         sample = simulate(PP, slope, n=n, sigma=0.5, seed=12, n_coef=8)
         mom = moments(sample)
@@ -266,7 +266,7 @@ class TestSelection:
         assert trace.admissible_max == 1 and trace.m_hat == 1
 
     def test_monotone_trace_invariants(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=60))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 60)
         for r in range(10):
             sample = simulate(PP, slope, n=400, sigma=0.5, seed=100, replicate=r, n_coef=60)
             mom = moments(sample)
@@ -278,7 +278,7 @@ class TestSelection:
             assert np.all(total[trace.m_hat - 1] <= total)
 
     def test_scale_invariance_of_data_driven_choice(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=50))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 50)
         w = np.ones(50)
         for r in range(25):
             sample = simulate(PP, slope, n=300, sigma=0.5, seed=55, replicate=r, n_coef=50)
@@ -295,7 +295,7 @@ class TestSelection:
                 assert got.admissible_max == base.admissible_max
 
     def test_data_driven_agrees_with_naive_scan(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=40))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 40)
         w = np.ones(40)
         for r in range(20):
             sample = simulate(PP, slope, n=250, sigma=0.5, seed=9, replicate=r, n_coef=40)
@@ -306,7 +306,7 @@ class TestSelection:
             assert trace.m_hat == naive
 
     def test_known_agrees_with_naive_scan(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=40))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 40)
         scales = intrinsic_scales(PP, 250)
         m_max = cf.bound_M(PP, 250)
         w = np.ones(40)
@@ -323,7 +323,7 @@ class TestDeltaHatConsistency:
         # dhat_m / delta_m within [1/10, 3] for m <= 5 in >= 95% of replicates
         spec = PP
         scales = intrinsic_scales(spec, 8)
-        slope = make_slope(SlopeSpec(spec, radius=1.0, n_coef=8))
+        slope = make_slope(SlopeSpec(spec, radius=1.0), 8)
         w = np.ones(8)
         n = 10**5
         hits = 0

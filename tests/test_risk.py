@@ -128,7 +128,7 @@ class TestOracle:
         assert best_m <= np.median(m_hats) + 1
 
     def test_frozen_golden(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=200))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 200)
         samples = [simulate(PP, slope, 1000, 0.5, 31, replicate=r, n_coef=200)
                    for r in range(100)]
         best_m, best = oracle_risk(samples, slope, np.ones(200))
@@ -146,7 +146,7 @@ class TestOracle:
 
 class TestSelectionGoldens:
     def test_frozen_selection_pair(self):
-        slope = make_slope(SlopeSpec(PP, radius=1.0, n_coef=200))
+        slope = make_slope(SlopeSpec(PP, radius=1.0), 200)
         sample = simulate(PP, slope, 1000, 0.5, 2026, replicate=3, n_coef=200)
         mom = moments(sample)
         w = np.ones(200)
@@ -244,7 +244,7 @@ class TestRunExperiment:
         # one simulated coefficient, no noise: the estimator nails the single
         # coordinate and the reported risk is exactly the analytic tail bias
         seq = cfg.sequence_spec()
-        tail = cf.slope_tail_bias(SlopeSpec(seq, 1.0, 1))
+        tail = cf.slope_tail_bias(SlopeSpec(seq, 1.0), 1)
         assert report.mean_risk[0] == pytest.approx(tail, rel=1e-12)
         assert np.isnan(report.slope)
 
@@ -424,12 +424,39 @@ class TestReplicateEngine:
         # the draw check reads only factor_shape, so a plan whose window it
         # refuses never builds its O(J) arrays
         plan = experiment_plans(tiny_config())[0]
-        lazy = {"beta_window", "weights_window", "lam", "bias"}
+        lazy = {"beta_window", "weights_window", "lam", "bias", "m_bound", "scales"}
         assert not lazy & set(vars(plan))
         assert plan.factor_shape[0] == plan.window + 1
         assert not lazy & set(vars(plan))
         replicate_moments(plan, 0)
         assert set(vars(plan)) >= {"beta_window", "lam"}
+        # only the known-degree selector reads M_n and its scales
+        assert not {"m_bound", "scales"} & set(vars(plan))
+
+    def test_plan_depends_on_its_n_alone(self, monkeypatch):
+        # the n = 500 plan of golden PE is the same built alone or beside
+        # n = 8000, and its scales run over its own 1..m_bound
+        cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
+        alone = experiment_plans(replace(cfg, n_grid=(500,)))[0]
+        inside = experiment_plans(replace(cfg, n_grid=(500, 8000)))[0]
+        for name in ("n_coef", "window", "tau", "tail", "m_bound"):
+            assert getattr(alone, name) == getattr(inside, name), name
+        for name in ("beta_window", "weights_window", "lam", "bias"):
+            assert np.array_equal(getattr(alone, name), getattr(inside, name)), name
+        assert len(alone.scales) == len(inside.scales) == inside.m_bound
+        # beta of golden PP's n = 500 plan shapes its own 500 indices, not
+        # the 4000 of the plan beside it
+        shape, shaped = cf.datagen._log_slope_shape, []
+
+        def counted(spec, j):
+            shaped.append(j.size)
+            return shape(spec, j)
+
+        cfg = cf.parse_config((CONFIG_DIR / "golden_pp.cfg").read_text())
+        plan = experiment_plans(replace(cfg, n_grid=(500, 4000)))[0]
+        monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
+        assert plan.beta.size == plan.n_coef == 500
+        assert sum(shaped) <= 500
 
     def test_known_bound_within_window(self):
         # select_known reads the moments up to M_n, which stop at J
@@ -488,6 +515,7 @@ class TestReplicateEngine:
             plan = experiment_plans(cfg)[0]
             seq, n = plan.seq, plan.n
             slope = CoefVector(plan.beta)
+            tail = cf.slope_tail_bias(plan.slope, plan.n_coef)  # the risk past n_coef
             unit, engine = [], []
             for r in range(reps):
                 sample = simulate(seq, slope, n, cfg.sigma, cfg.seed + 100,
@@ -498,7 +526,7 @@ class TestReplicateEngine:
                 for mom, out in ((unit_mom, unit), (replicate_moments(plan, r), engine)):
                     trace = cf.select_data_driven(mom, plan.weights, plan.config.eta,
                                                   plan.config.pen_const_unknown)
-                    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, plan.tail)
+                    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, tail)
                     out.append((trace.m_hat, trace.admissible_max, curve[trace.m_hat - 1]))
             unit, engine = np.array(unit), np.array(engine)
             se = np.sqrt((np.var(unit[:, 2], ddof=1) + np.var(engine[:, 2], ddof=1)) / reps)
