@@ -62,7 +62,7 @@ RUNS = (
     ("pp_jmax", "mc-risk", "golden_pp.cfg", BOTH + _overrides("j_max=60", "replications=50")),
     ("pp_jmax_est", "estimate", "golden_pp.cfg",
      BOTH + _overrides("j_max=60", "replications=1")),
-    # j_max = 8 clips the known-degree bound min(M_n, n_coef) at n >= 1000 (M_n = 9..13)
+    # j_max = 8 clips the known-degree bound min(M_n, J) at n >= 1000 (M_n = 9..13)
     ("pp_jmax_clip", "mc-risk", "golden_pp.cfg", BOTH + _overrides("j_max=8", "replications=50")),
     ("pp_jmax_clip_est", "estimate", "golden_pp.cfg",
      BOTH + _overrides("j_max=8", "replications=1")),
@@ -71,13 +71,14 @@ RUNS = (
     ("pp_s1_mc", "mc-risk", "golden_pp.cfg", BOTH + _overrides("s=1", "p=3", "replications=50")),
     ("pp_s1_est", "estimate", "golden_pp.cfg",
      BOTH + _overrides("s=1", "p=3", "replications=1", "n_grid=250,1000")),
-    # plans past one 2^12-index block: n_coef = n up to 64000, alive windows to 261
+    # plans past one 2^12-index block: n up to 64000, alive windows to 261
     ("pp_mc_wide", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("n_grid=250,1000,4000,16000,64000", "replications=20")),
     # M_n = 79 at n = 10^6: the bound's upward scan reads scales over 256 indices
     ("pp_mc_1e6", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("n_grid=250,1000000", "replications=2")),
-    # perfect squares: the closed-form N_n = sqrt(n) = 64, 256 sets n_coef
+    # perfect squares, where the closed-form N_n = sqrt(n) = 64, 256 set n_coef up to
+    # version 0.3.0; the engine now simulates every coordinate (J = 73, 265)
     ("pp_s1_squares", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("s=1", "p=3", "n_grid=4096,65536", "replications=20")),
     # 10000 rows of scales.csv, written a block at a time
@@ -90,10 +91,10 @@ RUNS = (
     ("pe_est", "estimate", "golden_pe.cfg", BOTH + _overrides("replications=2")),
     # most of this sample prints in exponent form, many with 3-digit exponents
     ("pe_sim", "simulate", "golden_pe.cfg", _overrides("n_grid=500")),
-    # alive window J of 7..13 against n_coef up to 10^6
+    # alive window J of 7..13 at n up to 10^6
     ("pe_mc_wide", "mc-risk", "golden_pe.cfg",
      BOTH + _overrides("n_grid=500,8000,100000,1000000", "replications=20")),
-    # n_coef = 10^8, the largest n a plan takes, against an alive window of 19
+    # n = 10^8, the largest n a plan takes, against an alive window of 19
     ("pe_mc_1e8", "mc-risk", "golden_pe.cfg",
      BOTH + _overrides("n_grid=500,100000000", "replications=20")),
     ("ep_rates", "rates", "golden_pp.cfg", _overrides("regime=EP", "p=1")),

@@ -3,20 +3,24 @@
     python3 scripts/law_audit.py [--seed 1]
 
 For each config of a fixed matrix (PP, EP and PE; s = 0 and s = 1; pairing
-on and off; both selectors), it draws R replicates through the engine
-(``circfreg.risk._run_replicate``) and R through ``circfreg.simulate`` and
-``circfreg.moments``, on independent seeds.  R is set so that the per-unit
-draws come to about 2^24 normals per config.  Then it runs, at one
+on and off; both selectors; j_max = 30, and one PP config at s = 1, p = 3
+without j_max, whose engine simulates every coordinate), it draws R
+replicates through the engine (``circfreg.risk._run_replicate``) and R
+through ``circfreg.simulate`` and ``circfreg.moments``, on independent
+seeds.  The per-unit side simulates j_max coordinates, or without j_max
+``default_truncation``'s max(N_n, 2 m_dagger_n).  R is set so that the
+per-unit draws come to about 2^24 normals per config.  Then it runs, at one
 family-wise level of 0.01 split over all tests by Bonferroni:
 
 * two-sample chi-square tests of the m_hat and M_hat histograms, per
   variant, with adjacent values pooled to at least 10 replicates a bin (a
   histogram with one bin, such as the known-degree M_hat, which is the
   plan's ``m_bound``, is not tested);
-* two-sample z-tests of the mean risk curve at each m <= min(J, 10).
+* two-sample z-tests of the mean risk curve at each m <= min(J, n_coef, 10).
 
 The per-unit risk curve counts the tail past n_coef, ``slope_tail_bias``;
-the engine's is the curve it reports.  The script prints every p-value, the
+the engine's is the curve it reports.  The per-unit slope, weights and tail
+are read once per config.  The script prints every p-value, the
 engine's error-event bound ALIVE_EPS and the count of per-unit replicates
 inside that event, {lhat_j >= 1/n for some j > J}.  It exits 1 on any
 rejection and on any replicate inside the event.  It audits the circfreg
@@ -41,40 +45,44 @@ from circfreg.risk import ALIVE_EPS, _run_replicate, experiment_plans  # noqa: E
 
 FAMILY_LEVEL = 0.01
 NORMALS = 2**24  # per-unit normals per config
-N, J_MAX = 60, 30  # one sample size; n_coef = 30 per-unit coordinates
+N, J_MAX = 60, 30  # one sample size; the j_max of every config but the last
 CURVE_M = 10
 
 
 def configs(seed: int):
-    """The audit matrix: (label, RunConfig)."""
-    for regime, a in (("PP", 1.0), ("EP", 1.0), ("PE", 0.5)):
-        for s in (0.0, 1.0):
-            # PP and PE need p > s; EP needs p > 0 only
-            p = 1.0 if regime == "EP" else 2.0 + s
-            for pair in (False, True):
-                label = f"{regime} a={a} p={p} s={s} pair={'on' if pair else 'off'}"
-                yield label, cf.RunConfig(
-                    regime=regime, a=a, p=p, s=s, sigma=0.5, rho=1.0, n_grid=(N,),
-                    replications=NORMALS // (N * (J_MAX + 1)), seed=seed, variant="both",
-                    pen_const_known=0.3, pen_const_unknown=0.3, enforce_pair=pair, j_max=J_MAX)
+    """The audit matrix: (label, RunConfig, n_coef), n_coef the per-unit truncation."""
+    # PP and PE need p > s; EP needs p > 0 only
+    matrix = [(regime, a, 1.0 if regime == "EP" else 2.0 + s, s, pair, J_MAX)
+              for regime, a in (("PP", 1.0), ("EP", 1.0), ("PE", 0.5))
+              for s in (0.0, 1.0) for pair in (False, True)]
+    matrix.append(("PP", 1.0, 3.0, 1.0, True, None))
+    for regime, a, p, s, pair, j_max in matrix:
+        seq = cf.SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=pair)
+        n_coef = j_max or cf.default_truncation(seq, N)
+        label = f"{regime} a={a} p={p} s={s} pair={'on' if pair else 'off'}"
+        yield label + ("" if j_max else " j_max=none"), cf.RunConfig(
+            regime=regime, a=a, p=p, s=s, sigma=0.5, rho=1.0, n_grid=(N,),
+            replications=NORMALS // (N * (n_coef + 1)), seed=seed, variant="both",
+            pen_const_known=0.3, pen_const_unknown=0.3, enforce_pair=pair, j_max=j_max), n_coef
 
 
-def per_unit(plan, r):
+def per_unit(plan, unit, r):
     """Risk curve, (risk, m_hat, M_hat) per variant, and whether the replicate
-    lies in the engine's error event, from one simulated sample."""
+    lies in the engine's error event, from one simulated sample.  ``unit`` is
+    (n_coef, slope 1..n_coef, risk weights 1..n_coef, tail past n_coef)."""
     cfg, n = plan.config, plan.n
-    sample = cf.simulate(plan.seq, cf.CoefVector(plan.beta), n, cfg.sigma, cfg.seed + 1,
-                         replicate=(n, r), n_coef=plan.n_coef)
+    n_coef, slope, weights, tail = unit
+    sample = cf.simulate(plan.seq, slope, n, cfg.sigma, cfg.seed + 1, replicate=(n, r),
+                         n_coef=n_coef)
     mom = cf.moments(sample)
-    tail = cf.slope_tail_bias(plan.slope, plan.n_coef)
-    curve = cf.fixed_dim_risk_curve(mom, plan.beta, plan.weights, tail)
+    curve = cf.fixed_dim_risk_curve(mom, slope.coefs, weights, tail)
     picks = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = cf.select_known(mom, plan.weights, plan.scales, plan.m_bound, cfg.eta,
+            trace = cf.select_known(mom, weights, plan.scales, plan.m_bound, cfg.eta,
                                     cfg.pen_const_known)
         else:
-            trace = cf.select_data_driven(mom, plan.weights, cfg.eta, cfg.pen_const_unknown)
+            trace = cf.select_data_driven(mom, weights, cfg.eta, cfg.pen_const_unknown)
         picks.append((float(curve[trace.m_hat - 1]), trace.m_hat, trace.admissible_max))
     return curve, picks, bool(np.any(mom.lhat[plan.window:] >= 1.0 / n))
 
@@ -95,18 +103,20 @@ def pooled_table(a, b, min_count=10):
     return np.array(table).T
 
 
-def audit(label, cfg):
+def audit(label, cfg, n_coef):
     """p-values of one config's tests, as (name, p), and its error-event count."""
     plan = experiment_plans(cfg)[0]
+    unit = (n_coef, cf.make_slope(plan.slope, n_coef), plan.seq.risk_weights(n_coef),
+            cf.slope_tail_bias(plan.slope, n_coef))
     reps, variants = cfg.replications, cfg.variant_names()
-    m_top = min(plan.window, CURVE_M)
+    m_top = min(plan.window, n_coef, CURVE_M)
     engine_curves, unit_curves = np.empty((reps, m_top)), np.empty((reps, m_top))
     engine_picks, unit_picks = (np.empty((reps, len(variants), 3)) for _ in range(2))
     events = 0
     for r in range(reps):
         curve, picks = _run_replicate(plan, r)
         engine_curves[r], engine_picks[r] = curve[:m_top], picks
-        curve, picks, event = per_unit(plan, r)
+        curve, picks, event = per_unit(plan, unit, r)
         unit_curves[r], unit_picks[r] = curve[:m_top], picks
         events += event
     tests = []
@@ -120,7 +130,7 @@ def audit(label, cfg):
     z = (unit_curves.mean(axis=0) - engine_curves.mean(axis=0)) / se
     tests += [(f"risk curve z at m = {m + 1}", float(2.0 * norm.sf(abs(z[m]))))
               for m in range(m_top)]
-    print(f"{label}: n = {plan.n}, n_coef = {plan.n_coef}, J = {plan.window}, R = {reps}")
+    print(f"{label}: n = {plan.n}, n_coef = {n_coef}, J = {plan.window}, R = {reps}")
     return tests, events
 
 
@@ -130,9 +140,9 @@ def main(argv) -> int:
                         help="engine seed; the per-unit seed is seed + 1")
     args = parser.parse_args(argv)
     start, results = time.perf_counter(), []
-    for label, cfg in configs(args.seed):
+    for label, cfg, n_coef in configs(args.seed):
         clock = time.perf_counter()
-        tests, events = audit(label, cfg)
+        tests, events = audit(label, cfg, n_coef)
         results.append((label, tests, events))
         print(f"  {time.perf_counter() - clock:.1f} s")
     count = sum(len(tests) for _, tests, _ in results)

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import CoefVector
 from .config import ConfigError, build_config, config_echo, write_csv, _parse_raw
-from .datagen import simulate, write_sample_csv
+from .datagen import SlopeSpec, default_truncation, make_slope, simulate, write_sample_csv
 # replicate_moments, select_data_driven and select_known: for perfbench/traced_cli.py
 from .estimator import estimate_beta, select_data_driven, select_known, write_trace_csv
 from .risk import (
@@ -131,16 +130,17 @@ def _check_draws(command: str, cfg, plans) -> None:
 
 
 def _cmd_simulate(cfg, echo: str) -> None:
-    plans = experiment_plans(cfg)
-    _check_size((plan.n * (plan.n_coef + 1), f"simulate: n = {plan.n} with n_coef = {plan.n_coef}")
-                for plan in plans)
+    cfg.noise_var  # an overflowing sigma**2 exits 3 here, as in mc-risk and estimate
+    seq = cfg.sequence_spec()
+    truncations = [(n, cfg.j_max or default_truncation(seq, n)) for n in cfg.n_grid]
+    _check_size((n * (n_coef + 1), f"simulate: n = {n} with n_coef = {n_coef}")
+                for n, n_coef in truncations)
     out = _prepare_out_dir(cfg)
-    for plan in plans:
-        sample = simulate(
-            plan.seq, CoefVector(plan.beta), plan.n, cfg.sigma, cfg.seed,
-            replicate=(plan.n, 0), n_coef=plan.n_coef,
-        )
-        write_sample_csv(sample, out / f"sample_n{plan.n}.csv", echo)
+    slope = SlopeSpec(seq, cfg.rho)
+    for n, n_coef in truncations:
+        sample = simulate(seq, make_slope(slope, n_coef), n, cfg.sigma, cfg.seed,
+                          replicate=(n, 0), n_coef=n_coef)
+        write_sample_csv(sample, out / f"sample_n{n}.csv", echo)
 
 
 def _cmd_estimate(cfg, echo: str) -> None:

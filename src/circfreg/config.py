@@ -96,6 +96,13 @@ class RunConfig:
         if errors:
             raise ConfigError(errors)
 
+    @property
+    def noise_var(self) -> float:  # sigma^2, an OverflowError naming sigma past float range
+        try:
+            return self.sigma**2
+        except OverflowError:
+            raise OverflowError(f"sigma**2 overflows at sigma = {self.sigma!r}") from None
+
     def sequence_spec(self) -> SequenceSpec:
         return SequenceSpec(
             regime=self.regime, a=self.a, p=self.p, s=self.s,

@@ -37,6 +37,7 @@ import numpy as np
 from .basis import CoefVector
 from .config import write_csv
 from .sequences import (  # intrinsic_scales: for perfbench/traced_cli.py
+    INDEX_MAX,
     SequenceSpec,
     balance_m_dagger,
     bound_N,
@@ -61,10 +62,6 @@ __all__ = [
 # smallest normal float: subnormal profile values carry too much quantization
 # error for the exact ellipsoid normalization, so they are zeroed instead
 _TINY = np.finfo(float).tiny
-
-# past 2^53 consecutive indices are no longer distinct floats: a support is
-# counted up to 2^53 - 1 at most
-_INDEX_MAX = 2**53
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class SlopeSpec:
         """Number of nonzero coefficients, at most 2^53 - 1: the profile
         decreases, so the values below the smallest normal float, which are
         zeroed, form its tail (an EP profile underflows there)."""
-        return first_false(lambda lo, hi: self._shape(lo, hi) >= _TINY, 1, _INDEX_MAX) - 1
+        return first_false(lambda lo, hi: self._shape(lo, hi) >= _TINY, 1, INDEX_MAX) - 1
 
     @cached_property
     def scale(self) -> float:
@@ -170,11 +167,8 @@ class Sample:
 
 
 def default_truncation(spec: SequenceSpec, n: int) -> int:
-    """Default coefficient truncation max(N_n, 2 m_dagger_n).
-
-    Guarantees every admissible model dimension sees genuinely simulated
-    coefficients.
-    """
+    """Default coefficient truncation of :func:`simulate`, max(N_n, 2 m_dagger_n):
+    every admissible model dimension sees genuinely simulated coefficients."""
     return max(bound_N(spec, n), 2 * balance_m_dagger(spec, n))
 
 

@@ -10,13 +10,14 @@ and pickling than it saves.
 Sufficient-statistic replicate engine.  The estimator reads a sample only
 through ghat_j, lhat_j and sigma_y2, and zeroes every coordinate with
 lhat_j < 1/n, so a replicate draws those statistics directly instead of the
-n x (n_coef + 1) per-unit Gaussians of :func:`circfreg.datagen.simulate`:
+n x (n_coef + 1) per-unit Gaussians of :func:`circfreg.datagen.simulate`.
+It simulates every coordinate of the model, or 1..j_max where j_max is set:
 
 * Alive window.  J is the smallest index with
-  sum_{J < j <= n_coef} P(lhat_j >= 1/n) <= ALIVE_EPS by the Chernoff bound
+  sum_{j > J} P(lhat_j >= 1/n) <= ALIVE_EPS by the Chernoff bound
   P(chi2_n >= n t) <= exp(-n (t - 1 - log t) / 2) at t = 1/(n lambda_j).
   Coordinates beyond J fold into the noise: tau^2 = sigma^2
-  + sum_{J < j <= n_coef} lambda_j beta_j^2.
+  + sum_{j > J} lambda_j beta_j^2.
 * Bartlett factor.  With c = (sqrt(lambda_j) beta_j for j <= J, tau), the
   statistics are functions of W = V'V for an n x (J+1) standard Gaussian V
   (coordinates 1..J, then the noise).  W = B B' for a lower-trapezoidal B of
@@ -45,10 +46,10 @@ Every reported risk counts the whole slope: the risk curve adds the bias of
 the window past m and the tail past J, so a finite window never flatters.
 
 Plans (:func:`experiment_plans`) are built from (config, slope, n) alone,
-so no plan depends on the rest of the grid: tau and the tail past J are each
-one :func:`circfreg.sequences.series_sum` over a slope normalized over its
-whole profile, and a plan's O(J) arrays, its known-degree bound and the
-scales over 1..min(M_n, n_coef) are built when first read.
+so no plan depends on the rest of the grid.  A plan holds J and builds the
+rest when first read: tau and the tail past J, each one
+:func:`circfreg.sequences.series_sum` over the slope, its O(J) arrays, M_n
+and the scales over 1..min(M_n, J).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from .basis import _coef_array, _weight_array, _weighted, weighted_norm_sq
 from .config import RunConfig, write_csv
-# slope_tail_bias: for perfbench/traced_cli.py
+# default_truncation, make_slope and slope_tail_bias: for perfbench/traced_cli.py
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
 from .estimator import (
     SampleMoments,
@@ -71,6 +72,7 @@ from .estimator import (
 )
 from .sequences import (
     BLOCK,
+    INDEX_MAX,
     PenaltyScales,
     SequenceSpec,
     accumulate,
@@ -217,18 +219,19 @@ def log_chi2_tail_bound(n: int, log_t) -> np.ndarray:
     return np.where(log_t > 0.0, -0.5 * n * rate, 0.0)
 
 
-def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
-    """Smallest J <= n_coef whose tail j = J+1..n_coef holds a coordinate with
-    lhat_j >= 1/n with probability at most ALIVE_EPS (Chernoff union bound).
-
-    The bound does not increase with j (lambda_j does not), and stays exactly 0
-    once it reaches 0.  So the tail sums start at the last nonzero bound, found
-    by bisection, and run down in blocks, as the reversed np.cumsum over all
-    n_coef bounds adds them, until a block holds a tail over ALIVE_EPS."""
+def alive_window(seq: SequenceSpec, n: int, n_coef: int | None = None) -> int:
+    """Smallest J whose tail j > J (up to n_coef, or 2^53 - 1 without it)
+    holds a coordinate with lhat_j >= 1/n with probability at most ALIVE_EPS
+    (Chernoff union bound).  The bound does not increase with j (lambda_j does
+    not), and stays exactly 0 once it reaches 0.  So the tail sums start at the
+    last nonzero bound, found by :func:`first_false`, and run down in blocks,
+    as the reversed np.cumsum over all bounds adds them, until a block holds a
+    tail over ALIVE_EPS."""
     def bound(lo, hi):
         return np.exp(log_chi2_tail_bound(n, -np.log(n) - seq.log_eigenvalues(hi - 1, lo)))
 
-    hi, tail = first_false(lambda lo, hi: bound(lo, hi) > 0.0, 1, n_coef + 1), None
+    stop = INDEX_MAX if n_coef is None else n_coef + 1
+    hi, tail = first_false(lambda lo, hi: bound(lo, hi) > 0.0, 1, stop), None
     while hi > 1:
         lo = max(1, hi - BLOCK)
         tail = accumulate(np.add, bound(lo, hi)[::-1], tail)  # j = hi-1 down to lo
@@ -241,26 +244,41 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
-    """Everything the replicates at one grid size n need; immutable.  Its
-    arrays, the known-degree bound and its scales are built when first read,
-    so a plan the draw check refuses holds none, and a data-driven run never
-    scans for M_n."""
+    """Everything the replicates at one grid size n need; immutable.  All but
+    J is built when first read, so a plan the draw check refuses holds nothing
+    more, and a data-driven run never scans for M_n."""
 
     config: RunConfig
     slope: SlopeSpec  # the run's slope, normalized over its whole profile
     n: int
-    n_coef: int
-    window: int   # alive window J <= n_coef: the length of every replicate's moments
-    tau: float    # noise sd with the coordinates beyond J folded in
-    tail: float   # sum_{j > J} omega_j beta_j^2
+    window: int   # alive window J: the length of every replicate's moments
 
     @property
     def seq(self) -> SequenceSpec:
         return self.slope.seq
 
     @cached_property
-    def m_bound(self) -> int:  # known-degree bound min(M_n, n_coef)
-        return min(bound_M(self.seq, self.n), self.n_coef)
+    def tau(self) -> float:
+        """Noise sd with sum_{j > J} lambda_j beta_j^2 folded in, to j_max where it
+        is set: terms j^-x with x = 2a + 2(p + 3/2) under PP, paired without j_max."""
+        seq, j_max = self.seq, self.config.j_max
+
+        def terms(lo, hi):  # lambda_j beta_j^2: it does not increase with j
+            return seq.eigenvalues(hi - 1, lo) * self.slope.coefficients(lo, hi) ** 2
+
+        power = seq.regime == "PP" and not (seq.enforce_pair and j_max)
+        x = 2.0 * (seq.a + seq.p + 1.5) if power else None
+        y = 2.0 * (seq.p + 1.5) if power and seq.enforce_pair else None
+        folded = series_sum(terms, self.window + 1, j_max and j_max + 1, x, y)
+        return float(np.sqrt(self.config.noise_var + folded))
+
+    @cached_property
+    def tail(self) -> float:  # sum_{j > J} omega_j beta_j^2
+        return self.slope.tail(self.window + 1)
+
+    @cached_property
+    def m_bound(self) -> int:  # known-degree bound min(M_n, J)
+        return min(bound_M(self.seq, self.n), self.window)
 
     @cached_property
     def scales(self) -> PenaltyScales:  # intrinsic scales over 1..m_bound
@@ -281,14 +299,6 @@ class _GridPlan:
     @cached_property
     def bias(self) -> np.ndarray:  # squared bias beyond m = 1..J, through J
         return _bias_beyond(self.weights_window, self.beta_window, self.window)
-
-    @property
-    def beta(self) -> np.ndarray:  # slope coefficients 1..n_coef, for simulate
-        return make_slope(self.slope, self.n_coef).coefs
-
-    @property
-    def weights(self) -> np.ndarray:  # risk weights 1..n_coef
-        return self.seq.risk_weights(self.n_coef)
 
     @property
     def factor_shape(self) -> tuple[int, int]:
@@ -344,30 +354,12 @@ def _run_replicate(plan: _GridPlan, r: int):
 
 def experiment_plans(config):
     """Per-n task plans for a RunConfig: one slope, normalized over its whole
-    profile, and one plan per n built from (config, slope, n) alone.
-
-    Time is O(J + m_dagger_n + BLOCK) at every n, and memory O(BLOCK) until
-    a plan's arrays are read: tau and the tail past J are each one
-    series_sum, and the default truncation's m_dagger_n scans the scales a
-    block at a time."""
-    seq = config.sequence_spec()
-    slope = SlopeSpec(seq, config.rho)
-    try:
-        noise_var = config.sigma**2
-    except OverflowError:
-        raise NumericError(f"sigma**2 overflows at sigma = {config.sigma!r}") from None
-
-    def folded(lo, hi):  # lambda_j beta_j^2: it does not increase with j
-        return seq.eigenvalues(hi - 1, lo) * slope.coefficients(lo, hi) ** 2
-
-    plans = []
-    for n in config.n_grid:
-        n_coef = config.j_max or default_truncation(seq, n)
-        window = alive_window(seq, n, n_coef)
-        tau = float(np.sqrt(noise_var + series_sum(folded, window + 1, n_coef + 1)))
-        plans.append(_GridPlan(config=config, slope=slope, n=n, n_coef=n_coef, window=window,
-                               tau=tau, tail=slope.tail(window + 1)))
-    return plans
+    profile, and one plan per n holding its alive window J, found in about
+    2 log2 J evaluations of the bound and a block of tail sums."""
+    config.noise_var  # every tau reads it: an overflow fails before any replicate
+    slope = SlopeSpec(config.sequence_spec(), config.rho)
+    return [_GridPlan(config, slope, n, alive_window(slope.seq, n, config.j_max))
+            for n in config.n_grid]
 
 
 def _require_finite(where, **fields) -> None:

@@ -57,6 +57,7 @@ _REGIMES = ("PP", "EP", "PE")
 # Indices per block of every O(n) pass: 2^12 floats are 32 KiB, below glibc's
 # 128 KiB mmap threshold, so block arrays reuse heap memory
 BLOCK = 2**12
+INDEX_MAX = 2**53  # past it, consecutive indices are no longer distinct floats
 
 
 def regime_violations(regime: str, a: float, p: float, s: float) -> list:
@@ -379,23 +380,27 @@ def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
 _SERIES_MAX = 2**24
 
 
-def series_sum(terms, start: int, stop: int | None = None, x: float | None = None) -> float:
+def series_sum(terms, start: int, stop: int | None = None, x: float | None = None,
+               y: float | None = None) -> float:
     """sum_{start <= j < stop} (to infinity if stop is None) of nonnegative terms
     that do not increase past their peak; terms(lo, hi) gives those of j = lo..hi-1.
 
     Adds BLOCK terms at a time with np.sum until it reaches stop; for terms
     C j^-x, until the first block ends, then adds the Euler-Maclaurin remainder
-    (integral, f/2, B2 and B4 terms) up to stop, scaled by the next term; else
+    (integral, f/2, B2 and B4 terms) up to stop, scaled by the next term; with
+    y, the same for paired terms to infinity, C j^-x at even j and
+    C (j - 1)^(y - x) j^-y at odd j, after a block ending at an even j; else
     until a block's last term is at most 1e-19 of the total.  A series with no
     stop still running after 2^24 terms raises FloatingPointError.
     """
     total, lo = 0.0, start
     while stop is None or lo < stop:
         hi = lo + BLOCK if stop is None else min(lo + BLOCK, stop)
+        hi += hi % 2 if y is not None else 0
         block = terms(lo, hi)
         total += float(np.sum(block))
         if x is not None:
-            return total + _power_remainder(terms, hi, stop, x)
+            return total + _power_remainder(terms, hi, stop, x, y)
         if block[-1] <= 1e-19 * total:
             return total
         lo = hi
@@ -404,16 +409,24 @@ def series_sum(terms, start: int, stop: int | None = None, x: float | None = Non
     return total
 
 
-def _power_remainder(terms, a: int, stop: int | None, x: float) -> float:
-    """sum_{a <= j < stop} of terms C j^-x by Euler-Maclaurin, from f(a) alone."""
+def _power_remainder(terms, a: int, stop: int | None, x: float, y: float | None) -> float:
+    """sum_{a <= j < stop} of terms C j^-x by Euler-Maclaurin, from f(a) alone.
+    With y, of the paired terms from an even a on: an odd j's term is C i^-x
+    (1 + 1/i)^-y at i = j - 1, and (1 + 1/i)^-y = sum_m binom(-y, m) i^-m."""
     f_a = float(terms(a, a + 1)[0]) if stop is None or a < stop else 0.0
     if not f_a:  # 0 where x^3 may overflow: the remainder is 0, not inf * 0
         return 0.0
 
-    def tail(b):  # sum_{j >= b} (b/j)^x
+    def tail(b, x=x):  # sum_{j >= b} (b/j)^x over j = b, b + 1, ...
         return b / (x - 1.0) + 0.5 + x / (12.0 * b) - x * (x + 1.0) * (x + 2.0) / (720.0 * b**3)
 
-    return f_a * (tail(a) - (0.0 if stop is None else (a / stop) ** x * tail(stop)))
+    if y is None:
+        return f_a * (tail(a) - (0.0 if stop is None else (a / stop) ** x * tail(stop)))
+    # the even j, then the odd: sum over even i >= a of i^-z is a^-z tail(a / 2, z).
+    # A finite f_a > 0 at a > 4096 needs y <= x < 180: binom(-y, m) a^-m is negligible by m = 12
+    m = np.arange(12.0)
+    binom = np.cumprod(np.append(1.0, (-y - m[:-1]) / (m[:-1] + 1.0)))
+    return f_a * (tail(a / 2) + float(np.sum(binom * a**-m * tail(a / 2, x + m))))
 
 
 def accumulate(ufunc, values: np.ndarray, carry=None) -> np.ndarray:
@@ -428,12 +441,16 @@ def accumulate(ufunc, values: np.ndarray, carry=None) -> np.ndarray:
 def first_false(holds, start: int, stop: int) -> int:
     """Smallest j in start..stop-1 where holds(j, j + 1)[0] is false, or stop,
     for a condition that holds on a prefix of the range and never after it:
-    one evaluation if it holds at stop - 1, else a bisection of about
-    log2(stop - start)."""
-    if start < stop and holds(stop - 1, stop)[0]:
+    one evaluation if it holds at stop - 1, else probes at start, start + 1,
+    start + 3, start + 7, ... until one fails, then bisects the last gap, about
+    2 log2(j - start) evaluations in all."""
+    at = lambda j: holds(j, j + 1)[0]
+    if start < stop and at(stop - 1):
         return stop
-    return start + bisect.bisect_left(range(start, stop), True,
-                                      key=lambda j: not holds(j, j + 1)[0])
+    lo, hi, probe = start, stop - 1, start  # it holds below lo and fails at hi
+    while probe < hi and at(probe):
+        lo, probe = probe + 1, 2 * probe - start + 1
+    return lo + bisect.bisect_left(range(lo, min(probe, hi)), True, key=lambda j: not at(j))
 
 
 def theoretical_rate(spec: SequenceSpec, n: int) -> float:

@@ -7,6 +7,7 @@ their references bit for bit.  The slope's series (its normalization, the
 folded noise, the bias past m and the tail past J) are summed a block at a
 time with an early stop or an Euler-Maclaurin remainder, and must match
 math.fsum over the explicit terms, plus an exact remainder, within 1e-12.
+Without j_max the folded noise and the alive window run over every index.
 """
 
 import math
@@ -20,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import circfreg as cf
-from circfreg.datagen import _log_slope_shape, default_truncation
+from circfreg.datagen import _log_slope_shape
 from circfreg.risk import ALIVE_EPS, alive_window, experiment_plans, log_chi2_tail_bound
 from circfreg.sequences import (
     BLOCK,
+    INDEX_MAX,
     SequenceSpec,
     accumulate,
     balance_m_dagger,
@@ -74,9 +76,15 @@ def ref_m_star(spec, n):
     return int(np.argmin(crit)) + 1
 
 
-def ref_alive_window(seq, n, n_coef):
-    log_t = -np.log(n) - seq.log_eigenvalues(n_coef)
-    bound = np.exp(log_chi2_tail_bound(n, log_t))
+def ref_alive_window(seq, n, n_coef=None):
+    """Over 1..n_coef, or without it over lengths doubling from 64 until the
+    last bound is 0: the bounds past it are 0 too and add nothing."""
+    length = n_coef or 64
+    while True:
+        bound = np.exp(log_chi2_tail_bound(n, -np.log(n) - seq.log_eigenvalues(length)))
+        if n_coef or bound[-1] == 0.0:
+            break
+        length *= 2
     tail = np.cumsum(bound[::-1])[::-1]
     return int(np.count_nonzero(tail > ALIVE_EPS))
 
@@ -108,6 +116,30 @@ def ref_tail(slope, start, length):
     if seq.regime != "EP" and slope.support >= length:
         x = 2.0 * (seq.p + 1.5) - 2.0 * seq.s
         rest = zeta(x, length) - zeta(x, slope.support + 1)
+    return slope.scale**2 * (math.fsum(terms.tolist()) + rest)
+
+
+def ref_folded(slope, start, length):
+    """sum_{j >= start} lambda_j [slope]_j^2 as defined, in log space and 0 past
+    the support: math.fsum over j < length, and past it, under PP, the Hurwitz
+    zeta remainder; with pairing, j = i + 1 odd takes lambda_i, and
+    (1 + 1/i)^-y = sum_m binom(-y, m) i^-m over even i >= length (even) gives
+    zeta remainders too (PE and EP terms there are far below 1e-12 of the sum)."""
+    seq = slope.seq
+    log_shape = _log_slope_shape(slope, np.arange(start, length, dtype=float))
+    terms = np.exp(seq.log_eigenvalues(length - 1, start) + 2.0 * log_shape)
+    terms[np.exp(log_shape) < np.finfo(float).tiny] = 0.0
+    rest = 0.0
+    if seq.regime == "PP" and slope.support >= length:
+        y = 2.0 * (seq.p + 1.5)
+        x = 2.0 * seq.a + y
+        if seq.enforce_pair:
+            rest, coef = 2.0**-x * zeta(x, length // 2), 1.0  # coef = binom(-y, m)
+            for m in range(8):
+                rest += coef * 2.0 ** -(x + m) * zeta(x + m, length // 2)
+                coef *= (-y - m) / (m + 1)
+        else:
+            rest = zeta(x, length)
     return slope.scale**2 * (math.fsum(terms.tolist()) + rest)
 
 
@@ -174,6 +206,27 @@ def test_first_false_bisects_a_prefix():
             assert first_false(lambda lo, hi: np.arange(lo, hi) < edge, 0, stop) == edge
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(start=st.integers(-3, 100), length=st.integers(0, 3000), cut=st.floats(0.0, 1.0),
+       far=st.booleans())
+def test_first_false_gallops_to_a_linear_scan_answer(start, length, cut, far):
+    # a condition true on a prefix of 0..length indices past start, each
+    # length from 0 to the whole range; with far, the range runs to 2^53
+    stop = INDEX_MAX if far else start + length
+    edge = start + round(cut * length)
+    calls = []
+
+    def holds(lo, hi):
+        calls.append(lo)
+        return np.arange(lo, hi) < edge
+
+    found = first_false(holds, start, stop)
+    assert found == next((j for j in range(start, start + length) if j >= edge), edge)
+    # one probe at stop - 1, then about log2 of the prefix length to gallop
+    # past it and as many to bisect the last gap
+    assert len(calls) <= 2 * math.log2(edge - start + 1) + 3
+
+
 # -- bounds, balancing indices and the alive window --------------------------------
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -222,9 +275,10 @@ def test_closed_form_N_at_perfect_powers():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(spec=sequence_specs(), n=sizes, coverage=st.floats(0.0, 3.0))
+@given(spec=sequence_specs(), n=sizes, coverage=st.one_of(st.none(), st.floats(0.0, 3.0)))
 def test_alive_window_matches_full_tail_sums(spec, n, coverage):
-    n_coef = max(1, int(coverage * n))
+    # a window within n_coef, or over every index without it
+    n_coef = None if coverage is None else max(1, int(coverage * n))
     assert alive_window(spec, n, n_coef) == ref_alive_window(spec, n, n_coef)
 
 
@@ -245,8 +299,7 @@ def test_alive_window_walks_many_blocks(monkeypatch, name, a, n):
     monkeypatch.setattr(cf.risk, "accumulate", counted)
     cfg = cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
     seq = replace(cfg, a=a or cfg.a).sequence_spec()
-    n_coef = default_truncation(seq, n)
-    assert alive_window(seq, n, n_coef) == ref_alive_window(seq, n, n_coef)
+    assert alive_window(seq, n) == ref_alive_window(seq, n)
     assert max(blocks) <= 8 and (len(blocks) > 1) == (name == "golden_pp")
 
 
@@ -256,29 +309,30 @@ def test_alive_window_walks_many_blocks(monkeypatch, name, a, n):
 @given(spec=sequence_specs(), grid=st.lists(sizes, min_size=1, max_size=3, unique=True),
        j_max=st.one_of(st.none(), st.sampled_from([1, 50, BLOCK + 1, 3 * BLOCK])))
 def test_plans_match_full_array_plans(spec, grid, j_max):
-    # sigma = 0, so tau^2 is the folded sum itself
+    # sigma = 0, so tau^2 is the folded sum itself: over J < j <= j_max, or
+    # without j_max over every j > J
     grid = tuple(sorted(grid))
     cfg = cf.RunConfig(regime=spec.regime, a=spec.a, p=spec.p, s=spec.s, sigma=0.0, rho=1.3,
                        n_grid=grid, replications=1, seed=1, variant="both",
                        enforce_pair=spec.enforce_pair, j_max=j_max)
     plans = experiment_plans(cfg)
-    trunc = [j_max or max(ref_bound_N(spec, n), 2 * ref_m_dagger(spec, n)) for n in grid]
     slope = plans[0].slope
     assert slope.scale**2 == pytest.approx(cfg.rho / ref_norm(slope, 2**16), rel=1e-12)
     tiny = np.finfo(float).tiny
-    for plan, n, n_coef in zip(plans, grid, trunc):
-        window = ref_alive_window(spec, n, n_coef)
-        shape = np.exp(_log_slope_shape(slope, np.arange(1, n_coef + 1, dtype=float)))
+    for plan, n in zip(plans, grid):
+        window = ref_alive_window(spec, n, j_max)
+        length = j_max or window
+        shape = np.exp(_log_slope_shape(slope, np.arange(1, length + 1, dtype=float)))
         beta = slope.scale * np.where(shape >= tiny, shape, 0.0)
-        omega, lam = spec.risk_weights(n_coef), spec.eigenvalues(n_coef)
-        assert (plan.n_coef, plan.window) == (n_coef, window)
-        assert plan.m_bound == min(ref_bound_M(spec, n), n_coef)
-        assert np.array_equal(plan.beta, beta)
+        omega, lam = spec.risk_weights(length), spec.eigenvalues(length)
+        assert plan.window == window
+        assert plan.m_bound == min(ref_bound_M(spec, n), window)
         assert np.array_equal(plan.beta_window, beta[:window])
         assert np.array_equal(plan.weights_window, omega[:window])
         assert np.array_equal(plan.lam, lam[:window])
         # subnormal folded sums lose relative precision through the square root
-        folded = math.fsum((lam[window:] * beta[window:] ** 2).tolist())
+        folded = (math.fsum((lam[window:] * beta[window:] ** 2).tolist()) if j_max
+                  else ref_folded(slope, window + 1, 2**16))
         assert plan.tau**2 == pytest.approx(folded, rel=1e-12, abs=1e-300)
         with np.errstate(over="ignore"):
             bias_terms = np.where(beta[:window] == 0.0, 0.0, omega[:window] * beta[:window] ** 2)
@@ -294,32 +348,33 @@ def test_plans_match_full_array_plans(spec, grid, j_max):
       for s in (-1.0, 0.0, 0.5, 0.95)],
     ("PP", 1.0, 500.0, 0.0),  # the support, j <= 4, ends inside the first block
     ("EP", 1.0, 0.5, 0.0),
+    # J = 36847, terms j^-4.7: paired, tau without its remainder runs past 2^24 terms
+    ("PP", 0.55, 0.3, 0.0),
 ])
 def test_slope_series_match_fsum(regime, a, p, s, enforce_pair):
     # the normalization, the tail past J and tau against math.fsum over about
-    # 10^6 explicit terms plus an exact remainder; at n = 10^5, n_coef is up
-    # to 10^5 (s <= 1/2) or N_n = 10^5^(1/1.9) = 427 (s = 0.95)
+    # 10^6 explicit terms plus an exact remainder
     cfg = cf.RunConfig(regime=regime, a=a, p=p, s=s, sigma=0.0, rho=1.3, n_grid=(10**5,),
                        replications=1, seed=1, enforce_pair=enforce_pair)
     plan = experiment_plans(cfg)[0]
-    slope, seq, window = plan.slope, plan.seq, plan.window
+    slope, window = plan.slope, plan.window
     assert slope.scale**2 == pytest.approx(cfg.rho / ref_norm(slope, 10**6), rel=1e-12)
     assert plan.tail == pytest.approx(ref_tail(slope, window + 1, 10**6), rel=1e-12)
-    lam = seq.eigenvalues(plan.n_coef, window + 1)
-    folded = math.fsum((lam * slope.coefficients(window + 1, plan.n_coef + 1) ** 2).tolist())
+    folded = ref_folded(slope, window + 1, 10**6)
     assert plan.tau**2 == pytest.approx(folded, rel=1e-12, abs=1e-300)
 
 
 def test_golden_pe_plans_hold_bounded_memory():
-    # tracemalloc peak of 139 KiB at this grid (numpy 2.4.6); a plan holding
-    # any length-n array would need 8 MB at n = 10^6
+    # tracemalloc peak of 132 KiB at this grid with tau and the tail read
+    # (numpy 2.4.6); a plan holding any length-n array would need 8 MB at n = 10^6
     cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
     cfg = replace(cfg, n_grid=(500, 8000, 10**6), variant="both")
     tracemalloc.start()
     try:
         plans = experiment_plans(cfg)
+        sums = [(plan.tau, plan.tail) for plan in plans]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [plan.n_coef for plan in plans] == [500, 8000, 10**6]
+    assert [plan.window for plan in plans] == [7, 9, 13] and len(sums) == 3
     assert peak < 256 * 1024

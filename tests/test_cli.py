@@ -565,6 +565,46 @@ def test_refuses_replicate_factor_over_budget(config_file, tmp_path, monkeypatch
     assert not over.exists()
 
 
+@pytest.mark.parametrize("command", ["mc-risk", "estimate"])
+def test_pe_without_decay_refused_by_factor_budget_unless_truncated(tmp_path, capsys, command):
+    # PE at a = 1e-300 has lambda_j = exp(-1) > 1/n at every index, so the
+    # untruncated alive window is every index below 2^53: the factor budget
+    # refuses it after a search of O(BLOCK) memory; j_max = 40 makes it a run
+    import tracemalloc
+
+    argv = [command, "--config", str(ROOT / "configs" / "golden_pe.cfg"), "--override", "a=1e-300",
+            "--override", "n_grid=500", "--override", "replications=1"]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "untruncated")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2 * 2**20
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"config error: {command}: n = 500 draws a 9007199254740992 x 500 "
+                      "Bartlett factor of 4503599627370496000 values, over the 2^27 budget")
+    assert not (tmp_path / "untruncated").exists()
+    assert main(argv + ["--out", str(tmp_path / "j_max"), "--override", "j_max=40"]) == 0
+
+
+def test_simulate_builds_no_plan(tmp_path, monkeypatch):
+    # simulate resolves its own truncation, j_max or max(N_n, 2 m_dagger_n)
+    import circfreg.cli as cli_module
+    import circfreg.risk as risk_module
+
+    def refuse(cfg):
+        raise AssertionError("simulate built experiment plans")
+
+    monkeypatch.setattr(cli_module, "experiment_plans", refuse)
+    monkeypatch.setattr(risk_module, "experiment_plans", refuse)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(ROOT / "configs" / "golden_pp.cfg"), "--out",
+                 str(out), "--override", "n_grid=250,500"]) == 0
+    widths = [len(path.read_text().splitlines()[1].split(",")) for path in sorted(out.iterdir())]
+    assert widths == [1 + 250, 1 + 500]
+
+
 def test_estimate_refuses_files_over_budget(config_file, tmp_path, monkeypatch, capsys):
     # the fixture's 2 grid sizes x 1 variant x 3 replications write 2 files each: 12
     import circfreg.cli as cli_module

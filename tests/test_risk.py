@@ -394,9 +394,9 @@ class TestReplicateEngine:
 
     def test_plans_normalize_the_slope_once(self, monkeypatch):
         # one normalization per run, over the whole profile, and two series per
-        # plan, tau over J < j <= n_coef and the tail past J; each shapes at
-        # most a block and the remainder's first term, so n_coef = 10^6 costs
-        # no more than 500 does
+        # plan, tau and the tail, each over every j > J; each shapes at most a
+        # block and the remainder's first term, so n = 10^6 costs no more than
+        # 500 does
         shape, summed = cf.datagen._log_slope_shape, cf.sequences.series_sum
         calls, shaped = [], []
 
@@ -404,34 +404,55 @@ class TestReplicateEngine:
             shaped.append(j.size)
             return shape(spec, j)
 
-        def recorded(terms, start, stop=None, x=None):
-            calls.append((start, stop, x))
-            return summed(terms, start, stop, x)
+        def recorded(terms, start, stop=None, x=None, y=None):
+            calls.append((start, stop, x, y))
+            return summed(terms, start, stop, x, y)
 
         monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
         monkeypatch.setattr(cf.datagen, "series_sum", recorded)
         monkeypatch.setattr(cf.risk, "series_sum", recorded)
         cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
         plans = experiment_plans(replace(cfg, n_grid=(500, 8000, 10**6)))
-        expected = [(1, plans[0].slope.support + 1, 3.0)]  # sum_j j^-3 over the support
+        assert [(p.tau, p.tail) for p in plans]
+        expected = [(1, plans[0].slope.support + 1, 3.0, None)]  # j^-3 over the support
         for p in plans:  # the tail's terms are j^-x with x = 2 (p + 3/2) - 2 s = 5
-            expected += [(p.window + 1, p.n_coef + 1, None), (p.window + 1, None, 5.0)]
+            expected += [(p.window + 1, None, None, None), (p.window + 1, None, 5.0, None)]
         assert Counter(calls) == Counter(expected)
         assert max(shaped) <= cf.sequences.BLOCK
         assert sum(shaped) <= 1 + sum(2 * cf.sequences.BLOCK + 1 + p.window for p in plans)
 
     def test_plans_build_window_arrays_when_read(self):
         # the draw check reads only factor_shape, so a plan whose window it
-        # refuses never builds its O(J) arrays
+        # refuses never sums its series or builds its O(J) arrays
         plan = experiment_plans(tiny_config())[0]
-        lazy = {"beta_window", "weights_window", "lam", "bias", "m_bound", "scales"}
+        lazy = {"tau", "tail", "beta_window", "weights_window", "lam", "bias", "m_bound",
+                "scales"}
         assert not lazy & set(vars(plan))
         assert plan.factor_shape[0] == plan.window + 1
         assert not lazy & set(vars(plan))
         replicate_moments(plan, 0)
-        assert set(vars(plan)) >= {"beta_window", "lam"}
+        assert set(vars(plan)) >= {"tau", "beta_window", "lam"}
         # only the known-degree selector reads M_n and its scales
         assert not {"m_bound", "scales"} & set(vars(plan))
+
+    def test_plans_without_j_max_use_no_truncation(self, monkeypatch):
+        # the engine simulates every coordinate: no plan, read in full, scans
+        # for the per-unit truncation max(N_n, 2 m_dagger_n) or its parts
+        def refuse(*args):
+            raise AssertionError("a plan asked for a truncation")
+
+        for module, name in ((cf.datagen, "default_truncation"), (cf.risk, "default_truncation"),
+                             (cf.datagen, "balance_m_dagger"), (cf.datagen, "bound_N"),
+                             (cf.sequences, "balance_m_dagger"), (cf.sequences, "bound_N")):
+            monkeypatch.setattr(module, name, refuse)
+        for name in ("golden_pp", "golden_pe"):
+            cfg = replace(cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text()),
+                          variant="both", replications=2)
+            assert cfg.j_max is None
+            for plan in experiment_plans(cfg):
+                assert np.isfinite([plan.tau, plan.tail, len(plan.scales), plan.bias[0]]).all()
+                _run_replicate(plan, 0)
+            run_experiment(cfg)
 
     def test_plan_depends_on_its_n_alone(self, monkeypatch):
         # the n = 500 plan of golden PE is the same built alone or beside
@@ -439,13 +460,14 @@ class TestReplicateEngine:
         cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
         alone = experiment_plans(replace(cfg, n_grid=(500,)))[0]
         inside = experiment_plans(replace(cfg, n_grid=(500, 8000)))[0]
-        for name in ("n_coef", "window", "tau", "tail", "m_bound"):
+        for name in ("window", "tau", "tail", "m_bound"):
             assert getattr(alone, name) == getattr(inside, name), name
         for name in ("beta_window", "weights_window", "lam", "bias"):
             assert np.array_equal(getattr(alone, name), getattr(inside, name)), name
         assert len(alone.scales) == len(inside.scales) == inside.m_bound
-        # beta of golden PP's n = 500 plan shapes its own 500 indices, not
-        # the 4000 of the plan beside it
+        # the slope window of golden PP's n = 500 plan shapes its own J
+        # indices, not the more of the plan beside it, and the slope's scale
+        # one more, the probe that finds its support
         shape, shaped = cf.datagen._log_slope_shape, []
 
         def counted(spec, j):
@@ -453,13 +475,14 @@ class TestReplicateEngine:
             return shape(spec, j)
 
         cfg = cf.parse_config((CONFIG_DIR / "golden_pp.cfg").read_text())
-        plan = experiment_plans(replace(cfg, n_grid=(500, 4000)))[0]
+        plan, beside = experiment_plans(replace(cfg, n_grid=(500, 4000)))
         monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
-        assert plan.beta.size == plan.n_coef == 500
-        assert sum(shaped) <= 500
+        assert plan.beta_window.size == plan.window < beside.window
+        assert sum(shaped) <= plan.window + 1
 
     def test_known_bound_within_window(self):
-        # select_known reads the moments up to M_n, which stop at J
+        # select_known reads the moments up to min(M_n, J), and M_n lies
+        # within J: its condition implies lambda_M >= M / (delta_1 n)
         golden = [cf.parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
                   for name in ("golden_pp", "golden_pe")]
         cfgs = [replace(cfg, variant="known") for cfg in golden]
@@ -474,7 +497,7 @@ class TestReplicateEngine:
                                             variant="known", j_max=None))
         for cfg in cfgs:
             for plan in experiment_plans(cfg):
-                assert plan.m_bound <= plan.window, (cfg, plan.n)
+                assert plan.m_bound == cf.bound_M(plan.seq, plan.n) <= plan.window, (cfg, plan.n)
 
     def test_small_n_means_match_population(self):
         # n = 5..10 < J + 1 = 14: the trapezoidal (QR) branch of the factor
@@ -488,8 +511,8 @@ class TestReplicateEngine:
             ghat = np.array([m.ghat for m in moms])
             sy2 = np.array([m.sigma_y2 for m in moms])
             assert lhat.shape[1] == ghat.shape[1] == window
-            lam = plan.seq.eigenvalues(plan.n_coef)
-            beta = plan.beta
+            lam = plan.seq.eigenvalues(cfg.j_max)
+            beta = make_slope(plan.slope, cfg.j_max).coefs
             for got, target in (
                 (lhat, lam[:window]),
                 (ghat, (lam * beta)[:window]),
@@ -513,20 +536,21 @@ class TestReplicateEngine:
         )
         for cfg, reps in cases:
             plan = experiment_plans(cfg)[0]
-            seq, n = plan.seq, plan.n
-            slope = CoefVector(plan.beta)
-            tail = cf.slope_tail_bias(plan.slope, plan.n_coef)  # the risk past n_coef
+            seq, n, n_coef = plan.seq, plan.n, cfg.j_max  # the per-unit truncation
+            slope = make_slope(plan.slope, n_coef)
+            beta, weights = slope.coefs, seq.risk_weights(n_coef)
+            tail = cf.slope_tail_bias(plan.slope, n_coef)  # the risk past n_coef
             unit, engine = [], []
             for r in range(reps):
                 sample = simulate(seq, slope, n, cfg.sigma, cfg.seed + 100,
-                                  replicate=(n, r), n_coef=plan.n_coef)
+                                  replicate=(n, r), n_coef=n_coef)
                 unit_mom = moments(sample)
                 # the engine's error event never shows at this budget
                 assert not np.any(unit_mom.lhat[plan.window:] >= 1.0 / n)
                 for mom, out in ((unit_mom, unit), (replicate_moments(plan, r), engine)):
-                    trace = cf.select_data_driven(mom, plan.weights, plan.config.eta,
+                    trace = cf.select_data_driven(mom, weights, plan.config.eta,
                                                   plan.config.pen_const_unknown)
-                    curve = fixed_dim_risk_curve(mom, plan.beta, plan.weights, tail)
+                    curve = fixed_dim_risk_curve(mom, beta, weights, tail)
                     out.append((trace.m_hat, trace.admissible_max, curve[trace.m_hat - 1]))
             unit, engine = np.array(unit), np.array(engine)
             se = np.sqrt((np.var(unit[:, 2], ddof=1) + np.var(engine[:, 2], ddof=1)) / reps)
