@@ -3,8 +3,10 @@
     python3 scripts/law_audit.py [--seed 1]
 
 For each config of a fixed matrix (PP, EP and PE; s = 0 and s = 1; pairing
-on and off; both selectors; j_max = 30, and one PP config at s = 1, p = 3
-without j_max, whose engine simulates every coordinate), it draws R
+on and off; both selectors; j_max = 30 at n = 60, and one PP config at
+s = 1, p = 3 without j_max at n = 250, whose engine simulates every
+coordinate and where M_n = 3, so its selections spread over several
+dimensions), it draws R
 replicates through the engine (``circfreg.risk._run_replicate``) and R
 through ``circfreg.simulate`` and ``circfreg.moments``, on independent
 seeds.  The per-unit side simulates j_max coordinates, or without j_max
@@ -45,24 +47,24 @@ from circfreg.risk import ALIVE_EPS, _run_replicate, experiment_plans  # noqa: E
 
 FAMILY_LEVEL = 0.01
 NORMALS = 2**24  # per-unit normals per config
-N, J_MAX = 60, 30  # one sample size; the j_max of every config but the last
+N, J_MAX = 60, 30  # the sample size and j_max of every config but the last
 CURVE_M = 10
 
 
 def configs(seed: int):
     """The audit matrix: (label, RunConfig, n_coef), n_coef the per-unit truncation."""
     # PP and PE need p > s; EP needs p > 0 only
-    matrix = [(regime, a, 1.0 if regime == "EP" else 2.0 + s, s, pair, J_MAX)
+    matrix = [(regime, a, 1.0 if regime == "EP" else 2.0 + s, s, pair, N, J_MAX)
               for regime, a in (("PP", 1.0), ("EP", 1.0), ("PE", 0.5))
               for s in (0.0, 1.0) for pair in (False, True)]
-    matrix.append(("PP", 1.0, 3.0, 1.0, True, None))
-    for regime, a, p, s, pair, j_max in matrix:
+    matrix.append(("PP", 1.0, 3.0, 1.0, True, 250, None))
+    for regime, a, p, s, pair, n, j_max in matrix:
         seq = cf.SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=pair)
-        n_coef = j_max or cf.default_truncation(seq, N)
+        n_coef = j_max or cf.default_truncation(seq, n)
         label = f"{regime} a={a} p={p} s={s} pair={'on' if pair else 'off'}"
         yield label + ("" if j_max else " j_max=none"), cf.RunConfig(
-            regime=regime, a=a, p=p, s=s, sigma=0.5, rho=1.0, n_grid=(N,),
-            replications=NORMALS // (N * (n_coef + 1)), seed=seed, variant="both",
+            regime=regime, a=a, p=p, s=s, sigma=0.5, rho=1.0, n_grid=(n,),
+            replications=NORMALS // (n * (n_coef + 1)), seed=seed, variant="both",
             pen_const_known=0.3, pen_const_unknown=0.3, enforce_pair=pair, j_max=j_max), n_coef
 
 

@@ -175,14 +175,20 @@ def _cmd_mc_risk(cfg, echo: str) -> None:
     write_risk_csv(reports, out / "risk_report.csv", echo)
 
 
+def _exp_scales(block) -> np.ndarray:
+    """Rows (delta_m, Delta_m, kappa_m) of a block of log scales, inf past float range."""
+    with np.errstate(over="ignore"):
+        return np.exp(np.column_stack((block.log_delta, block.log_Delta, block.log_kappa)))
+
+
 def _cmd_rates(cfg, echo: str) -> None:
     seq = cfg.sequence_spec()
     n_max = max(cfg.n_grid)
-    # the table ends before the first m whose linear scales overflow (golden PE:
-    # m = 700); its scan stops one row past the budget
+    # the table ends before the first m whose scales overflow (golden PE: m = 700);
+    # its scan stops one row past the budget
     m_last = cap = min(n_max, _MAX_VALUES // 4 + 1)
     for start, _, block in scale_blocks(seq, cap):
-        finite = np.isfinite(block.delta) & np.isfinite(block.Delta) & np.isfinite(block.kappa)
+        finite = np.isfinite(_exp_scales(block)).all(axis=1)
         if not finite.all():
             m_last = start - 1 + int(np.argmin(finite))
             break
@@ -195,9 +201,9 @@ def _cmd_rates(cfg, echo: str) -> None:
                     f"{balance_m_dagger(seq, n)},{theoretical_rate_or_nan(seq, n)!r}")
     write_csv(out / "rates.csv", echo, "", "n,M_n,N_n,m_star,m_dagger,theoretical_rate", rows)
     write_csv(out / "scales.csv", echo, "", "m,delta,Delta,kappa", (
-        f"{start + i},{float(block.delta[i])!r},{float(block.Delta[i])!r},"
-        f"{float(block.kappa[i])!r}"
-        for start, _, block in scale_blocks(seq, m_last) for i in range(len(block))
+        f"{m},{delta!r},{Delta!r},{kappa!r}"
+        for start, _, block in scale_blocks(seq, m_last)
+        for m, (delta, Delta, kappa) in enumerate(_exp_scales(block).tolist(), start)
     ))
 
 

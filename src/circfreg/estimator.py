@@ -111,7 +111,10 @@ def penalty_known(
     const: float = RunConfig.pen_const_known,
 ) -> float:
     """Penalty const * sigma_Y^2 * eta * delta_m / n with known scales."""
-    return float(_penalty(const, sigma_y2, eta, scales.delta[m - 1], n))
+    if not 1 <= m <= len(scales):
+        raise ValueError(f"dimension m = {m} must lie in 1..{len(scales)}, the scales' length")
+    with np.errstate(over="ignore"):  # delta_m past float range is inf
+        return float(_penalty(const, sigma_y2, eta, np.exp(scales.log_delta[m - 1]), n))
 
 
 def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
@@ -198,7 +201,10 @@ def select_known(
     """Penalized-contrast selection over m = 1..m_max with known scales."""
     if m_max < 1:
         raise ValueError(f"admissible bound must be >= 1, got {m_max}")
-    delta = np.array(scales.delta[:m_max])
+    if m_max > len(scales):
+        raise ValueError(f"admissible bound {m_max} exceeds the scales' length {len(scales)}")
+    with np.errstate(over="ignore"):  # an inf delta_m makes replicate_traces exit 3
+        delta = np.exp(scales.log_delta[:m_max])
     return _select("known_degree", mom, w, m_max, delta, eta, pen_const)
 
 

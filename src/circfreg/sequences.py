@@ -13,9 +13,9 @@ lambda_{2k+1} = lambda_{2k}, as stationarity of the regressor requires.
 
 From these the module derives the penalty scale sequences (delta, Delta,
 kappa), the admissible-model bounds M_n and N_n, the bias/variance balancing
-indices, and closed-form theoretical rates.  All internal computations run in
-log space so the exponential regimes never overflow; the exported linear-scale
-values may be ``inf`` where the exact value exceeds float range.
+indices, and closed-form theoretical rates.  The scales exist only as natural
+logarithms, so the exponential regimes never overflow; a caller that needs a
+linear value takes the exponential where it reads it, ``inf`` past float range.
 
 Every sequence method also evaluates a range j = start..length, so no pass
 over n indices needs an array of length n:
@@ -169,24 +169,20 @@ class SequenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class PenaltyScales:
-    """Penalty scale sequences delta, Delta, kappa for m = 1..J.
+    """Natural logarithms of the penalty scales delta, Delta, kappa for m = 1..J.
 
     Delta_m is the running maximum of omega_j/lambda_j, kappa_m the same with
     omega_j floored at 1, and delta_m = m * Delta_m * |log(kappa_m v (m+2)) /
-    log(m+2)| is the effective dimension entering the penalty.  The ``log_*``
-    fields hold exact natural logarithms and stay finite even where the
-    linear-scale entries overflow to inf.
+    log(m+2)| is the effective dimension entering the penalty.  The logs stay
+    finite where the scales themselves exceed float range.
     """
 
-    delta: np.ndarray
-    Delta: np.ndarray
-    kappa: np.ndarray
     log_delta: np.ndarray
     log_Delta: np.ndarray
     log_kappa: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.delta.size)
+        return int(self.log_delta.size)
 
 
 def delta_factor(log_kappa: np.ndarray, start: int = 1) -> np.ndarray:
@@ -198,31 +194,20 @@ def delta_factor(log_kappa: np.ndarray, start: int = 1) -> np.ndarray:
 
 def intrinsic_scales(spec: SequenceSpec, length: int, start: int = 1,
                      before: PenaltyScales | None = None) -> PenaltyScales:
-    """Compute the intrinsic penalty scales delta, Delta, kappa for m = start..length.
+    """The logs of the intrinsic penalty scales delta, Delta, kappa for m = start..length.
 
     ``before`` holds the scales of some indices ending at start - 1: the running
     maxima go on from its last entries, so consecutive ranges give the scales
     of their union bit for bit."""
     log_omega = spec.log_risk_weights(length, start)
     log_lam = spec.log_eigenvalues(length, start)
-    m = np.arange(start, length + 1, dtype=float)
     last = lambda field: None if before is None else getattr(before, field)[-1]
 
     log_Delta = accumulate(np.maximum, log_omega - log_lam, last("log_Delta"))
     log_kappa = accumulate(np.maximum, np.maximum(log_omega, 0.0) - log_lam, last("log_kappa"))
     factor = delta_factor(log_kappa, start)
-    log_delta = np.log(m) + log_Delta + np.log(factor)
-
-    omega = spec.risk_weights(length, start)
-    lam = spec.eigenvalues(length, start)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # where lambda_j underflows to 0, omega_j / lambda_j is inf or 0/0; the
-        # exponential of the log ratio is the exact value there
-        Delta = accumulate(np.maximum, np.where(lam > 0.0, omega / lam,
-                                                np.exp(log_omega - log_lam)), last("Delta"))
-        kappa = accumulate(np.maximum, np.maximum(omega, 1.0) / lam, last("kappa"))
-        delta = m * Delta * factor
-    return PenaltyScales(delta, Delta, kappa, log_delta, log_Delta, log_kappa)
+    log_delta = np.log(np.arange(start, length + 1, dtype=float)) + log_Delta + np.log(factor)
+    return PenaltyScales(log_delta, log_Delta, log_kappa)
 
 
 def index_blocks(length: int):
@@ -480,8 +465,8 @@ def summability_check(scales: PenaltyScales, length: int) -> float:
     """Partial sum sum_{m<=length} Delta_m exp(-delta_m / (6 Delta_m)).
 
     Diagnostic for the penalty calibration condition; callers assert the
-    partial sums plateau.  Computed from the log-scale fields so regimes with
-    overflowing linear entries still return finite values.
+    partial sums plateau.  Its terms are formed from the log scales, so they
+    stay finite where delta_m or Delta_m alone exceeds float range.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")

@@ -67,10 +67,11 @@ def naive_exhaustive_select(mom, weights):
 def test_criterion_1_exact_unit_goldens():
     start = time.perf_counter()
     scales = cf.intrinsic_scales(PP, 100)
-    assert scales.delta[0] == pytest.approx(1.0, rel=1e-10)
-    assert scales.delta[1] == pytest.approx(8.0, rel=1e-10)
+    delta = np.exp(scales.log_delta)
+    assert delta[0] == pytest.approx(1.0, rel=1e-10)
+    assert delta[1] == pytest.approx(8.0, rel=1e-10)
     # hand value 3 * 9 * ln(9)/ln(5) = 36.8607345...
-    assert scales.delta[2] == pytest.approx(27.0 * np.log(9.0) / np.log(5.0), rel=1e-10)
+    assert delta[2] == pytest.approx(27.0 * np.log(9.0) / np.log(5.0), rel=1e-10)
     assert cf.bound_M(PP, 100) == 4
     assert cf.bound_N(cf.SequenceSpec("PP", a=1.0, p=2.0, s=1.0), 100) == 10
     mom = cf.SampleMoments(ghat=np.array([0.5, 0.2]), lhat=np.array([0.25, 0.1]),

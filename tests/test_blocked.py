@@ -238,7 +238,7 @@ def test_bounds_and_balancing_match_full_scans(spec, n):
     assert balance_m_star(spec, n) == ref_m_star(spec, n)
     full = intrinsic_scales(spec, n)
     blocks = [block for _, _, block in scale_blocks(spec, n)]
-    for field in ("delta", "Delta", "kappa", "log_delta", "log_Delta", "log_kappa"):
+    for field in ("log_delta", "log_Delta", "log_kappa"):
         assert np.array_equal(np.concatenate([getattr(b, field) for b in blocks]),
                               getattr(full, field), equal_nan=True)
 

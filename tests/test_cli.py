@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circfreg import SequenceSpec, intrinsic_scales
 from circfreg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,6 +170,11 @@ def test_rates_scales_finite_on_golden_pe(tmp_path):
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     assert np.all(np.isfinite(rows))
     assert rows.shape == (699, 4) and np.array_equal(rows[:, 0], np.arange(1, 700))
+    # each row, the last included, is the exponentials of the log scales
+    sc = intrinsic_scales(SequenceSpec("PE", a=0.5, p=1.0, enforce_pair=True), 699)
+    columns = (np.exp(sc.log_delta), np.exp(sc.log_Delta), np.exp(sc.log_kappa))
+    assert lines[2:] == [f"{m},{delta!r},{Delta!r},{kappa!r}" for m, delta, Delta, kappa
+                         in zip(range(1, 700), *(c.tolist() for c in columns))]
 
 
 def test_simulate_writes_samples(config_file, tmp_path):

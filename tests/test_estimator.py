@@ -162,6 +162,12 @@ class TestPenalties:
         sc = intrinsic_scales(PP, 1)
         assert penalty_known(sc, 1.0, 3.0, 192 * 3, 1) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_known_refuses_m_outside_the_scales(self, m):
+        sc = intrinsic_scales(PP, 2)
+        with pytest.raises(ValueError, match=f"m = {m} must lie in 1..2"):
+            penalty_known(sc, 1.0, 3.0, 100, m)
+
     def test_estimated_scales_all_dead(self):
         mom = SampleMoments(ghat=np.ones(4), lhat=np.full(4, 1e-6), sigma_y2=1.0, n=100)
         assert estimated_scales(mom, np.ones(4), 4) == (0.0, 0.0, 0.0)
@@ -232,18 +238,17 @@ class TestBoundMhat:
 
 class TestSelection:
     def test_known_hand_argmin(self):
-        # contrast (-4, -8), penalty (1, 10): totals (-3, 2) pick m = 1
+        # contrast (-4, -8), penalty (0.04, 10.24): totals (-3.96, 2.24) pick m = 1;
+        # exp(log delta) gives back delta = 4 and 1024 exactly
         mom = SampleMoments(ghat=np.array([2.0, 2.0]), lhat=np.array([1.0, 1.0]),
                             sigma_y2=1.0, n=100)
         scales = intrinsic_scales(PP, 2)
-        fake = type(scales)(
-            delta=np.array([100.0, 1000.0]), Delta=scales.Delta, kappa=scales.kappa,
-            log_delta=np.log([100.0, 1000.0]), log_Delta=scales.log_Delta,
-            log_kappa=scales.log_kappa,
-        )
+        fake = type(scales)(log_delta=np.log([4.0, 1024.0]), log_Delta=scales.log_Delta,
+                            log_kappa=scales.log_kappa)
         trace = select_known(mom, np.ones(2), fake, 2, eta=1.0, pen_const=1.0)
         assert np.array_equal(trace.contrast, [-4.0, -8.0])
-        assert np.array_equal(trace.penalty, [1.0, 10.0])
+        assert np.array_equal(trace.delta_used, [4.0, 1024.0])
+        assert np.array_equal(trace.penalty, [0.04, 10.24])
         assert trace.m_hat == 1
 
     def test_zero_penalty_takes_full_dimension(self):
@@ -252,6 +257,21 @@ class TestSelection:
         scales = intrinsic_scales(PP, 3)
         trace = select_known(mom, np.ones(3), scales, 3, eta=3.0, pen_const=0.0)
         assert trace.m_hat == 3
+
+    def test_known_refuses_bound_past_the_scales(self):
+        mom = SampleMoments(ghat=np.ones(5), lhat=np.ones(5), sigma_y2=1.0, n=100)
+        with pytest.raises(ValueError, match="bound 5 exceeds the scales' length 1"):
+            select_known(mom, np.ones(5), intrinsic_scales(PP, 1), 5, eta=3.0)
+
+    def test_known_delta_past_float_range_is_inf(self):
+        # golden PE: delta_m exceeds float range from m = 700 on; the trace
+        # holds inf there, with no RuntimeWarning (an error under pytest)
+        spec = SequenceSpec("PE", a=0.5, p=1.0, enforce_pair=True)
+        mom = SampleMoments(ghat=np.zeros(710), lhat=np.ones(710), sigma_y2=1.0, n=100)
+        trace = select_known(mom, np.ones(710), intrinsic_scales(spec, 710), 710, eta=3.0)
+        assert np.all(np.isfinite(trace.delta_used[:699]))
+        assert np.all(np.isinf(trace.delta_used[699:])) and np.isinf(trace.penalty[-1])
+        assert trace.m_hat == 1
 
     def test_tie_break_smallest(self):
         # every coordinate dead: contrast = penalty = 0 for all m, pick m = 1
@@ -314,7 +334,7 @@ class TestSelection:
             sample = simulate(PP, slope, n=250, sigma=0.5, seed=9, replicate=r, n_coef=40)
             mom = moments(sample)
             trace = select_known(mom, w, scales, m_max, eta=3.0, pen_const=0.5)
-            naive = naive_select(mom, w, scales.delta, mom.sigma_y2, 3.0, 0.5, m_max)
+            naive = naive_select(mom, w, np.exp(scales.log_delta), mom.sigma_y2, 3.0, 0.5, m_max)
             assert trace.m_hat == naive
 
 
@@ -322,7 +342,7 @@ class TestDeltaHatConsistency:
     def test_ratio_bracket_bulk(self):
         # dhat_m / delta_m within [1/10, 3] for m <= 5 in >= 95% of replicates
         spec = PP
-        scales = intrinsic_scales(spec, 8)
+        delta = np.exp(intrinsic_scales(spec, 8).log_delta)
         slope = make_slope(SlopeSpec(spec, radius=1.0), 8)
         w = np.ones(8)
         n = 10**5
@@ -334,7 +354,7 @@ class TestDeltaHatConsistency:
             ok = True
             for m in range(1, 6):
                 _, _, dh = estimated_scales(mom, w, m)
-                ratio = dh / scales.delta[m - 1]
+                ratio = dh / delta[m - 1]
                 ok = ok and (0.1 <= ratio <= 3.0)
             hits += ok
         assert hits >= 0.95 * reps

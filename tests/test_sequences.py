@@ -74,35 +74,35 @@ class TestSequenceValues:
 class TestIntrinsicScales:
     def test_hand_values_pp(self):
         sc = intrinsic_scales(PP, 3)
-        assert sc.Delta[0] == 1.0 and sc.kappa[0] == 1.0
-        assert sc.delta[0] == pytest.approx(1.0, rel=1e-10)
-        assert sc.Delta[1] == 4.0 and sc.kappa[1] == 4.0
-        assert sc.delta[1] == pytest.approx(8.0, rel=1e-10)
-        assert sc.delta[2] == pytest.approx(27.0 * np.log(9.0) / np.log(5.0), rel=1e-10)
+        delta, Delta, kappa = np.exp(sc.log_delta), np.exp(sc.log_Delta), np.exp(sc.log_kappa)
+        assert Delta[0] == 1.0 and kappa[0] == 1.0
+        assert delta[0] == pytest.approx(1.0, rel=1e-10)
+        assert Delta[1] == 4.0 and kappa[1] == 4.0
+        assert delta[1] == pytest.approx(8.0, rel=1e-10)
+        assert delta[2] == pytest.approx(27.0 * np.log(9.0) / np.log(5.0), rel=1e-10)
 
     def test_monotone_and_dominating(self):
         for spec in (PP, PE, EP, SequenceSpec("PP", a=1.0, p=2.0, s=1.0)):
             sc = intrinsic_scales(spec, 60)
-            assert np.all(np.diff(sc.delta) >= 0)
-            assert np.all(np.diff(sc.Delta) >= 0)
-            assert np.all(np.diff(sc.kappa) >= 0)
+            assert np.all(np.diff(sc.log_delta) >= 0)
+            assert np.all(np.diff(sc.log_Delta) >= 0)
+            assert np.all(np.diff(sc.log_kappa) >= 0)
             ratio_sum = np.cumsum(spec.risk_weights(60) / spec.eigenvalues(60))
-            assert np.all(sc.delta >= ratio_sum * (1.0 - 1e-13))
+            assert np.all(np.exp(sc.log_delta) >= ratio_sum * (1.0 - 1e-13))
 
     def test_kappa_equals_Delta_for_nonnegative_s(self):
         for s in (0.0, 0.5, 1.0):
             sc = intrinsic_scales(SequenceSpec("PP", a=1.0, p=2.0, s=s), 40)
-            assert np.array_equal(sc.kappa, sc.Delta)
+            assert np.array_equal(sc.log_kappa, sc.log_Delta)
 
     def test_kappa_dominates_Delta(self):
         sc = intrinsic_scales(SequenceSpec("PP", a=1.0, p=2.0, s=-1.0), 40)
-        assert np.all(sc.kappa >= sc.Delta)
+        assert np.all(sc.log_kappa >= sc.log_Delta)
 
     def test_pe_log_fields_stay_finite(self):
         sc = intrinsic_scales(PE, 2000)
         assert np.all(np.isfinite(sc.log_delta))
         assert np.all(np.isfinite(sc.log_Delta))
-        assert sc.delta[-1] == np.inf  # linear view saturates, by design
 
 
 class TestBounds:
@@ -137,13 +137,13 @@ class TestBounds:
     def test_bound_M_independent_scan(self):
         rng = np.random.default_rng(5)
         for spec in (PP, PE, SequenceSpec("PP", a=0.75, p=1.0, s=0.5)):
-            sc = intrinsic_scales(spec, 200)
+            delta = np.exp(intrinsic_scales(spec, 200).log_delta)
             omega = spec.risk_weights(200)
             for n in rng.integers(2, 200, 5):
                 n = int(n)
                 best = 1
                 for m in range(1, n + 1):
-                    if sc.delta[m - 1] <= sc.delta[0] * n * min(omega[m - 1], 1.0):
+                    if delta[m - 1] <= delta[0] * n * min(omega[m - 1], 1.0):
                         best = m
                 assert bound_M(spec, n) == best
 
@@ -237,11 +237,8 @@ class TestTheoreticalRate:
 class TestSummability:
     def test_single_term(self):
         # delta = 6 m Delta with Delta = 1 gives exp(-1)
-        scales = PenaltyScales(
-            delta=np.array([6.0]), Delta=np.array([1.0]), kappa=np.array([1.0]),
-            log_delta=np.log(np.array([6.0])), log_Delta=np.array([0.0]),
-            log_kappa=np.array([0.0]),
-        )
+        scales = PenaltyScales(log_delta=np.log(np.array([6.0])), log_Delta=np.array([0.0]),
+                               log_kappa=np.array([0.0]))
         assert summability_check(scales, 1) == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_partial_sums_plateau(self):
@@ -256,10 +253,7 @@ class TestSummability:
             assert abs(summability_check(sc, 150) - summability_check(sc, 130)) < 1e-12
 
     def test_degenerate_diagnostic(self):
-        with np.errstate(divide="ignore"):
-            scales = PenaltyScales(
-                delta=np.zeros(10), Delta=np.ones(10), kappa=np.ones(10),
-                log_delta=np.log(np.zeros(10)), log_Delta=np.zeros(10),
-                log_kappa=np.zeros(10),
-            )
+        # delta = 0, Delta = kappa = 1
+        scales = PenaltyScales(log_delta=np.full(10, -np.inf), log_Delta=np.zeros(10),
+                               log_kappa=np.zeros(10))
         assert summability_check(scales, 10) == 10.0
