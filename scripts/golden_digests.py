@@ -7,8 +7,9 @@ the stderr of a fixed set of runs that must fail.
 Runs ``python -m circfreg.cli`` from the ``src`` of the checkout holding this
 script on the golden configs and a few overridden variants of them, then
 prints one ``sha256  path`` line per CSV, sorted by path.  Each run writes
-to a relative ``--out`` inside one temporary working directory, so the
-``out_dir`` echoed into every CSV is the same for any checkout.  A
+to its own ``--out`` directory inside one temporary working directory, and
+the path listed is relative to it; no CSV quotes its directory, so the
+listing is the same for any checkout.  A
 refactor that must keep the outputs byte-identical passes when the listings
 match.  Every run must exit 0 and write nothing to stderr (a numpy warning,
 say); otherwise the script names the run, prints its stderr and exits 1.
@@ -121,7 +122,8 @@ FAILS = (
      _overrides("a=0.1", "rho=-1", "replications=0"), 2),
     ("a_nan", "mc-risk", "golden_pp.cfg", _overrides("a=nan"), 2),
     ("sigma_overflow", "mc-risk", "golden_pp.cfg", _overrides("sigma=1e200"), 3),
-    ("eta_overflow", "estimate", "golden_pp.cfg", _overrides("eta=1e308"), 3),
+    # sigma_y2 is finite, but the data-driven penalty's product overflows
+    ("pen_const_overflow", "estimate", "golden_pp.cfg", _overrides("pen_const_unknown=1e308"), 3),
     # 10^7 files, over the 2^16-file budget of estimate
     ("estimate_files", "estimate", "golden_pp.cfg", _overrides("replications=1000000"), 2),
     # 5.8 x 10^9 normals, over the 2^30-normal budget of mc-risk: about 40 minutes

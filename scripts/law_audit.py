@@ -3,13 +3,13 @@
     python3 scripts/law_audit.py [--seed 1]
 
 For each config of a fixed matrix (PP, EP and PE; s = 0 and s = 1; pairing
-on and off; both selectors; j_max = 30 at n = 60, and one PP config at
-s = 1, p = 3 without j_max at n = 250, whose engine simulates every
-coordinate and where M_n = 3, so its selections spread over several
-dimensions), it draws R
-replicates through the engine (``circfreg.risk._run_replicate``) and R
-through ``circfreg.simulate`` and ``circfreg.moments``, on independent
-seeds.  The per-unit side simulates j_max coordinates, or without j_max
+on and off; both selectors; j_max = 30 at n = 60), and for one PP config at
+s = 1, p = 3 without j_max at n = 700, whose engine simulates every
+coordinate and whose selections spread over several dimensions (M_n = 3,
+and the data-driven M_hat takes 2 and 3, where at n = 250 it is 2 on nearly
+every replicate), it draws R replicates through the engine
+(``circfreg.risk._run_replicate``) and R through ``circfreg.simulate`` and
+``circfreg.moments``, on independent seeds.  The per-unit side simulates j_max coordinates, or without j_max
 ``default_truncation``'s max(N_n, 2 m_dagger_n).  R is set so that the
 per-unit draws come to about 2^24 normals per config.  Then it runs, at one
 family-wise level of 0.01 split over all tests by Bonferroni:
@@ -57,7 +57,7 @@ def configs(seed: int):
     matrix = [(regime, a, 1.0 if regime == "EP" else 2.0 + s, s, pair, N, J_MAX)
               for regime, a in (("PP", 1.0), ("EP", 1.0), ("PE", 0.5))
               for s in (0.0, 1.0) for pair in (False, True)]
-    matrix.append(("PP", 1.0, 3.0, 1.0, True, 250, None))
+    matrix.append(("PP", 1.0, 3.0, 1.0, True, 700, None))
     for regime, a, p, s, pair, n, j_max in matrix:
         seq = cf.SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=pair)
         n_coef = j_max or cf.default_truncation(seq, n)
@@ -81,10 +81,10 @@ def per_unit(plan, unit, r):
     picks = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = cf.select_known(mom, weights, plan.scales, plan.m_bound, cfg.eta,
-                                    cfg.pen_const_known)
+            trace = cf.select_known(mom, weights, plan.scales, plan.m_bound,
+                                    pen_const=cfg.pen_const_known)
         else:
-            trace = cf.select_data_driven(mom, weights, cfg.eta, cfg.pen_const_unknown)
+            trace = cf.select_data_driven(mom, weights, pen_const=cfg.pen_const_unknown)
         picks.append((float(curve[trace.m_hat - 1]), trace.m_hat, trace.admissible_max))
     return curve, picks, bool(np.any(mom.lhat[plan.window:] >= 1.0 / n))
 

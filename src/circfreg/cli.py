@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in helps.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
-        cmd.add_argument("--out", default=None, help="output directory (overrides out_dir)")
+        cmd.add_argument("--out", default=".", type=Path,
+                         help="output directory, made if missing (default: the current one)")
         if name == "mc-risk":
             cmd.add_argument("--workers", type=int, default=1,
                              help="ignored: replicates always run in one process")
@@ -77,17 +78,13 @@ def _load_config(args):
             raise ConfigError([f"override must look like KEY=VALUE, got {item!r}"])
         key, value = (part.strip() for part in item.split("=", 1))
         raw[key] = value
-    if args.out is not None:
-        raw["out_dir"] = args.out
     return build_config(raw)
 
 
-def _prepare_out_dir(cfg) -> Path:
-    out = Path(cfg.out_dir)
+def _prepare_out_dir(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise OSError(f"output directory is not writable: {out}")
-    return out
 
 
 # largest CSV a command writes, and mc-risk's replicate array, in values: a
@@ -129,13 +126,13 @@ def _check_draws(command: str, cfg, plans) -> None:
         raise ConfigError(messages)
 
 
-def _cmd_simulate(cfg, echo: str) -> None:
+def _cmd_simulate(cfg, echo: str, out: Path) -> None:
     cfg.noise_var  # an overflowing sigma**2 exits 3 here, as in mc-risk and estimate
     seq = cfg.sequence_spec()
     truncations = [(n, cfg.j_max or default_truncation(seq, n)) for n in cfg.n_grid]
     _check_size((n * (n_coef + 1), f"simulate: n = {n} with n_coef = {n_coef}")
                 for n, n_coef in truncations)
-    out = _prepare_out_dir(cfg)
+    _prepare_out_dir(out)
     slope = SlopeSpec(seq, cfg.rho)
     for n, n_coef in truncations:
         sample = simulate(seq, make_slope(slope, n_coef), n, cfg.sigma, cfg.seed,
@@ -143,14 +140,14 @@ def _cmd_simulate(cfg, echo: str) -> None:
         write_sample_csv(sample, out / f"sample_n{n}.csv", echo)
 
 
-def _cmd_estimate(cfg, echo: str) -> None:
+def _cmd_estimate(cfg, echo: str, out: Path) -> None:
     files = 2 * len(cfg.n_grid) * len(cfg.variant_names()) * cfg.replications
     if files > _MAX_FILES:
         raise ConfigError([f"estimate: replications = {cfg.replications} writes {files} "
                            "files, over the 2^16 budget"])
     plans = experiment_plans(cfg)
     _check_draws("estimate", cfg, plans)
-    out = _prepare_out_dir(cfg)
+    _prepare_out_dir(out)
     for plan in plans:
         for r in range(cfg.replications):
             mom, traces = replicate_traces(plan, r)
@@ -163,14 +160,14 @@ def _cmd_estimate(cfg, echo: str) -> None:
                 write_csv(out / f"betahat_{stem}.csv", echo, meta, "j,coef", rows)
 
 
-def _cmd_mc_risk(cfg, echo: str) -> None:
+def _cmd_mc_risk(cfg, echo: str, out: Path) -> None:
     # run_experiment holds a risk, m_hat and M_hat per (n, variant, replicate)
     pairs = len(cfg.n_grid) * len(cfg.variant_names())
     _check_size([(3 * pairs * cfg.replications, f"mc-risk: replications = {cfg.replications} "
                   f"over {pairs} (n, variant) pairs: the replicate array")])
     plans = experiment_plans(cfg)
     _check_draws("mc-risk", cfg, plans)
-    out = _prepare_out_dir(cfg)
+    _prepare_out_dir(out)
     reports = run_experiment(cfg, plans=plans)
     write_risk_csv(reports, out / "risk_report.csv", echo)
 
@@ -181,7 +178,7 @@ def _exp_scales(block) -> np.ndarray:
         return np.exp(np.column_stack((block.log_delta, block.log_Delta, block.log_kappa)))
 
 
-def _cmd_rates(cfg, echo: str) -> None:
+def _cmd_rates(cfg, echo: str, out: Path) -> None:
     seq = cfg.sequence_spec()
     n_max = max(cfg.n_grid)
     # the table ends before the first m whose scales overflow (golden PE: m = 700);
@@ -194,7 +191,7 @@ def _cmd_rates(cfg, echo: str) -> None:
             break
     over = "at least " if m_last == cap < n_max else ""
     _check_size([(4 * m_last, f"rates: scales.csv of {over}{m_last} rows for n_grid up to {n_max}")])
-    out = _prepare_out_dir(cfg)
+    _prepare_out_dir(out)
     rows = []
     for n in cfg.n_grid:
         rows.append(f"{n},{bound_M(seq, n)},{bound_N(seq, n)},{balance_m_star(seq, n)},"
@@ -213,7 +210,7 @@ def main(argv=None) -> int:
                 "mc-risk": _cmd_mc_risk, "rates": _cmd_rates}
     try:
         cfg = _load_config(args)
-        commands[args.command](cfg, f"circfreg v{__version__} | {config_echo(cfg)}")
+        commands[args.command](cfg, f"circfreg v{__version__} | {config_echo(cfg)}", args.out)
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)

@@ -23,7 +23,6 @@ _DEFAULT_GRID = {
     "EP": (250, 500, 1000, 2000, 4000),
     "PE": (500, 2000, 8000),
 }
-_DEFAULT_REPLICATIONS = 200
 _N_MAX = 10**8  # the largest n and j_max the per-n plans are sized for
 
 
@@ -37,7 +36,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment configuration (all model-level knobs in one place)."""
+    """Validated experiment configuration: every key that changes a result, no other."""
 
     regime: str
     a: float
@@ -47,21 +46,17 @@ class RunConfig:
     rho: float
     seed: int
     n_grid: tuple | None = None
-    replications: int | None = None
-    eta: float = 3.0
+    replications: int = 200
     variant: str = "data_driven"
     pen_const_known: float = 192.0
     pen_const_unknown: float = 1920.0
     enforce_pair: bool = True
     j_max: int | None = None
-    out_dir: str = "."
 
     def __post_init__(self):
         if self.n_grid is None:
             object.__setattr__(self, "n_grid", _DEFAULT_GRID.get(self.regime, ()))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if self.replications is None:
-            object.__setattr__(self, "replications", _DEFAULT_REPLICATIONS)
         errors = [
             f"{key}: must be finite, got {getattr(self, key)}"
             for key in _FLOAT_FIELDS
@@ -83,8 +78,6 @@ class RunConfig:
             errors.append(f"replications: must satisfy replications >= 1, got {self.replications}")
         if not 0 <= self.seed < 2**64:
             errors.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.eta >= 1.0:
-            errors.append(f"eta: must satisfy eta >= 1, got {self.eta}")
         if self.variant not in _VARIANTS:
             errors.append(f"variant: must be one of {', '.join(_VARIANTS)}, got {self.variant!r}")
         if not self.pen_const_known > 0.0:
@@ -156,8 +149,7 @@ _PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 def _convert(key: str, value: str):
     if key == "n_grid":
         return tuple(int(part.strip()) for part in value.split(",") if part.strip())
-    # only j_max takes none: replications and n_grid are None only until
-    # the regime defaults fill them in
+    # only j_max takes none: n_grid is None only until its regime default fills it in
     if key == "j_max" and value.lower() == "none":
         return None
     return _PARSERS[_TYPES[key].removesuffix(" | None")](value)

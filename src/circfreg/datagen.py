@@ -8,8 +8,8 @@ sqrt(lambda_j) * xi_j with iid standard normal xi_j is exact, so responses
 
 carry no discretization bias.  Because the normalized coefficients are
 standard Gaussian, every moment of [X]_j / sqrt(lambda_j) exists; in
-particular the fourth moment equals 3, which is why the selection penalty
-defaults to the moment constant eta = 3.
+particular the fourth moment equals 3, the moment constant eta of the
+selection penalty (``circfreg.estimator.ETA``).
 
 All draws come from a counter-based Philox generator keyed by
 (seed, replicate); within a sample the counter space is laid out row-major,

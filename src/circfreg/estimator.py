@@ -37,6 +37,10 @@ __all__ = [
     "write_trace_csv",
 ]
 
+# the fourth moment of a standard normal, that of the normalized regressor
+# coordinates under the Gaussian design (circfreg.datagen)
+ETA = 3.0
+
 @dataclass(frozen=True, eq=False)
 class SampleMoments:
     """Empirical cross-moments of a sample.
@@ -195,7 +199,7 @@ def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
 
 
 def select_known(
-    mom: SampleMoments, w, scales: PenaltyScales, m_max: int, eta: float,
+    mom: SampleMoments, w, scales: PenaltyScales, m_max: int, eta: float = ETA,
     pen_const: float = RunConfig.pen_const_known,
 ) -> SelectionTrace:
     """Penalized-contrast selection over m = 1..m_max with known scales."""
@@ -208,7 +212,7 @@ def select_known(
     return _select("known_degree", mom, w, m_max, delta, eta, pen_const)
 
 
-def select_data_driven(mom: SampleMoments, w, eta: float = RunConfig.eta,
+def select_data_driven(mom: SampleMoments, w, eta: float = ETA,
                        pen_const: float = RunConfig.pen_const_unknown) -> SelectionTrace:
     """Fully data-driven selection: random bound, random penalty.
 

@@ -334,10 +334,10 @@ def replicate_traces(plan: _GridPlan, r: int):
     traces = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = select_known(mom, plan.weights_window, plan.scales, plan.m_bound, cfg.eta,
-                                 cfg.pen_const_known)
+            trace = select_known(mom, plan.weights_window, plan.scales, plan.m_bound,
+                                 pen_const=cfg.pen_const_known)
         else:
-            trace = select_data_driven(mom, plan.weights_window, cfg.eta, cfg.pen_const_unknown)
+            trace = select_data_driven(mom, plan.weights_window, pen_const=cfg.pen_const_unknown)
         _require_finite(lambda _: f"n = {plan.n}, r = {r}, variant = {variant}",
                         contrast=trace.contrast, penalty=trace.penalty,
                         delta_used=trace.delta_used)

@@ -156,6 +156,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightVector([2.0, 1.0])
 
+    def test_design_matrix_needs_a_basis_function(self):
+        with pytest.raises(ValueError, match="n_basis must be >= 1, got 0"):
+            design_matrix(0, 0.5)
+
     def test_immutable_after_construction(self):
         f = CoefVector([1.0, 2.0])
         with pytest.raises(ValueError):

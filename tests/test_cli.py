@@ -66,8 +66,9 @@ def test_config_file_with_utf8_bom_reads_as_plain(tmp_path):
     golden = ROOT / "configs" / "golden_pp.cfg"
     bom = tmp_path / "bom.cfg"
     bom.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
-    out, outputs = tmp_path / "o", []  # one directory: out_dir is echoed in every CSV
+    outputs = []
     for path in (golden, bom):
+        out = tmp_path / path.stem
         assert main(["rates", "--config", str(path), "--out", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("rates.csv", "scales.csv")])
     assert outputs[0] == outputs[1]
@@ -127,7 +128,7 @@ def test_size_above_bound_exits_2_at_config_time(config_file, tmp_path, capsys, 
 def test_memory_error_exits_2(config_file, tmp_path, monkeypatch, capsys):
     import circfreg.cli as cli_module
 
-    def exhaust(cfg, echo):
+    def exhaust(cfg, echo, out):
         raise MemoryError("synthetic allocation failure")
 
     monkeypatch.setattr(cli_module, "_cmd_rates", exhaust)
@@ -225,8 +226,8 @@ def test_estimate_both_variants(config_file, tmp_path):
 
 
 def test_mc_risk_byte_identical_and_worker_invariant(config_file, tmp_path, monkeypatch):
-    # identical config (same out_dir) rerun at several worker counts; --workers
-    # is accepted but every replicate runs in this process
+    # identical config rerun at several worker counts; --workers is accepted
+    # but every replicate runs in this process
     out = tmp_path / "rep"
     runs = []
     for workers in ("1", "1", "2"):
@@ -254,6 +255,25 @@ def test_mc_risk_rows_do_not_depend_on_the_rest_of_the_grid(tmp_path):
         lines = (out / "risk_report.csv").read_text().splitlines()[2:]
         rows.append([line for line in lines if line.split(",")[0] in ("500", "8000")])
     assert len(rows[0]) == 4 and rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc-risk", "rates"])
+def test_outputs_do_not_depend_on_the_output_directory(config_file, tmp_path, monkeypatch,
+                                                      command):
+    # the echo line holds the config and the version, never the --out path;
+    # the third run takes the default --out, the working directory
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "deeper" / "b", tmp_path / "c"):
+        argv = [command, "--config", str(config_file), "--override", "variant=both",
+                "--override", "pen_const_known=0.5"]
+        if out.name == "c":
+            out.mkdir()
+            monkeypatch.chdir(out)
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        trees.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert trees[0] and trees[0] == trees[1] == trees[2]
 
 
 def test_echo_line_carries_full_config(config_file, tmp_path):
@@ -319,11 +339,11 @@ def test_huge_p_or_negative_s_exits_0_with_finite_outputs(config_file, tmp_path,
     assert _nonfinite_outputs(out, one_point_grid=False) == []
 
 
-@pytest.mark.parametrize("override", ["sigma=1e154", "eta=1e308"])
+@pytest.mark.parametrize("override", ["sigma=1e154", "pen_const_unknown=1e308"])
 @pytest.mark.parametrize("command", ["estimate", "mc-risk"])
 def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys, command, override):
     # sigma**2 = 1e308 is finite, but sigma_y2 and with it the penalty overflow;
-    # eta = 1e308 overflows the penalty's product itself
+    # pen_const_unknown = 1e308 overflows the penalty's product itself
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
@@ -673,12 +693,12 @@ def _is_nonfinite(text: str) -> bool:
 # p stays off (0, 0.3): an EP slope tail that slow takes seconds to reject
 # (test_nonconvergent_ep_tail_exits_3_promptly covers it)
 _PLAIN = {"a": (0.55, 4.0), "p": (1.0, 6.0), "s": (-1.0, 1.0), "sigma": (0.0, 3.0),
-          "rho": (0.01, 10.0), "eta": (1.0, 10.0), "pen_const_known": (1e-3, 10.0),
+          "rho": (0.01, 10.0), "pen_const_known": (1e-3, 10.0),
           "pen_const_unknown": (1e-3, 10.0)}
 _EDGES = {"a": (0.3, 1e-300, 50.0, 1e300), "p": (0.3, 300.0, 400.0, 1e300),
           "s": (2.0, 300.0, -1e300), "sigma": (0.0, 1e-300, 1e154, 1e200),
-          "rho": (1e-300, 1e154, 1e300), "eta": (0.5, 1e300),
-          "pen_const_known": (1e-300, 1e300), "pen_const_unknown": (1e-300, 1e300)}
+          "rho": (1e-300, 1e154, 1e300), "pen_const_known": (1e-300, 1e300),
+          "pen_const_unknown": (1e-300, 1e300)}
 
 
 @st.composite

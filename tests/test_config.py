@@ -22,17 +22,19 @@ class TestParsing:
     def test_minimal_document_fills_defaults(self):
         cfg = parse_config(MINIMAL_PP)
         assert cfg.regime == "PP" and cfg.n_grid == (250, 500, 1000)
-        assert cfg.eta == 3.0
         assert cfg.variant == "data_driven"
         assert cfg.pen_const_known == 192.0
         assert cfg.pen_const_unknown == 1920.0
         assert cfg.enforce_pair is True
         assert cfg.j_max is None
-        assert cfg.out_dir == "."
 
-    def test_unknown_key_rejected(self):
+    # eta and out_dir were keys up to version 0.5.0: eta is the constant
+    # estimator.ETA and the output directory comes only from --out
+    @pytest.mark.parametrize("line", ["mystery = 3", "eta = 3", "out_dir = results"],
+                             ids=["mystery", "eta", "out_dir"])
+    def test_unknown_key_rejected(self, line):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(MINIMAL_PP + "\nmystery = 3\n")
+            parse_config(f"{MINIMAL_PP}\n{line}\n")
 
     def test_missing_required_key(self):
         broken = MINIMAL_PP.replace("sigma = 0.5", "")
@@ -47,7 +49,7 @@ class TestParsing:
         with pytest.raises(ConfigError, match="expected"):
             parse_config(MINIMAL_PP + "\njust some words\n")
 
-    # only j_max accepts none; replications and n_grid are None only as regime defaults
+    # only j_max accepts none; n_grid is None only as a regime default
     @pytest.mark.parametrize("key, value", [("replications", "ten"), ("replications", "none"),
                                             ("n_grid", "none"), ("seed", "none"),
                                             ("enforce_pair", "maybe")])
@@ -97,7 +99,7 @@ class TestValidation:
         text = str(err.value)
         assert "a >" in text and "rho" in text and "replications" in text
 
-    @pytest.mark.parametrize("key", ["a", "p", "s", "sigma", "rho", "eta",
+    @pytest.mark.parametrize("key", ["a", "p", "s", "sigma", "rho",
                                      "pen_const_known", "pen_const_unknown"])
     def test_nonfinite_float_named(self, key):
         for value in ("nan", "inf", "-inf"):
@@ -136,8 +138,8 @@ class TestRoundTrip:
         cfg = RunConfig(
             regime="PE", a=0.5, p=1.0, s=0.0, sigma=0.25, rho=2.5,
             n_grid=(500, 2000, 8000), replications=100, seed=7,
-            eta=4.0, variant="both", pen_const_known=0.5, pen_const_unknown=0.3,
-            enforce_pair=False, j_max=123, out_dir="results",
+            variant="both", pen_const_known=0.5, pen_const_unknown=0.3,
+            enforce_pair=False, j_max=123,
         )
         assert parse_config(serialize_config(cfg)) == cfg
 

@@ -142,6 +142,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(PP, slope, n=50, sigma=0.5, seed=1, n_coef=20)
 
+    @pytest.mark.parametrize("n, sigma, message", [
+        (1, 0.5, "sample size must be >= 2, got 1"),
+        (50, -0.5, "sigma must be >= 0, got -0.5"),
+    ])
+    def test_size_and_noise_level_checked(self, n, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(PP, CoefVector([0.0]), n=n, sigma=sigma, seed=1, n_coef=5)
+
     def test_default_truncation_covers_weight_cap(self):
         for spec, n in ((PP, 100), (SequenceSpec("PP", a=1.0, p=2.0, s=1.0), 100)):
             assert default_truncation(spec, n) >= cf.bound_N(spec, n)

@@ -68,6 +68,13 @@ class TestMoments:
         mom = moments(sample)
         assert mom.ghat[0] == 0.0 and mom.lhat[0] == 1.0
 
+    def test_single_observation_rejected(self):
+        from circfreg.datagen import Sample
+
+        sample = Sample(y=np.array([1.0]), xcoef=np.array([[1.0]]), sigma=0.0, seed=0)
+        with pytest.raises(ValueError, match="need at least 2 observations, got 1"):
+            moments(sample)
+
     def test_eigenvalue_estimates_unbiased(self):
         slope = make_slope(SlopeSpec(PP, radius=1.0), 8)
         n = 10**5
@@ -92,6 +99,11 @@ class TestEstimateBeta:
         mom = SampleMoments(ghat=np.array([0.5, 0.3]), lhat=np.array([0.25, 0.005]),
                             sigma_y2=1.0, n=100)
         assert np.array_equal(estimate_beta(mom, 2).coefs, [2.0, 0.0])
+
+    def test_dimension_zero_rejected(self):
+        mom = SampleMoments(ghat=np.array([0.5]), lhat=np.array([0.25]), sigma_y2=1.0, n=100)
+        with pytest.raises(ValueError, match=r"model dimension 0 outside 1\.\.1"):
+            estimate_beta(mom, 0)
 
     def test_projection_consistency(self):
         rng = np.random.default_rng(3)
@@ -229,6 +241,11 @@ class TestBoundMhat:
         # indices 1 and 3 qualify, 2 and 4 do not: largest qualifying wins
         assert bound_M_hat(mom, np.ones(4)) == 3
 
+    def test_single_observation_rejected(self):
+        mom = SampleMoments(ghat=np.zeros(3), lhat=np.ones(3), sigma_y2=1.0, n=1)
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            bound_M_hat(mom, np.ones(3))
+
     def test_weight_cap_limits_scan(self):
         # omega_j = j^2 caps the scan at N with N^2 <= n
         w = np.arange(1.0, 51.0) ** 2
@@ -257,6 +274,11 @@ class TestSelection:
         scales = intrinsic_scales(PP, 3)
         trace = select_known(mom, np.ones(3), scales, 3, eta=3.0, pen_const=0.0)
         assert trace.m_hat == 3
+
+    def test_known_refuses_an_empty_bound(self):
+        mom = SampleMoments(ghat=np.ones(2), lhat=np.ones(2), sigma_y2=1.0, n=100)
+        with pytest.raises(ValueError, match="admissible bound must be >= 1, got 0"):
+            select_known(mom, np.ones(2), intrinsic_scales(PP, 2), 0)
 
     def test_known_refuses_bound_past_the_scales(self):
         mom = SampleMoments(ghat=np.ones(5), lhat=np.ones(5), sigma_y2=1.0, n=100)

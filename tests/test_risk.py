@@ -135,6 +135,10 @@ class TestOracle:
         assert best_m == 2
         assert best == pytest.approx(0.006276684673274327, rel=1e-12)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="need at least one replicate"):
+            oracle_risk([], np.ones(3), np.ones(3))
+
     @pytest.mark.parametrize("lengths", [(3, 1), (1, 3)])
     def test_unequal_lengths_rejected(self, lengths):
         # the running sum of a length-3 and a length-1 curve would broadcast
@@ -548,8 +552,8 @@ class TestReplicateEngine:
                 # the engine's error event never shows at this budget
                 assert not np.any(unit_mom.lhat[plan.window:] >= 1.0 / n)
                 for mom, out in ((unit_mom, unit), (replicate_moments(plan, r), engine)):
-                    trace = cf.select_data_driven(mom, weights, plan.config.eta,
-                                                  plan.config.pen_const_unknown)
+                    trace = cf.select_data_driven(
+                        mom, weights, pen_const=plan.config.pen_const_unknown)
                     curve = fixed_dim_risk_curve(mom, beta, weights, tail)
                     out.append((trace.m_hat, trace.admissible_max, curve[trace.m_hat - 1]))
             unit, engine = np.array(unit), np.array(engine)

@@ -62,6 +62,15 @@ class TestSequenceValues:
         assert gam[0] == 1.0
         assert gam[1] == pytest.approx(np.exp(3.0), rel=1e-14)
 
+    @pytest.mark.parametrize("length, start, message", [
+        (0, 1, "sequence length must be >= 1, got 0"),
+        (3, 0, r"sequence start must lie in 1\.\.3, got 0"),
+        (3, 4, r"sequence start must lie in 1\.\.3, got 4"),
+    ])
+    def test_index_range_checked(self, length, start, message):
+        with pytest.raises(ValueError, match=message):
+            PP.log_risk_weights(length, start)
+
     def test_log_views_consistent(self):
         for spec in (PP, PE, EP):
             length = 30
@@ -116,6 +125,11 @@ class TestBounds:
         assert bound_N(SequenceSpec("PP", a=1.0, p=2.0, s=0.0), 500) == 500
         assert bound_N(SequenceSpec("PP", a=1.0, p=2.0, s=1.0), 100) == 10
         assert bound_N(SequenceSpec("PP", a=1.0, p=2.0, s=-1.0), 7) == 7
+
+    @pytest.mark.parametrize("index", [bound_M, bound_N, balance_m_star, balance_m_dagger])
+    def test_n_below_one_rejected(self, index):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            index(PP, 0)
 
     def test_bounds_monotone_in_n(self):
         spec = SequenceSpec("PP", a=1.0, p=2.0, s=1.0)
@@ -251,6 +265,14 @@ class TestSummability:
         for spec in (PP, PE, EP):
             sc = intrinsic_scales(spec, 150)
             assert abs(summability_check(sc, 150) - summability_check(sc, 130)) < 1e-12
+
+    @pytest.mark.parametrize("length, message", [
+        (0, "length must be >= 1, got 0"),
+        (4, "length 4 exceeds scales length 3"),
+    ])
+    def test_length_outside_the_scales_rejected(self, length, message):
+        with pytest.raises(ValueError, match=message):
+            summability_check(intrinsic_scales(PP, 3), length)
 
     def test_degenerate_diagnostic(self):
         # delta = 0, Delta = kappa = 1
