@@ -167,7 +167,7 @@ class Sample:
 
 
 def default_truncation(spec: SequenceSpec, n: int) -> int:
-    """Default coefficient truncation of :func:`simulate`, max(N_n, 2 m_dagger_n):
+    """Truncation of the ``simulate`` command without j_max, max(N_n, 2 m_dagger_n):
     every admissible model dimension sees genuinely simulated coefficients."""
     return max(bound_N(spec, n), 2 * balance_m_dagger(spec, n))
 
@@ -185,7 +185,7 @@ def simulate(
     sigma: float,
     seed: int,
     replicate: int = 0,
-    n_coef: int | None = None,
+    *, n_coef: int,
 ) -> Sample:
     """Draw a sample of the circular functional linear model.
 
@@ -203,16 +203,14 @@ def simulate(
         Key of the Philox substream; identical keys give bit-identical output.
         ``replicate`` may also be a tuple of ints (e.g. the (n, r) key used by
         the experiment harness).
-    n_coef : int, optional
-        Number of simulated coefficients per unit; defaults to
-        :func:`default_truncation`.
+    n_coef : int
+        Number of simulated coefficients per unit (keyword only); the
+        ``simulate`` command passes ``j_max`` or :func:`default_truncation`.
     """
     if n < 2:
         raise ValueError(f"sample size must be >= 2, got {n}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if n_coef is None:
-        n_coef = default_truncation(spec, n)
     if len(slope) > n_coef:
         raise ValueError(
             f"slope has {len(slope)} coefficients but only {n_coef} are simulated"

@@ -104,21 +104,21 @@ def contrast(mom: SampleMoments, w, m: int) -> float:
     return float(contrast_curve(mom, w, m)[m - 1])
 
 
-def _penalty(const, sigma_y2, eta, delta, n):
-    """The penalty const * sigma_Y^2 * eta * delta_m / n (elementwise in delta)."""
+def _penalty(const, sigma_y2, delta, n):
+    """The penalty const * sigma_Y^2 * ETA * delta_m / n (elementwise in delta)."""
     with np.errstate(over="ignore"):  # an inf penalty makes replicate_traces exit 3
-        return const * sigma_y2 * eta * delta / n
+        return const * sigma_y2 * ETA * delta / n
 
 
 def penalty_known(
-    scales: PenaltyScales, sigma_y2: float, eta: float, n: int, m: int,
+    scales: PenaltyScales, sigma_y2: float, n: int, m: int,
     const: float = RunConfig.pen_const_known,
 ) -> float:
-    """Penalty const * sigma_Y^2 * eta * delta_m / n with known scales."""
+    """Penalty const * sigma_Y^2 * ETA * delta_m / n with known scales."""
     if not 1 <= m <= len(scales):
         raise ValueError(f"dimension m = {m} must lie in 1..{len(scales)}, the scales' length")
     with np.errstate(over="ignore"):  # delta_m past float range is inf
-        return float(_penalty(const, sigma_y2, eta, np.exp(scales.log_delta[m - 1]), n))
+        return float(_penalty(const, sigma_y2, np.exp(scales.log_delta[m - 1]), n))
 
 
 def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
@@ -143,11 +143,11 @@ def estimated_scales(mom: SampleMoments, w, m: int):
     return float(Delta_hat[m - 1]), float(kappa_hat[m - 1]), float(delta_hat[m - 1])
 
 
-def penalty_hat(mom: SampleMoments, w, eta: float, m: int,
+def penalty_hat(mom: SampleMoments, w, m: int,
                 const: float = RunConfig.pen_const_unknown) -> float:
-    """Random penalty const * sigma_y2 * eta * delta_hat_m / n."""
+    """Random penalty const * sigma_y2 * ETA * delta_hat_m / n."""
     _, _, delta_hat = estimated_scales(mom, w, m)
-    return float(_penalty(const, mom.sigma_y2, eta, delta_hat, mom.n))
+    return float(_penalty(const, mom.sigma_y2, delta_hat, mom.n))
 
 
 def bound_M_hat(mom: SampleMoments, w) -> int:
@@ -170,7 +170,8 @@ def bound_M_hat(mom: SampleMoments, w) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SelectionTrace:
-    """Per-dimension audit record of one model-selection run."""
+    """Per-dimension audit record of one model-selection run; its penalty is
+    pen_const * sigma_y2 * ETA * delta_used / n, ETA fixed by the Gaussian design."""
 
     variant: str
     admissible_max: int
@@ -178,7 +179,6 @@ class SelectionTrace:
     penalty: np.ndarray
     delta_used: np.ndarray
     m_hat: int
-    eta: float
     pen_const: float
 
     @property
@@ -187,19 +187,19 @@ class SelectionTrace:
 
 
 def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
-            eta: float, pen_const: float) -> SelectionTrace:
-    """Minimize contrast + pen_const sigma_y2 eta delta_m / n over m = 1..m_max."""
+            pen_const: float) -> SelectionTrace:
+    """Minimize contrast + pen_const sigma_y2 ETA delta_m / n over m = 1..m_max."""
     crv = contrast_curve(mom, w, m_max)
-    pen = _penalty(pen_const, mom.sigma_y2, eta, delta, mom.n)
+    pen = _penalty(pen_const, mom.sigma_y2, delta, mom.n)
     m_hat = int(np.argmin(crv + pen)) + 1  # first minimum = smallest m
     return SelectionTrace(
         variant=variant, admissible_max=m_max, contrast=crv, penalty=pen,
-        delta_used=delta, m_hat=m_hat, eta=float(eta), pen_const=float(pen_const),
+        delta_used=delta, m_hat=m_hat, pen_const=float(pen_const),
     )
 
 
 def select_known(
-    mom: SampleMoments, w, scales: PenaltyScales, m_max: int, eta: float = ETA,
+    mom: SampleMoments, w, scales: PenaltyScales, m_max: int,
     pen_const: float = RunConfig.pen_const_known,
 ) -> SelectionTrace:
     """Penalized-contrast selection over m = 1..m_max with known scales."""
@@ -209,10 +209,10 @@ def select_known(
         raise ValueError(f"admissible bound {m_max} exceeds the scales' length {len(scales)}")
     with np.errstate(over="ignore"):  # an inf delta_m makes replicate_traces exit 3
         delta = np.exp(scales.log_delta[:m_max])
-    return _select("known_degree", mom, w, m_max, delta, eta, pen_const)
+    return _select("known_degree", mom, w, m_max, delta, pen_const)
 
 
-def select_data_driven(mom: SampleMoments, w, eta: float = ETA,
+def select_data_driven(mom: SampleMoments, w,
                        pen_const: float = RunConfig.pen_const_unknown) -> SelectionTrace:
     """Fully data-driven selection: random bound, random penalty.
 
@@ -221,14 +221,14 @@ def select_data_driven(mom: SampleMoments, w, eta: float = ETA,
     """
     m_max = bound_M_hat(mom, w)
     _, _, delta_hat = estimated_scale_curves(mom, w, m_max)
-    return _select("data_driven", mom, w, m_max, delta_hat, eta, pen_const)
+    return _select("data_driven", mom, w, m_max, delta_hat, pen_const)
 
 
 def write_trace_csv(trace: SelectionTrace, path, echo: str = "") -> None:
     """Serialize a SelectionTrace, one row per candidate dimension."""
     meta = (
         f"variant={trace.variant} admissible_max={trace.admissible_max} "
-        f"m_hat={trace.m_hat} eta={trace.eta!r} pen_const={trace.pen_const!r}"
+        f"m_hat={trace.m_hat} pen_const={trace.pen_const!r}"
     )
     rows = (
         f"{i + 1},{float(trace.contrast[i])!r},{float(trace.penalty[i])!r},"

@@ -203,7 +203,7 @@ class RiskReport:
     mean_risk: np.ndarray
     median_risk: np.ndarray
     median_m_hat: np.ndarray
-    median_m_bound: np.ndarray
+    median_M_hat: np.ndarray
     oracle_m: np.ndarray
     oracle_risk: np.ndarray
     theoretical: np.ndarray
@@ -219,8 +219,8 @@ def log_chi2_tail_bound(n: int, log_t) -> np.ndarray:
     return np.where(log_t > 0.0, -0.5 * n * rate, 0.0)
 
 
-def alive_window(seq: SequenceSpec, n: int, n_coef: int | None = None) -> int:
-    """Smallest J whose tail j > J (up to n_coef, or 2^53 - 1 without it)
+def alive_window(seq: SequenceSpec, n: int, j_max: int | None = None) -> int:
+    """Smallest J whose tail j > J (up to j_max, or 2^53 - 1 without it)
     holds a coordinate with lhat_j >= 1/n with probability at most ALIVE_EPS
     (Chernoff union bound).  The bound does not increase with j (lambda_j does
     not), and stays exactly 0 once it reaches 0.  So the tail sums start at the
@@ -230,7 +230,7 @@ def alive_window(seq: SequenceSpec, n: int, n_coef: int | None = None) -> int:
     def bound(lo, hi):
         return np.exp(log_chi2_tail_bound(n, -np.log(n) - seq.log_eigenvalues(hi - 1, lo)))
 
-    stop = INDEX_MAX if n_coef is None else n_coef + 1
+    stop = INDEX_MAX if j_max is None else j_max + 1
     hi, tail = first_false(lambda lo, hi: bound(lo, hi) > 0.0, 1, stop), None
     while hi > 1:
         lo = max(1, hi - BLOCK)
@@ -411,9 +411,9 @@ def run_experiment(config, plans=None):
     reports = []
     for vi, variant in enumerate(config.variant_names()):
         mean_risk = picks[:, vi, 0].mean(axis=-1)
-        median_risk, median_m_hat, median_m_bound = medians[:, vi].T
+        median_risk, median_m_hat, median_M_hat = medians[:, vi].T
         _require_finite(at_n, mean_risk=mean_risk, median_risk=median_risk,
-                        median_m_hat=median_m_hat, median_M_hat=median_m_bound)
+                        median_m_hat=median_m_hat, median_M_hat=median_M_hat)
         if len(grid) >= 2:
             floored = np.maximum(median_risk, _RISK_FLOOR)
             slope = fit_slope(list(zip(grid, floored)))
@@ -422,7 +422,7 @@ def run_experiment(config, plans=None):
         reports.append(
             RiskReport(
                 variant=variant, n_grid=grid, mean_risk=mean_risk, median_risk=median_risk,
-                median_m_hat=median_m_hat, median_m_bound=median_m_bound, oracle_m=oracle_m,
+                median_m_hat=median_m_hat, median_M_hat=median_M_hat, oracle_m=oracle_m,
                 oracle_risk=oracle_val, theoretical=theoretical, slope=slope,
             )
         )
@@ -437,7 +437,7 @@ def write_risk_csv(reports, path, echo: str = "") -> None:
               "oracle_m,oracle_risk,theoretical_rate")
     rows = (
         f"{n},{rep.variant},{fmt(rep.mean_risk[gi])},{fmt(rep.median_risk[gi])},"
-        f"{fmt(rep.median_m_hat[gi])},{fmt(rep.median_m_bound[gi])},"
+        f"{fmt(rep.median_m_hat[gi])},{fmt(rep.median_M_hat[gi])},"
         f"{int(rep.oracle_m[gi])},{fmt(rep.oracle_risk[gi])},{fmt(rep.theoretical[gi])}"
         for rep in reports
         for gi, n in enumerate(rep.n_grid)

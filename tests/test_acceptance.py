@@ -77,7 +77,7 @@ def test_criterion_1_exact_unit_goldens():
     mom = cf.SampleMoments(ghat=np.array([0.5, 0.2]), lhat=np.array([0.25, 0.1]),
                            sigma_y2=1.0, n=100)
     assert cf.contrast(mom, np.ones(2), 2) == -8.0
-    assert cf.penalty_known(scales, 1.0, 3.0, 100, 2) == pytest.approx(46.08, rel=1e-10)
+    assert cf.penalty_known(scales, 1.0, 100, 2) == pytest.approx(46.08, rel=1e-10)
     elapsed = time.perf_counter() - start
     _verdict("criterion 1", elapsed < 1.0,
              f"exact unit goldens reproduced in {elapsed:.3f}s (< 1s)")

@@ -164,21 +164,21 @@ class TestContrast:
 class TestPenalties:
     def test_known_hand_value(self):
         sc = intrinsic_scales(PP, 2)
-        assert penalty_known(sc, 1.0, 3.0, 100, 2) == pytest.approx(46.08, rel=1e-10)
+        assert penalty_known(sc, 1.0, 100, 2) == pytest.approx(46.08, rel=1e-10)
 
     def test_known_zero_variance(self):
         sc = intrinsic_scales(PP, 2)
-        assert penalty_known(sc, 0.0, 3.0, 100, 2) == 0.0
+        assert penalty_known(sc, 0.0, 100, 2) == 0.0
 
     def test_known_constants_cancel(self):
         sc = intrinsic_scales(PP, 1)
-        assert penalty_known(sc, 1.0, 3.0, 192 * 3, 1) == pytest.approx(1.0, rel=1e-12)
+        assert penalty_known(sc, 1.0, 192 * 3, 1) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_known_refuses_m_outside_the_scales(self, m):
         sc = intrinsic_scales(PP, 2)
         with pytest.raises(ValueError, match=f"m = {m} must lie in 1..2"):
-            penalty_known(sc, 1.0, 3.0, 100, m)
+            penalty_known(sc, 1.0, 100, m)
 
     def test_estimated_scales_all_dead(self):
         mom = SampleMoments(ghat=np.ones(4), lhat=np.full(4, 1e-6), sigma_y2=1.0, n=100)
@@ -197,11 +197,11 @@ class TestPenalties:
     def test_penalty_hat_hand_value(self):
         mom = SampleMoments(ghat=np.zeros(2), lhat=np.array([0.25, 0.1]), sigma_y2=1.0, n=100)
         expected = 1920.0 * 3.0 * (20.0 * np.log(10.0) / np.log(4.0)) / 100.0
-        assert penalty_hat(mom, np.ones(2), 3.0, 2) == pytest.approx(expected, rel=1e-12)
+        assert penalty_hat(mom, np.ones(2), 2) == pytest.approx(expected, rel=1e-12)
 
     def test_penalty_hat_zero_when_dead(self):
         mom = SampleMoments(ghat=np.ones(2), lhat=np.full(2, 1e-9), sigma_y2=1.0, n=100)
-        assert penalty_hat(mom, np.ones(2), 3.0, 2) == 0.0
+        assert penalty_hat(mom, np.ones(2), 2) == 0.0
 
     def test_penalty_hat_quadratic_in_scale(self):
         # scaling Y by a power of two scales the penalty exactly
@@ -210,7 +210,7 @@ class TestPenalties:
         scaled = SampleMoments(ghat=4.0 * mom.ghat, lhat=mom.lhat,
                                sigma_y2=16.0 * mom.sigma_y2, n=100)
         w = np.ones(2)
-        assert penalty_hat(scaled, w, 3.0, 2) == 16.0 * penalty_hat(mom, w, 3.0, 2)
+        assert penalty_hat(scaled, w, 2) == 16.0 * penalty_hat(mom, w, 2)
 
     def test_naive_delta_hat_agrees(self):
         rng = np.random.default_rng(14)
@@ -256,13 +256,13 @@ class TestBoundMhat:
 class TestSelection:
     def test_known_hand_argmin(self):
         # contrast (-4, -8), penalty (0.04, 10.24): totals (-3.96, 2.24) pick m = 1;
-        # exp(log delta) gives back delta = 4 and 1024 exactly
+        # exp(log delta) gives back delta = 4 and 1024 exactly, and (1/3) * ETA is 1.0
         mom = SampleMoments(ghat=np.array([2.0, 2.0]), lhat=np.array([1.0, 1.0]),
                             sigma_y2=1.0, n=100)
         scales = intrinsic_scales(PP, 2)
         fake = type(scales)(log_delta=np.log([4.0, 1024.0]), log_Delta=scales.log_Delta,
                             log_kappa=scales.log_kappa)
-        trace = select_known(mom, np.ones(2), fake, 2, eta=1.0, pen_const=1.0)
+        trace = select_known(mom, np.ones(2), fake, 2, pen_const=1 / 3)
         assert np.array_equal(trace.contrast, [-4.0, -8.0])
         assert np.array_equal(trace.delta_used, [4.0, 1024.0])
         assert np.array_equal(trace.penalty, [0.04, 10.24])
@@ -272,7 +272,7 @@ class TestSelection:
         mom = SampleMoments(ghat=np.array([1.0, 1.0, 1.0]), lhat=np.ones(3),
                             sigma_y2=1.0, n=100)
         scales = intrinsic_scales(PP, 3)
-        trace = select_known(mom, np.ones(3), scales, 3, eta=3.0, pen_const=0.0)
+        trace = select_known(mom, np.ones(3), scales, 3, pen_const=0.0)
         assert trace.m_hat == 3
 
     def test_known_refuses_an_empty_bound(self):
@@ -283,14 +283,14 @@ class TestSelection:
     def test_known_refuses_bound_past_the_scales(self):
         mom = SampleMoments(ghat=np.ones(5), lhat=np.ones(5), sigma_y2=1.0, n=100)
         with pytest.raises(ValueError, match="bound 5 exceeds the scales' length 1"):
-            select_known(mom, np.ones(5), intrinsic_scales(PP, 1), 5, eta=3.0)
+            select_known(mom, np.ones(5), intrinsic_scales(PP, 1), 5)
 
     def test_known_delta_past_float_range_is_inf(self):
         # golden PE: delta_m exceeds float range from m = 700 on; the trace
         # holds inf there, with no RuntimeWarning (an error under pytest)
         spec = SequenceSpec("PE", a=0.5, p=1.0, enforce_pair=True)
         mom = SampleMoments(ghat=np.zeros(710), lhat=np.ones(710), sigma_y2=1.0, n=100)
-        trace = select_known(mom, np.ones(710), intrinsic_scales(spec, 710), 710, eta=3.0)
+        trace = select_known(mom, np.ones(710), intrinsic_scales(spec, 710), 710)
         assert np.all(np.isfinite(trace.delta_used[:699]))
         assert np.all(np.isinf(trace.delta_used[699:])) and np.isinf(trace.penalty[-1])
         assert trace.m_hat == 1
@@ -342,7 +342,7 @@ class TestSelection:
         for r in range(20):
             sample = simulate(PP, slope, n=250, sigma=0.5, seed=9, replicate=r, n_coef=40)
             mom = moments(sample)
-            trace = select_data_driven(mom, w, eta=3.0, pen_const=0.3)
+            trace = select_data_driven(mom, w, pen_const=0.3)
             dhat = [naive_delta_hat(mom, w, m) for m in range(1, trace.admissible_max + 1)]
             naive = naive_select(mom, w, dhat, mom.sigma_y2, 3.0, 0.3, trace.admissible_max)
             assert trace.m_hat == naive
@@ -355,9 +355,34 @@ class TestSelection:
         for r in range(20):
             sample = simulate(PP, slope, n=250, sigma=0.5, seed=9, replicate=r, n_coef=40)
             mom = moments(sample)
-            trace = select_known(mom, w, scales, m_max, eta=3.0, pen_const=0.5)
+            trace = select_known(mom, w, scales, m_max, pen_const=0.5)
             naive = naive_select(mom, w, np.exp(scales.log_delta), mom.sigma_y2, 3.0, 0.5, m_max)
             assert trace.m_hat == naive
+
+
+class TestTraceCsv:
+    def test_trace_csv_lines(self, tmp_path):
+        # known degree: test_known_hand_argmin's trace.  Data driven: M_hat = 2,
+        # delta_hat = (1, 2), contrast (-4, -5) and penalty 0.5 * 2 * 3 * delta_hat / 100
+        mom = SampleMoments(ghat=np.array([2.0, 2.0]), lhat=np.ones(2), sigma_y2=1.0, n=100)
+        scales = intrinsic_scales(PP, 2)
+        fake = type(scales)(log_delta=np.log([4.0, 1024.0]), log_Delta=scales.log_Delta,
+                            log_kappa=scales.log_kappa)
+        known = select_known(mom, np.ones(2), fake, 2, pen_const=1 / 3)
+        mom = SampleMoments(ghat=np.array([2.0, 1.0]), lhat=np.ones(2), sigma_y2=2.0, n=100)
+        data_driven = select_data_driven(mom, np.ones(2), pen_const=0.5)
+        header = "m,contrast,penalty,delta_used,admissible,chosen"
+        expected = (
+            (known, ["# variant=known_degree admissible_max=2 m_hat=1 "
+                     "pen_const=0.3333333333333333", header,
+                     "1,-4.0,0.04,4.0,1,1", "2,-8.0,10.24,1024.0,1,0"]),
+            (data_driven, ["# variant=data_driven admissible_max=2 m_hat=2 pen_const=0.5",
+                           header, "1,-4.0,0.03,1.0,1,0", "2,-5.0,0.06,2.0,1,1"]),
+        )
+        for trace, lines in expected:
+            path = tmp_path / f"trace_{trace.variant}.csv"
+            cf.write_trace_csv(trace, path)
+            assert path.read_text().splitlines() == lines
 
 
 class TestDeltaHatConsistency:

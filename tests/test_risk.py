@@ -159,7 +159,7 @@ class TestSelectionGoldens:
         scales = cf.intrinsic_scales(PP, 1000)
         m_known = cf.bound_M(PP, 1000)
         assert m_known == 8
-        trace_k = cf.select_known(mom, w, scales, m_known, eta=3.0, pen_const=0.5)
+        trace_k = cf.select_known(mom, w, scales, m_known, pen_const=0.5)
         assert trace_k.m_hat == 2
 
 
@@ -201,7 +201,7 @@ def test_median_is_numpy_median_bit_for_bit(size, monkeypatch):
     for values in (rng.exponential(1e-3, size), rng.integers(1, 9, size)):
         expected = [repr(float(np.median(values)))] * 2
         for rep in run_with([(v, v, v) for v in values]):
-            for got in (rep.median_risk, rep.median_m_hat, rep.median_m_bound):
+            for got in (rep.median_risk, rep.median_m_hat, rep.median_M_hat):
                 assert [repr(float(x)) for x in got] == expected
     # the largest float in the M_hat field: for even sizes (a + b) / 2 is inf
     largest = np.full(size, 1.7976931348623157e308)
@@ -211,7 +211,7 @@ def test_median_is_numpy_median_bit_for_bit(size, monkeypatch):
         warnings.simplefilter("always")
         if np.isfinite(expected):
             for rep in run_with([(1.0, 1.0, v) for v in largest]):
-                assert [repr(float(x)) for x in rep.median_m_bound] == [repr(expected)] * 2
+                assert [repr(float(x)) for x in rep.median_M_hat] == [repr(expected)] * 2
         else:
             with pytest.raises(NumericError, match="^median_M_hat is not finite at n = 40$"):
                 run_with([(1.0, 1.0, v) for v in largest])
@@ -272,7 +272,7 @@ class TestRunExperiment:
         for vi, rep in enumerate(run_experiment(cfg)):
             cols = [per_n[vi] for per_n in ref]
             assert rep.mean_risk.tolist() == [np.mean(c[0]) for c in cols]
-            for k, got in enumerate((rep.median_risk, rep.median_m_hat, rep.median_m_bound)):
+            for k, got in enumerate((rep.median_risk, rep.median_m_hat, rep.median_M_hat)):
                 assert got.tolist() == [np.median(c[k]) for c in cols]
 
     def test_keeps_no_list_of_curves(self, monkeypatch):
@@ -325,7 +325,7 @@ class TestRunExperiment:
                         n_grid=(200, 400), replications=5, seed=6,
                         variant="data_driven", pen_const_unknown=0.3)
         rep = run_experiment(cfg)[0]
-        assert np.all(rep.median_m_bound <= np.sqrt(np.array(cfg.n_grid)))
+        assert np.all(rep.median_M_hat <= np.sqrt(np.array(cfg.n_grid)))
         assert np.all(np.isfinite(rep.median_risk))
 
     def test_weak_risk_weights_run(self):
