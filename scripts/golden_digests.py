@@ -58,6 +58,9 @@ RUNS = (
     ("pp_mc_both", "mc-risk", "golden_pp.cfg", BOTH),
     # odd R takes the middle-element branch of the median; the others have even R
     ("pp_mc_odd", "mc-risk", "golden_pp.cfg", BOTH + _overrides("replications=5")),
+    # sigma = 0: tau^2 is the noise folded past J alone
+    ("pp_mc_noiseless", "mc-risk", "golden_pp.cfg",
+     BOTH + _overrides("sigma=0", "replications=20")),
     ("pp_est", "estimate", "golden_pp.cfg", BOTH + _overrides("replications=2")),
     ("pp_sim", "simulate", "golden_pp.cfg", _overrides("n_grid=250,500")),
     ("pp_jmax", "mc-risk", "golden_pp.cfg", BOTH + _overrides("j_max=60", "replications=50")),
@@ -137,6 +140,11 @@ FAILS = (
     # (1.75 GiB) at n = 10^5, over the factor budget
     ("mc_risk_factor", "mc-risk", "golden_pp.cfg",
      _overrides("a=0.6", "n_grid=100000", "replications=1"), 2),
+    # slope sums past J still running after 2^24 terms: the tail, and at s = -1,
+    # a = 0.6 the noise folded into tau, which fails first; both name p
+    ("ep_tail_slow", "mc-risk", "golden_pp.cfg", _overrides("regime=EP", "p=0.05"), 3),
+    ("ep_folded_slow", "mc-risk", "golden_pp.cfg",
+     _overrides("regime=EP", "p=0.05", "s=-1", "a=0.6"), 3),
 )
 
 

@@ -81,8 +81,7 @@ def per_unit(plan, unit, r):
     picks = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = cf.select_known(mom, weights, plan.scales, plan.m_bound,
-                                    pen_const=cfg.pen_const_known)
+            trace = cf.select_known(mom, weights, plan.scales, pen_const=cfg.pen_const_known)
         else:
             trace = cf.select_data_driven(mom, weights, pen_const=cfg.pen_const_unknown)
         picks.append((float(curve[trace.m_hat - 1]), trace.m_hat, trace.admissible_max))

@@ -72,10 +72,10 @@ class SlopeSpec:
     (exp(-j^(2p)/2)/j under EP), scaled so the gamma-weighted squared norm
     over its whole support equals ``radius``: gamma_j shape_j^2 is j^-3 (PP,
     PE) or e^-1 j^-2 (EP), one power series.  The slope has no length: it is
-    read through :meth:`coefficients` and :meth:`tail`, and truncated by the
-    caller's n_coef.  The scale and the support are cached on the instance;
-    ``==`` and ``hash`` still compare the fields only.  Nothing here holds
-    more than one block of coefficients unless a caller asks for more.
+    read through :meth:`coefficients`, :meth:`tail` and :meth:`folded`, and
+    truncated by the caller's n_coef.  Its scale and support are cached on
+    the instance; ``==`` and ``hash`` still compare the fields only.  Nothing
+    here holds more than one block of coefficients unless a caller asks.
     """
 
     seq: SequenceSpec
@@ -109,24 +109,38 @@ class SlopeSpec:
         shape = self._shape(start, stop)
         return self.scale * np.where(shape >= _TINY, shape, 0.0)
 
-    def tail(self, start: int) -> float:
-        """sum_{j >= start} omega_j [slope]_j^2, 0 past the support, from terms
-        in log space: j^-x with x = 2(p + 3/2) - 2s under PP and PE, one power
-        series; under EP summed to their early stop, within 2^24 terms."""
+    def _series(self, log_weights, k, start: int, stop=None, paired=False) -> float:
+        """sum_{start <= j < stop} (to infinity if stop is None) of w_j [slope]_j^2,
+        0 past the support, from terms in log space, log_weights(hi, lo) giving
+        log w_j for j = lo..hi.  Under PP and PE, where w_j = j^k, the terms are
+        j^-x with x = 2(p + 3/2) - k, one power series, whose remainder is paired
+        (y = 2(p + 3/2)) for ``paired`` eigenvalues with no stop; else the sum
+        runs to its early stop, within 2^24 terms."""
         def terms(lo, hi):
             log_shape = _log_slope_shape(self, np.arange(lo, hi, dtype=float))
-            with np.errstate(over="ignore"):  # a term past float range: the tail is inf
-                values = np.exp(self.seq.log_risk_weights(hi - 1, lo) + 2.0 * log_shape)
+            with np.errstate(over="ignore"):  # a term past float range: the sum is inf
+                values = np.exp(log_weights(hi - 1, lo) + 2.0 * log_shape)
             return np.where(np.exp(log_shape) >= _TINY, values, 0.0)
 
         seq = self.seq
-        x = None if seq.regime == "EP" else 2.0 * (seq.p + 1.5) - 2.0 * seq.s
+        power = seq.regime != "EP" and k is not None and not (paired and stop)
+        x = 2.0 * (seq.p + 1.5) - k if power else None
+        y = 2.0 * (seq.p + 1.5) if power and paired else None
         try:
-            total = series_sum(terms, start, None, x)
-        except FloatingPointError:
+            total = series_sum(terms, start, stop, x, y)
+        except FloatingPointError:  # the tail and the folded noise are both tails past J
             message = f"EP slope tail needs over 2^24 terms at p = {seq.p!r}"
             raise FloatingPointError(message) from None
         return float(self.scale ** 2 * total)
+
+    def tail(self, start: int) -> float:
+        """sum_{j >= start} omega_j [slope]_j^2, omega_j = j^(2s)."""
+        return self._series(self.seq.log_risk_weights, 2.0 * self.seq.s, start)
+
+    def folded(self, start: int, stop: int | None = None) -> float:
+        """sum_{start <= j < stop} lambda_j [slope]_j^2: the noise a plan folds into tau."""
+        k = None if self.seq.regime == "PE" else -2.0 * self.seq.a  # PP, EP: lambda_j = j^-2a
+        return self._series(self.seq.log_eigenvalues, k, start, stop, self.seq.enforce_pair)
 
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:

@@ -198,18 +198,13 @@ def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
     )
 
 
-def select_known(
-    mom: SampleMoments, w, scales: PenaltyScales, m_max: int,
-    pen_const: float = RunConfig.pen_const_known,
-) -> SelectionTrace:
-    """Penalized-contrast selection over m = 1..m_max with known scales."""
-    if m_max < 1:
-        raise ValueError(f"admissible bound must be >= 1, got {m_max}")
-    if m_max > len(scales):
-        raise ValueError(f"admissible bound {m_max} exceeds the scales' length {len(scales)}")
+def select_known(mom: SampleMoments, w, scales: PenaltyScales, *,
+                 pen_const: float = RunConfig.pen_const_known) -> SelectionTrace:
+    """Penalized-contrast selection over m = 1..len(scales) with known scales:
+    the scales carry the admissible bound."""
     with np.errstate(over="ignore"):  # an inf delta_m makes replicate_traces exit 3
-        delta = np.exp(scales.log_delta[:m_max])
-    return _select("known_degree", mom, w, m_max, delta, pen_const)
+        delta = np.exp(scales.log_delta)
+    return _select("known_degree", mom, w, len(scales), delta, pen_const)
 
 
 def select_data_driven(mom: SampleMoments, w,

@@ -47,8 +47,8 @@ the window past m and the tail past J, so a finite window never flatters.
 
 Plans (:func:`experiment_plans`) are built from (config, slope, n) alone,
 so no plan depends on the rest of the grid.  A plan holds J and builds the
-rest when first read: tau and the tail past J, each one
-:func:`circfreg.sequences.series_sum` over the slope, its O(J) arrays, M_n
+rest when first read: tau and the tail past J, the slope's own sums
+:meth:`SlopeSpec.folded` and :meth:`SlopeSpec.tail`, its O(J) arrays, M_n
 and the scales over 1..min(M_n, J).
 """
 
@@ -79,7 +79,6 @@ from .sequences import (
     bound_M,
     first_false,
     intrinsic_scales,
-    series_sum,
     theoretical_rate_or_nan,
 )
 
@@ -258,19 +257,9 @@ class _GridPlan:
         return self.slope.seq
 
     @cached_property
-    def tau(self) -> float:
-        """Noise sd with sum_{j > J} lambda_j beta_j^2 folded in, to j_max where it
-        is set: terms j^-x with x = 2a + 2(p + 3/2) under PP, paired without j_max."""
-        seq, j_max = self.seq, self.config.j_max
-
-        def terms(lo, hi):  # lambda_j beta_j^2: it does not increase with j
-            return seq.eigenvalues(hi - 1, lo) * self.slope.coefficients(lo, hi) ** 2
-
-        power = seq.regime == "PP" and not (seq.enforce_pair and j_max)
-        x = 2.0 * (seq.a + seq.p + 1.5) if power else None
-        y = 2.0 * (seq.p + 1.5) if power and seq.enforce_pair else None
-        folded = series_sum(terms, self.window + 1, j_max and j_max + 1, x, y)
-        return float(np.sqrt(self.config.noise_var + folded))
+    def tau(self) -> float:  # noise sd, SlopeSpec.folded past J (to j_max) folded in
+        stop = self.config.j_max and self.config.j_max + 1
+        return float(np.sqrt(self.config.noise_var + self.slope.folded(self.window + 1, stop)))
 
     @cached_property
     def tail(self) -> float:  # sum_{j > J} omega_j beta_j^2
@@ -334,7 +323,7 @@ def replicate_traces(plan: _GridPlan, r: int):
     traces = []
     for variant in cfg.variant_names():
         if variant == "known_degree":
-            trace = select_known(mom, plan.weights_window, plan.scales, plan.m_bound,
+            trace = select_known(mom, plan.weights_window, plan.scales,
                                  pen_const=cfg.pen_const_known)
         else:
             trace = select_data_driven(mom, plan.weights_window, pen_const=cfg.pen_const_unknown)

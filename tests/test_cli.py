@@ -375,14 +375,19 @@ def test_nonfinite_override_exits_2(config_file, tmp_path, capsys, override, key
     assert f"config error: {key}: must be finite" in capsys.readouterr().err
 
 
-def test_nonconvergent_ep_tail_exits_3_promptly(config_file, tmp_path, capsys):
+# the tail past J; and, without j_max at s = -1, a = 0.6 and n = 1000, the
+# noise folded into tau, which fails first: both are sums past J, named alike
+@pytest.mark.parametrize("extra", [(), ("s=-1", "a=0.6", "j_max=none", "n_grid=1000")],
+                         ids=["tail", "folded"])
+def test_nonconvergent_ep_tail_exits_3_promptly(config_file, tmp_path, capsys, extra):
+    overrides = [arg for item in ("regime=EP", "p=0.05", *extra) for arg in ("--override", item)]
     start = time.perf_counter()
     code = main(["mc-risk", "--config", str(config_file), "--out", str(tmp_path / "o"),
-                 "--override", "regime=EP", "--override", "p=0.05"])
+                 *overrides])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 3
-    assert "numeric failure" in err and "p = 0.05" in err
+    assert err == "numeric failure: EP slope tail needs over 2^24 terms at p = 0.05\n"
     assert elapsed < 20.0
 
 

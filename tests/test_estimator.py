@@ -262,7 +262,7 @@ class TestSelection:
         scales = intrinsic_scales(PP, 2)
         fake = type(scales)(log_delta=np.log([4.0, 1024.0]), log_Delta=scales.log_Delta,
                             log_kappa=scales.log_kappa)
-        trace = select_known(mom, np.ones(2), fake, 2, pen_const=1 / 3)
+        trace = select_known(mom, np.ones(2), fake, pen_const=1 / 3)
         assert np.array_equal(trace.contrast, [-4.0, -8.0])
         assert np.array_equal(trace.delta_used, [4.0, 1024.0])
         assert np.array_equal(trace.penalty, [0.04, 10.24])
@@ -272,25 +272,25 @@ class TestSelection:
         mom = SampleMoments(ghat=np.array([1.0, 1.0, 1.0]), lhat=np.ones(3),
                             sigma_y2=1.0, n=100)
         scales = intrinsic_scales(PP, 3)
-        trace = select_known(mom, np.ones(3), scales, 3, pen_const=0.0)
+        trace = select_known(mom, np.ones(3), scales, pen_const=0.0)
         assert trace.m_hat == 3
 
     def test_known_refuses_an_empty_bound(self):
+        # the scales carry the bound: empty scales leave no dimension to select,
+        # and a stale positional bound cannot land in pen_const
         mom = SampleMoments(ghat=np.ones(2), lhat=np.ones(2), sigma_y2=1.0, n=100)
-        with pytest.raises(ValueError, match="admissible bound must be >= 1, got 0"):
-            select_known(mom, np.ones(2), intrinsic_scales(PP, 2), 0)
-
-    def test_known_refuses_bound_past_the_scales(self):
-        mom = SampleMoments(ghat=np.ones(5), lhat=np.ones(5), sigma_y2=1.0, n=100)
-        with pytest.raises(ValueError, match="bound 5 exceeds the scales' length 1"):
-            select_known(mom, np.ones(5), intrinsic_scales(PP, 1), 5)
+        empty = cf.PenaltyScales(np.empty(0), np.empty(0), np.empty(0))
+        with pytest.raises(ValueError, match="model dimension 0 outside 1..2"):
+            select_known(mom, np.ones(2), empty)
+        with pytest.raises(TypeError):
+            select_known(mom, np.ones(2), intrinsic_scales(PP, 2), 2)
 
     def test_known_delta_past_float_range_is_inf(self):
         # golden PE: delta_m exceeds float range from m = 700 on; the trace
         # holds inf there, with no RuntimeWarning (an error under pytest)
         spec = SequenceSpec("PE", a=0.5, p=1.0, enforce_pair=True)
         mom = SampleMoments(ghat=np.zeros(710), lhat=np.ones(710), sigma_y2=1.0, n=100)
-        trace = select_known(mom, np.ones(710), intrinsic_scales(spec, 710), 710)
+        trace = select_known(mom, np.ones(710), intrinsic_scales(spec, 710))
         assert np.all(np.isfinite(trace.delta_used[:699]))
         assert np.all(np.isinf(trace.delta_used[699:])) and np.isinf(trace.penalty[-1])
         assert trace.m_hat == 1
@@ -349,13 +349,13 @@ class TestSelection:
 
     def test_known_agrees_with_naive_scan(self):
         slope = make_slope(SlopeSpec(PP, radius=1.0), 40)
-        scales = intrinsic_scales(PP, 250)
-        m_max = cf.bound_M(PP, 250)
+        scales = intrinsic_scales(PP, cf.bound_M(PP, 250))
+        m_max = len(scales)
         w = np.ones(40)
         for r in range(20):
             sample = simulate(PP, slope, n=250, sigma=0.5, seed=9, replicate=r, n_coef=40)
             mom = moments(sample)
-            trace = select_known(mom, w, scales, m_max, pen_const=0.5)
+            trace = select_known(mom, w, scales, pen_const=0.5)
             naive = naive_select(mom, w, np.exp(scales.log_delta), mom.sigma_y2, 3.0, 0.5, m_max)
             assert trace.m_hat == naive
 
@@ -368,7 +368,7 @@ class TestTraceCsv:
         scales = intrinsic_scales(PP, 2)
         fake = type(scales)(log_delta=np.log([4.0, 1024.0]), log_Delta=scales.log_Delta,
                             log_kappa=scales.log_kappa)
-        known = select_known(mom, np.ones(2), fake, 2, pen_const=1 / 3)
+        known = select_known(mom, np.ones(2), fake, pen_const=1 / 3)
         mom = SampleMoments(ghat=np.array([2.0, 1.0]), lhat=np.ones(2), sigma_y2=2.0, n=100)
         data_driven = select_data_driven(mom, np.ones(2), pen_const=0.5)
         header = "m,contrast,penalty,delta_used,admissible,chosen"

@@ -156,10 +156,9 @@ class TestSelectionGoldens:
         w = np.ones(200)
         trace_dd = cf.select_data_driven(mom, w, pen_const=0.3)
         assert (trace_dd.m_hat, trace_dd.admissible_max) == (3, 5)
-        scales = cf.intrinsic_scales(PP, 1000)
-        m_known = cf.bound_M(PP, 1000)
-        assert m_known == 8
-        trace_k = cf.select_known(mom, w, scales, m_known, pen_const=0.5)
+        scales = cf.intrinsic_scales(PP, cf.bound_M(PP, 1000))
+        assert len(scales) == 8
+        trace_k = cf.select_known(mom, w, scales, pen_const=0.5)
         assert trace_k.m_hat == 2
 
 
@@ -398,7 +397,8 @@ class TestReplicateEngine:
 
     def test_plans_normalize_the_slope_once(self, monkeypatch):
         # one normalization per run, over the whole profile, and two series per
-        # plan, tau and the tail, each over every j > J; each shapes at most a
+        # plan, each a SlopeSpec sum over every j > J: the noise folded into tau
+        # (PE: the early stop) and the tail; each shapes at most a
         # block and the remainder's first term, so n = 10^6 costs no more than
         # 500 does
         shape, summed = cf.datagen._log_slope_shape, cf.sequences.series_sum
@@ -414,7 +414,6 @@ class TestReplicateEngine:
 
         monkeypatch.setattr(cf.datagen, "_log_slope_shape", counted)
         monkeypatch.setattr(cf.datagen, "series_sum", recorded)
-        monkeypatch.setattr(cf.risk, "series_sum", recorded)
         cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
         plans = experiment_plans(replace(cfg, n_grid=(500, 8000, 10**6)))
         assert [(p.tau, p.tail) for p in plans]
