@@ -87,6 +87,11 @@ RUNS = (
      BOTH + _overrides("s=1", "p=3", "n_grid=4096,65536", "replications=20")),
     # 10000 rows of scales.csv, written a block at a time
     ("pp_rates_wide", "rates", "golden_pp.cfg", _overrides("n_grid=250,10000")),
+    # 2a past float range: lambda_j = 0 past j = 1, so scales.csv holds m = 1 alone
+    # and the rate is 1.0
+    ("pp_rates_a_huge", "rates", "golden_pp.cfg", _overrides("a=1e308")),
+    # 2p past float range: the rate exponent -(p - s)/(a + p + 1/2) is -1, the rate 1/n
+    ("pp_mc_p_huge", "mc-risk", "golden_pp.cfg", _overrides("p=1e308", "replications=2")),
     ("pe_rates", "rates", "golden_pe.cfg", ()),
     ("pe_mc", "mc-risk", "golden_pe.cfg", ()),
     ("pe_mc_w2", "mc-risk", "golden_pe.cfg", ("--workers", "2")),
@@ -116,7 +121,8 @@ FAILS = (
     ("replications_none", "mc-risk", "golden_pp.cfg", _overrides("replications=none"), 2),
     ("n_grid_none", "mc-risk", "golden_pp.cfg", _overrides("n_grid=none"), 2),
     ("seed_none", "mc-risk", "golden_pp.cfg", _overrides("seed=none"), 2),
-    ("enforce_pair_maybe", "mc-risk", "golden_pp.cfg", _overrides("enforce_pair=maybe"), 2),
+    # pairing is fixed since 0.8.0: the key is unknown
+    ("enforce_pair_key", "mc-risk", "golden_pp.cfg", _overrides("enforce_pair=true"), 2),
     ("replications_ten", "mc-risk", "golden_pp.cfg", _overrides("replications=ten"), 2),
     ("unknown_key", "mc-risk", "golden_pp.cfg", _overrides("turbo=yes"), 2),
     ("override_without_eq", "mc-risk", "golden_pp.cfg", _overrides("turbo"), 2),
@@ -145,6 +151,9 @@ FAILS = (
     ("ep_tail_slow", "mc-risk", "golden_pp.cfg", _overrides("regime=EP", "p=0.05"), 3),
     ("ep_folded_slow", "mc-risk", "golden_pp.cfg",
      _overrides("regime=EP", "p=0.05", "s=-1", "a=0.6"), 3),
+    # the slope's scale sqrt(rho / norm) past float range names rho
+    ("ep_rho_huge", "simulate", "golden_pp.cfg",
+     _overrides("regime=EP", "rho=1e308", "n_grid=10,20"), 3),
 )
 
 

@@ -2,8 +2,8 @@
 
     python3 scripts/law_audit.py [--seed 1]
 
-For each config of a fixed matrix (PP, EP and PE; s = 0 and s = 1; pairing
-on and off; both selectors; j_max = 30 at n = 60), and for one PP config at
+For each config of a fixed matrix (PP, EP and PE; s = 0 and s = 1; both
+selectors; j_max = 30 at n = 60; a run always pairs), and for one PP config at
 s = 1, p = 3 without j_max at n = 700, whose engine simulates every
 coordinate and whose selections spread over several dimensions (M_n = 3,
 and the data-driven M_hat takes 2 and 3, where at n = 250 it is 2 on nearly
@@ -54,18 +54,16 @@ CURVE_M = 10
 def configs(seed: int):
     """The audit matrix: (label, RunConfig, n_coef), n_coef the per-unit truncation."""
     # PP and PE need p > s; EP needs p > 0 only
-    matrix = [(regime, a, 1.0 if regime == "EP" else 2.0 + s, s, pair, N, J_MAX)
-              for regime, a in (("PP", 1.0), ("EP", 1.0), ("PE", 0.5))
-              for s in (0.0, 1.0) for pair in (False, True)]
-    matrix.append(("PP", 1.0, 3.0, 1.0, True, 700, None))
-    for regime, a, p, s, pair, n, j_max in matrix:
-        seq = cf.SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=pair)
+    matrix = [(regime, a, 1.0 if regime == "EP" else 2.0 + s, s, N, J_MAX)
+              for regime, a in (("PP", 1.0), ("EP", 1.0), ("PE", 0.5)) for s in (0.0, 1.0)]
+    matrix.append(("PP", 1.0, 3.0, 1.0, 700, None))
+    for regime, a, p, s, n, j_max in matrix:
+        seq = cf.SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=True)  # as in every run
         n_coef = j_max or cf.default_truncation(seq, n)
-        label = f"{regime} a={a} p={p} s={s} pair={'on' if pair else 'off'}"
-        yield label + ("" if j_max else " j_max=none"), cf.RunConfig(
+        yield f"{regime} a={a} p={p} s={s}" + ("" if j_max else " j_max=none"), cf.RunConfig(
             regime=regime, a=a, p=p, s=s, sigma=0.5, rho=1.0, n_grid=(n,),
             replications=NORMALS // (n * (n_coef + 1)), seed=seed, variant="both",
-            pen_const_known=0.3, pen_const_unknown=0.3, enforce_pair=pair, j_max=j_max), n_coef
+            pen_const_known=0.3, pen_const_unknown=0.3, j_max=j_max), n_coef
 
 
 def per_unit(plan, unit, r):

@@ -50,7 +50,6 @@ class RunConfig:
     variant: str = "data_driven"
     pen_const_known: float = 192.0
     pen_const_unknown: float = 1920.0
-    enforce_pair: bool = True
     j_max: int | None = None
 
     def __post_init__(self):
@@ -97,10 +96,7 @@ class RunConfig:
             raise OverflowError(f"sigma**2 overflows at sigma = {self.sigma!r}") from None
 
     def sequence_spec(self) -> SequenceSpec:
-        return SequenceSpec(
-            regime=self.regime, a=self.a, p=self.p, s=self.s,
-            enforce_pair=self.enforce_pair,
-        )
+        return SequenceSpec(self.regime, a=self.a, p=self.p, s=self.s, enforce_pair=True)
 
     def variant_names(self) -> tuple:
         if self.variant == "both":
@@ -137,13 +133,7 @@ def _parse_raw(text: str) -> dict:
     return raw
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value.lower() == "true"
-
-
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def _convert(key: str, value: str):
@@ -182,8 +172,6 @@ def _format(key: str, value) -> str:
         return ",".join(str(n) for n in value)
     if key == "j_max" and value is None:
         return "none"
-    if _TYPES[key] == "bool":
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 

@@ -102,7 +102,10 @@ class SlopeSpec:
         x, const = (2.0, np.exp(-1.0)) if self.seq.regime == "EP" else (3.0, 1.0)
         norm = series_sum(lambda lo, hi: const * np.arange(lo, hi, dtype=float) ** -x,
                           1, self.support + 1, x)
-        return float(np.sqrt(self.radius / norm))
+        scale = float(np.sqrt(self.radius / norm))
+        if scale == np.inf:
+            raise OverflowError(f"slope scale overflows at rho = {self.radius!r}")
+        return scale
 
     def coefficients(self, start: int, stop: int) -> np.ndarray:
         """Slope coefficients [slope]_j for j = start..stop-1 (0 past the support)."""
@@ -144,10 +147,10 @@ class SlopeSpec:
 
 
 def _log_slope_shape(spec: SlopeSpec, j: np.ndarray) -> np.ndarray:
-    if spec.seq.regime == "EP":
-        with np.errstate(over="ignore"):  # j^(2p) = inf is the exact limit: shape 0
+    with np.errstate(over="ignore"):  # j^(2p) or (p + 3/2) log j = inf: the shape is 0
+        if spec.seq.regime == "EP":
             return -0.5 * j ** (2.0 * spec.seq.p) - np.log(j)
-    return -(spec.seq.p + 0.5 + 1.0) * np.log(j)
+        return -(spec.seq.p + 0.5 + 1.0) * np.log(j)
 
 
 def make_slope(spec: SlopeSpec, n_coef: int) -> CoefVector:
@@ -261,10 +264,11 @@ def covariance_kernel(spec: SequenceSpec, n_coef: int, u) -> float:
 
 
 # values formatted at a time.  A chunk of 2^13 makes vectors of 64 KB and
-# two gathered tables of about 0.5 MB; simulate frees larger arrays first,
-# which raises glibc's mmap threshold, so all of them reuse heap memory: a
-# simulate run of golden PP at n = 500, 1000 takes about 3,000 page faults.
-# Chunks of 2^12 or 2^14 values were no faster (2 vCPUs, numpy 2.4.6)
+# two gathered tables of about 0.5 MB.  Until a larger array is freed, which
+# raises glibc's mmap threshold, such tables are mapped afresh: a simulate run
+# of golden PP at n = 500, 1000 took 5,100 minor page faults, 3,250 of them on
+# the n = 500 sample's 32 chunks and 530 on n = 1000's 125.  Chunks of 2^12
+# or 2^14 values were no faster (2 vCPUs, numpy 2.4.6)
 _CHUNK_VALUES = 2**13
 
 

@@ -9,13 +9,16 @@ A :class:`SequenceSpec` fixes three sequences by exact closed forms:
                       lambda_j = exp(-j^(2a))     (PE)
 
 With ``enforce_pair`` the sine eigenvalue is tied to its cosine partner,
-lambda_{2k+1} = lambda_{2k}, as stationarity of the regressor requires.
+lambda_{2k+1} = lambda_{2k}, as stationarity of the regressor requires, so a
+run always pairs; the unpaired default serves the sequence calculus alone.
 
 From these the module derives the penalty scale sequences (delta, Delta,
 kappa), the admissible-model bounds M_n and N_n, the bias/variance balancing
 indices, and closed-form theoretical rates.  The scales exist only as natural
 logarithms, so the exponential regimes never overflow; a caller that needs a
 linear value takes the exponential where it reads it, ``inf`` past float range.
+A log power log j^(2c) is 2 (c log j), the bits of (2c) log j wherever that
+is normal, and is 0 at j = 1 and +-inf past float range where 2c overflows.
 
 Every sequence method also evaluates a range j = start..length, so no pass
 over n indices needs an array of length n:
@@ -120,7 +123,8 @@ class SequenceSpec:
 
     def log_risk_weights(self, length: int, start: int = 1) -> np.ndarray:
         """log omega_j for j = start..length."""
-        return 2.0 * self.s * np.log(self._indices(length, start))
+        with np.errstate(over="ignore"):  # 2 (s log j): see the module docstring
+            return 2.0 * (self.s * np.log(self._indices(length, start)))
 
     def log_smoothness_weights(self, length: int, start: int = 1) -> np.ndarray:
         """log gamma_j for j = start..length."""
@@ -128,7 +132,8 @@ class SequenceSpec:
         if self.regime == "EP":
             with np.errstate(over="ignore"):  # gamma_j = inf is the exact limit
                 return j ** (2.0 * self.p) - 1.0
-        return 2.0 * self.p * np.log(j)
+        with np.errstate(over="ignore"):
+            return 2.0 * (self.p * np.log(j))
 
     def _eigen_indices(self, length: int, start: int) -> np.ndarray:
         # lambda_{2k+1} = lambda_{2k}: odd indices >= 3 evaluate at j - 1
@@ -144,7 +149,8 @@ class SequenceSpec:
         if self.regime == "PE":
             with np.errstate(over="ignore"):  # log lambda_j = -inf is the exact limit
                 return -(j ** (2.0 * self.a))
-        return -2.0 * self.a * np.log(j)
+        with np.errstate(over="ignore"):
+            return -2.0 * (self.a * np.log(j))
 
     # -- linear-scale views (direct powers, so integer-valued entries are exact)
 
@@ -443,13 +449,14 @@ def theoretical_rate(spec: SequenceSpec, n: int) -> float:
     if n < 3:
         raise ValueError(f"n must be >= 3 so that log n > 1, got {n}")
     a, p, s = spec.a, spec.p, spec.s
+    # the exponents as ratios of halves, the same bits: 2a, 2p or 2s may overflow
     if spec.regime == "PP":
-        if 2.0 * s + 2.0 * a + 1.0 == 0.0:
+        if s + a + 0.5 == 0.0:
             return float(np.log(n) / n)
-        return float(max(n ** (-(2.0 * p - 2.0 * s) / (2.0 * a + 2.0 * p + 1.0)), 1.0 / n))
+        return float(max(n ** (-(p - s) / (a + p + 0.5)), 1.0 / n))
     if spec.regime == "EP":
         with np.errstate(over="ignore"):
-            rate = float(np.log(n) ** ((2.0 * a + 1.0 + 2.0 * s) / (2.0 * p)) / n)
+            rate = float(np.log(n) ** ((a + 0.5 + s) / p) / n)
         if rate == np.inf:
             raise OverflowError(f"theoretical_rate overflows at n = {n}")
         return rate

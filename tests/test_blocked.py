@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import circfreg as cf
-from circfreg.datagen import _log_slope_shape
+from circfreg.datagen import SlopeSpec, _log_slope_shape
 from circfreg.risk import ALIVE_EPS, alive_window, experiment_plans, log_chi2_tail_bound
 from circfreg.sequences import (
     BLOCK,
@@ -146,13 +146,13 @@ def ref_folded(slope, start, length):
 # -- strategies ------------------------------------------------------------------
 
 @st.composite
-def sequence_specs(draw):
+def sequence_specs(draw, paired=st.booleans()):
     regime = draw(st.sampled_from(["PP", "EP", "PE"]))
     s = draw(st.sampled_from([-1.0, -0.3, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]))
     a = draw(st.sampled_from([0.3, 1.0, 2.0] if regime == "PE" else [0.55, 0.75, 1.0, 2.0]))
     # EP stays at p >= 0.5, where the slope's tail ends within one 2^16 run
     p = draw(st.sampled_from([0.5, 1.0, 2.0])) + (max(s, 0.0) if regime != "EP" else 0.0)
-    return SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=draw(st.booleans()))
+    return SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=draw(paired))
 
 
 sizes = st.one_of(st.sampled_from(SIZES), st.integers(2, 20000))
@@ -305,25 +305,40 @@ def test_alive_window_walks_many_blocks(monkeypatch, name, a, n):
 
 # -- plans ---------------------------------------------------------------------------
 
+def ref_beta(slope, length):
+    """[slope]_j for j = 1..length as defined: scale times the shape, 0 below
+    the smallest normal float."""
+    shape = np.exp(_log_slope_shape(slope, np.arange(1, length + 1, dtype=float)))
+    return slope.scale * np.where(shape >= np.finfo(float).tiny, shape, 0.0)
+
+
+def ref_folded_past(slope, window, j_max):
+    """The folded noise past J: math.fsum over J < j <= j_max, or without j_max
+    ref_folded over every j > J."""
+    if j_max is None:
+        return ref_folded(slope, window + 1, 2**16)
+    beta, lam = ref_beta(slope, j_max), slope.seq.eigenvalues(j_max)
+    return math.fsum((lam[window:] * beta[window:] ** 2).tolist())
+
+
+jmaxes = st.one_of(st.none(), st.sampled_from([1, 50, BLOCK + 1, 3 * BLOCK]))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(spec=sequence_specs(), grid=st.lists(sizes, min_size=1, max_size=3, unique=True),
-       j_max=st.one_of(st.none(), st.sampled_from([1, 50, BLOCK + 1, 3 * BLOCK])))
+@given(spec=sequence_specs(paired=st.just(True)),
+       grid=st.lists(sizes, min_size=1, max_size=3, unique=True), j_max=jmaxes)
 def test_plans_match_full_array_plans(spec, grid, j_max):
-    # sigma = 0, so tau^2 is the folded sum itself: over J < j <= j_max, or
-    # without j_max over every j > J
+    # sigma = 0, so tau^2 is the folded sum itself; a run always pairs
     grid = tuple(sorted(grid))
     cfg = cf.RunConfig(regime=spec.regime, a=spec.a, p=spec.p, s=spec.s, sigma=0.0, rho=1.3,
-                       n_grid=grid, replications=1, seed=1, variant="both",
-                       enforce_pair=spec.enforce_pair, j_max=j_max)
+                       n_grid=grid, replications=1, seed=1, variant="both", j_max=j_max)
     plans = experiment_plans(cfg)
     slope = plans[0].slope
     assert slope.scale**2 == pytest.approx(cfg.rho / ref_norm(slope, 2**16), rel=1e-12)
-    tiny = np.finfo(float).tiny
     for plan, n in zip(plans, grid):
         window = ref_alive_window(spec, n, j_max)
         length = j_max or window
-        shape = np.exp(_log_slope_shape(slope, np.arange(1, length + 1, dtype=float)))
-        beta = slope.scale * np.where(shape >= tiny, shape, 0.0)
+        beta = ref_beta(slope, length)
         omega, lam = spec.risk_weights(length), spec.eigenvalues(length)
         assert plan.window == window
         assert plan.m_bound == min(ref_bound_M(spec, n), window)
@@ -331,8 +346,7 @@ def test_plans_match_full_array_plans(spec, grid, j_max):
         assert np.array_equal(plan.weights_window, omega[:window])
         assert np.array_equal(plan.lam, lam[:window])
         # subnormal folded sums lose relative precision through the square root
-        folded = (math.fsum((lam[window:] * beta[window:] ** 2).tolist()) if j_max
-                  else ref_folded(slope, window + 1, 2**16))
+        folded = ref_folded_past(slope, window, j_max)
         assert plan.tau**2 == pytest.approx(folded, rel=1e-12, abs=1e-300)
         with np.errstate(over="ignore"):
             bias_terms = np.where(beta[:window] == 0.0, 0.0, omega[:window] * beta[:window] ** 2)
@@ -342,26 +356,35 @@ def test_plans_match_full_array_plans(spec, grid, j_max):
         assert plan.tail == pytest.approx(ref_tail(slope, window + 1, 2**16), rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=sequence_specs(paired=st.just(False)), n=sizes, j_max=jmaxes)
+def test_unpaired_slope_sums_match_full_arrays(spec, n, j_max):
+    # no run reads an unpaired sequence: the sums a plan takes past J, off the slope
+    slope, window = SlopeSpec(spec, 1.3), alive_window(spec, n, j_max)
+    assert slope.scale**2 == pytest.approx(1.3 / ref_norm(slope, 2**16), rel=1e-12)
+    folded = slope.folded(window + 1, j_max and j_max + 1)
+    assert folded == pytest.approx(ref_folded_past(slope, window, j_max), rel=1e-12, abs=1e-300)
+    assert slope.tail(window + 1) == pytest.approx(ref_tail(slope, window + 1, 2**16), rel=1e-12)
+
+
 @pytest.mark.parametrize("enforce_pair", [False, True])
 @pytest.mark.parametrize("regime, a, p, s", [
     *[(regime, a, 1.0, s) for regime, a in (("PP", 1.0), ("PE", 0.5), ("EP", 1.0))
       for s in (-1.0, 0.0, 0.5, 0.95)],
     ("PP", 1.0, 500.0, 0.0),  # the support, j <= 4, ends inside the first block
     ("EP", 1.0, 0.5, 0.0),
-    # J = 36847, terms j^-4.7: paired, tau without its remainder runs past 2^24 terms
+    # J = 36847, terms j^-4.7: paired, the folded noise without its remainder runs past 2^24 terms
     ("PP", 0.55, 0.3, 0.0),
 ])
 def test_slope_series_match_fsum(regime, a, p, s, enforce_pair):
-    # the normalization, the tail past J and tau against math.fsum over about
-    # 10^6 explicit terms plus an exact remainder
-    cfg = cf.RunConfig(regime=regime, a=a, p=p, s=s, sigma=0.0, rho=1.3, n_grid=(10**5,),
-                       replications=1, seed=1, enforce_pair=enforce_pair)
-    plan = experiment_plans(cfg)[0]
-    slope, window = plan.slope, plan.window
-    assert slope.scale**2 == pytest.approx(cfg.rho / ref_norm(slope, 10**6), rel=1e-12)
-    assert plan.tail == pytest.approx(ref_tail(slope, window + 1, 10**6), rel=1e-12)
+    # the normalization, the tail past J and the folded noise, off the slope at
+    # n = 10^5, against math.fsum over about 10^6 explicit terms plus an exact remainder
+    seq = SequenceSpec(regime, a=a, p=p, s=s, enforce_pair=enforce_pair)
+    slope, window = SlopeSpec(seq, 1.3), alive_window(seq, 10**5)
+    assert slope.scale**2 == pytest.approx(1.3 / ref_norm(slope, 10**6), rel=1e-12)
+    assert slope.tail(window + 1) == pytest.approx(ref_tail(slope, window + 1, 10**6), rel=1e-12)
     folded = ref_folded(slope, window + 1, 10**6)
-    assert plan.tau**2 == pytest.approx(folded, rel=1e-12, abs=1e-300)
+    assert slope.folded(window + 1) == pytest.approx(folded, rel=1e-12, abs=1e-300)
 
 
 def test_golden_pe_plans_hold_bounded_memory():

@@ -339,6 +339,27 @@ def test_huge_p_or_negative_s_exits_0_with_finite_outputs(config_file, tmp_path,
     assert _nonfinite_outputs(out, one_point_grid=False) == []
 
 
+@pytest.mark.parametrize("override", ["a=1e308", f"a={sys.float_info.max!r}", "p=1e308",
+                                      f"p={sys.float_info.max!r}", "s=-1e308", "rho=1e308"])
+@pytest.mark.parametrize("regime", ["PP", "EP", "PE"])
+@pytest.mark.parametrize("command", ["rates", "estimate", "mc-risk", "simulate"])
+def test_huge_finite_input_exits_0_2_or_3_without_warning(config_file, tmp_path, command,
+                                                          regime, override):
+    # 2a, 2p, -2s or the slope's scale past float range: log powers are 2 (c log j),
+    # 0 at j = 1, and a scale past float range names rho
+    out = tmp_path / "o"
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(config_file), "--out", str(out),
+                     "--override", f"regime={regime}", "--override", override])
+    assert code in (0, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    assert err.getvalue().count("\n") == (code != 0)
+    if code == 0:
+        assert _nonfinite_outputs(out, one_point_grid=False) == []
+
+
 @pytest.mark.parametrize("override", ["sigma=1e154", "pen_const_unknown=1e308"])
 @pytest.mark.parametrize("command", ["estimate", "mc-risk"])
 def test_estimate_nonfinite_penalty_exits_3(config_file, tmp_path, capsys, command, override):
@@ -700,9 +721,9 @@ def _is_nonfinite(text: str) -> bool:
 _PLAIN = {"a": (0.55, 4.0), "p": (1.0, 6.0), "s": (-1.0, 1.0), "sigma": (0.0, 3.0),
           "rho": (0.01, 10.0), "pen_const_known": (1e-3, 10.0),
           "pen_const_unknown": (1e-3, 10.0)}
-_EDGES = {"a": (0.3, 1e-300, 50.0, 1e300), "p": (0.3, 300.0, 400.0, 1e300),
-          "s": (2.0, 300.0, -1e300), "sigma": (0.0, 1e-300, 1e154, 1e200),
-          "rho": (1e-300, 1e154, 1e300), "pen_const_known": (1e-300, 1e300),
+_EDGES = {"a": (0.3, 1e-300, 50.0, 1e300, 1e308), "p": (0.3, 300.0, 400.0, 1e300, 1e308),
+          "s": (2.0, 300.0, -1e300, -1e308), "sigma": (0.0, 1e-300, 1e154, 1e200),
+          "rho": (1e-300, 1e154, 1e300, 1e308), "pen_const_known": (1e-300, 1e300),
           "pen_const_unknown": (1e-300, 1e300)}
 
 
@@ -722,13 +743,12 @@ def _values(draw):
     n_grid=st.lists(st.integers(2, 60), min_size=1, max_size=3, unique=True).map(sorted),
     replications=st.integers(1, 2),
     j_max=st.one_of(st.just("none"), st.integers(1, 40).map(str)),
-    enforce_pair=st.booleans(),
 )
 def test_any_override_exits_0_2_or_3_and_writes_only_finite_floats(
-        command, regime, values, n_grid, replications, j_max, enforce_pair):
+        command, regime, values, n_grid, replications, j_max):
     overrides = {"regime": regime, **{k: repr(v) for k, v in values.items()},
                  "n_grid": ",".join(map(str, n_grid)), "replications": str(replications),
-                 "j_max": j_max, "enforce_pair": str(enforce_pair).lower(), "variant": "both"}
+                 "j_max": j_max, "variant": "both"}
     with tempfile.TemporaryDirectory() as work:
         config, out = Path(work) / "run.cfg", Path(work) / "out"
         config.write_text(BASE)

@@ -25,13 +25,15 @@ class TestParsing:
         assert cfg.variant == "data_driven"
         assert cfg.pen_const_known == 192.0
         assert cfg.pen_const_unknown == 1920.0
-        assert cfg.enforce_pair is True
         assert cfg.j_max is None
+        assert cfg.sequence_spec().enforce_pair is True
 
     # eta and out_dir were keys up to version 0.5.0: eta is the constant
-    # estimator.ETA and the output directory comes only from --out
-    @pytest.mark.parametrize("line", ["mystery = 3", "eta = 3", "out_dir = results"],
-                             ids=["mystery", "eta", "out_dir"])
+    # estimator.ETA and the output directory comes only from --out; enforce_pair
+    # was one up to 0.7.0: a stationary regressor always pairs its eigenvalues
+    @pytest.mark.parametrize("line", ["mystery = 3", "eta = 3", "out_dir = results",
+                                      "enforce_pair = true"],
+                             ids=["mystery", "eta", "out_dir", "enforce_pair"])
     def test_unknown_key_rejected(self, line):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{MINIMAL_PP}\n{line}\n")
@@ -51,8 +53,7 @@ class TestParsing:
 
     # only j_max accepts none; n_grid is None only as a regime default
     @pytest.mark.parametrize("key, value", [("replications", "ten"), ("replications", "none"),
-                                            ("n_grid", "none"), ("seed", "none"),
-                                            ("enforce_pair", "maybe")])
+                                            ("n_grid", "none"), ("seed", "none")])
     def test_unparseable_value(self, key, value):
         doc = "\n".join(line for line in MINIMAL_PP.splitlines()
                         if not line.startswith(f"{key} ="))
@@ -60,8 +61,8 @@ class TestParsing:
             parse_config(f"{doc}\n{key} = {value}\n")
 
     def test_words_parse_in_any_case(self):
-        cfg = parse_config(MINIMAL_PP + "\nj_max = NONE\nenforce_pair = TRUE\n")
-        assert cfg.j_max is None and cfg.enforce_pair is True
+        cfg = parse_config(MINIMAL_PP + "\nj_max = NONE\n")
+        assert cfg.j_max is None
 
 
 class TestValidation:
@@ -138,8 +139,7 @@ class TestRoundTrip:
         cfg = RunConfig(
             regime="PE", a=0.5, p=1.0, s=0.0, sigma=0.25, rho=2.5,
             n_grid=(500, 2000, 8000), replications=100, seed=7,
-            variant="both", pen_const_known=0.5, pen_const_unknown=0.3,
-            enforce_pair=False, j_max=123,
+            variant="both", pen_const_known=0.5, pen_const_unknown=0.3, j_max=123,
         )
         assert parse_config(serialize_config(cfg)) == cfg
 

@@ -233,7 +233,7 @@ def tiny_config(**overrides):
     base = dict(
         regime="PP", a=1.0, p=2.0, s=0.0, sigma=0.5, rho=1.0,
         n_grid=(40, 80), replications=5, seed=99, variant="both",
-        pen_const_unknown=0.3, pen_const_known=0.5, enforce_pair=True, j_max=60,
+        pen_const_unknown=0.3, pen_const_known=0.5, j_max=60,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -491,16 +491,20 @@ class TestReplicateEngine:
         cfgs = [replace(cfg, variant="known") for cfg in golden]
         cfgs.append(tiny_config(regime="EP", p=1.0, n_grid=(250, 1000, 4000), j_max=None))
         cfgs.append(tiny_config(s=1.0, p=3.0, n_grid=(250, 1000, 4000), j_max=None))
+        unpaired = []
         for regime, a in (("PP", 0.6), ("PP", 3.0), ("EP", 0.6), ("EP", 3.0),
                           ("PE", 0.2), ("PE", 2.0)):
             for s_exp in (-1.0, 0.0, 0.5, 1.0):
-                for pair in (False, True):
-                    cfgs.append(tiny_config(regime=regime, a=a, p=max(s_exp, 0.0) + 1.0,
-                                            s=s_exp, enforce_pair=pair, n_grid=(2, 7, 60, 500),
-                                            variant="known", j_max=None))
+                cfgs.append(tiny_config(regime=regime, a=a, p=max(s_exp, 0.0) + 1.0, s=s_exp,
+                                        n_grid=(2, 7, 60, 500), variant="known", j_max=None))
+                unpaired.append(SequenceSpec(regime, a=a, p=max(s_exp, 0.0) + 1.0, s=s_exp))
         for cfg in cfgs:
             for plan in experiment_plans(cfg):
                 assert plan.m_bound == cf.bound_M(plan.seq, plan.n) <= plan.window, (cfg, plan.n)
+        # a run always pairs; the bound holds of the unpaired sequences too
+        for seq in unpaired:
+            for n in (2, 7, 60, 500):
+                assert cf.bound_M(seq, n) <= alive_window(seq, n), (seq, n)
 
     def test_small_n_means_match_population(self):
         # n = 5..10 < J + 1 = 14: the trapezoidal (QR) branch of the factor
