@@ -78,7 +78,7 @@ RUNS = (
     # plans past one 2^12-index block: n up to 64000, alive windows to 261
     ("pp_mc_wide", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("n_grid=250,1000,4000,16000,64000", "replications=20")),
-    # M_n = 79 at n = 10^6: the bound's upward scan reads scales over 256 indices
+    # M_n = 79 at n = 10^6: the bound's upward scan reads one block of scales
     ("pp_mc_1e6", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("n_grid=250,1000000", "replications=2")),
     # perfect squares, where the closed-form N_n = sqrt(n) = 64, 256 set n_coef up to
@@ -92,7 +92,15 @@ RUNS = (
     ("pp_rates_a_huge", "rates", "golden_pp.cfg", _overrides("a=1e308")),
     # 2p past float range: the rate exponent -(p - s)/(a + p + 1/2) is -1, the rate 1/n
     ("pp_mc_p_huge", "mc-risk", "golden_pp.cfg", _overrides("p=1e308", "replications=2")),
+    # 2a and -2s past float range: log omega_j and log lambda_j are both -inf from
+    # j = 3 on, and their ratio, read by the scales and the m_star_n sum, is one log power
+    ("pp_rates_a_s_huge", "rates", "golden_pp.cfg", _overrides("a=1e308", "s=-1e308")),
+    ("pp_est_a_s_huge", "estimate", "golden_pp.cfg",
+     BOTH + _overrides("a=1e308", "s=-1e308", "replications=1", "n_grid=250,1000")),
+    # finite log terms whose sum, in the m_star_n and m_dagger_n criteria, is +-inf
+    ("pp_rates_a_p_huge", "rates", "golden_pp.cfg", _overrides("a=1e308", "p=1e308")),
     ("pe_rates", "rates", "golden_pe.cfg", ()),
+    ("pe_rates_p_s_huge", "rates", "golden_pe.cfg", _overrides("p=1e308", "s=-1e308")),
     ("pe_mc", "mc-risk", "golden_pe.cfg", ()),
     ("pe_mc_w2", "mc-risk", "golden_pe.cfg", ("--workers", "2")),
     ("pe_mc_both", "mc-risk", "golden_pe.cfg", BOTH),

@@ -17,7 +17,7 @@ family-wise level of 0.01 split over all tests by Bonferroni:
 * two-sample chi-square tests of the m_hat and M_hat histograms, per
   variant, with adjacent values pooled to at least 10 replicates a bin (a
   histogram with one bin, such as the known-degree M_hat, which is the
-  plan's ``m_bound``, is not tested);
+  length of the plan's ``scales``, is not tested);
 * two-sample z-tests of the mean risk curve at each m <= min(J, n_coef, 10).
 
 The per-unit risk curve counts the tail past n_coef, ``slope_tail_bias``;

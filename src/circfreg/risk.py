@@ -48,8 +48,8 @@ the window past m and the tail past J, so a finite window never flatters.
 Plans (:func:`experiment_plans`) are built from (config, slope, n) alone,
 so no plan depends on the rest of the grid.  A plan holds J and builds the
 rest when first read: tau and the tail past J, the slope's own sums
-:meth:`SlopeSpec.folded` and :meth:`SlopeSpec.tail`, its O(J) arrays, M_n
-and the scales over 1..min(M_n, J).
+:meth:`SlopeSpec.folded` and :meth:`SlopeSpec.tail`, its O(J) arrays, and
+the scales over 1..min(M_n, J), whose length is the known-degree bound.
 """
 
 from __future__ import annotations
@@ -266,12 +266,8 @@ class _GridPlan:
         return self.slope.tail(self.window + 1)
 
     @cached_property
-    def m_bound(self) -> int:  # known-degree bound min(M_n, J)
-        return min(bound_M(self.seq, self.n), self.window)
-
-    @cached_property
-    def scales(self) -> PenaltyScales:  # intrinsic scales over 1..m_bound
-        return intrinsic_scales(self.seq, self.m_bound)
+    def scales(self) -> PenaltyScales:  # intrinsic scales over 1..min(M_n, J)
+        return intrinsic_scales(self.seq, min(bound_M(self.seq, self.n), self.window))
 
     @cached_property
     def beta_window(self) -> np.ndarray:  # slope coefficients 1..J

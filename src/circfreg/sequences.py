@@ -19,14 +19,15 @@ logarithms, so the exponential regimes never overflow; a caller that needs a
 linear value takes the exponential where it reads it, ``inf`` past float range.
 A log power log j^(2c) is 2 (c log j), the bits of (2c) log j wherever that
 is normal, and is 0 at j = 1 and +-inf past float range where 2c overflows.
+Where log omega_j and log lambda_j are both -inf, log(omega_j / lambda_j) is
+not their difference, inf - inf, but one log power (+inf under PE).
 
 Every sequence method also evaluates a range j = start..length, so no pass
 over n indices needs an array of length n:
 
 * N_n has a closed form, checked against omega over a few indices.
-* M_n, m_dagger_n and m_star_n scan m upward over one sequence of index
-  blocks (:func:`index_blocks`: ends at 64, 128, 256, ..., then every BLOCK
-  indices), each carrying its state, and stop once a lower bound on their
+* M_n, m_dagger_n and m_star_n scan m upward a block of BLOCK indices at a
+  time, each carrying its state, and stop once a lower bound on their
   criterion, which does not decrease with m, shows that no later index can
   win.  M_n and m_dagger_n read the scales, which carry their running maxima
   from block to block (:func:`scale_blocks`); m_star_n carries its running
@@ -191,6 +192,27 @@ class PenaltyScales:
         return int(self.log_delta.size)
 
 
+def _log_ratio(spec: SequenceSpec, log_omega: np.ndarray, log_lam: np.ndarray,
+               start: int) -> np.ndarray:
+    """log(omega_j / lambda_j) for j = start, start + 1, ... from log omega_j
+    and log lambda_j.  Where both are -inf (2s and the eigenvalue's exponent
+    past float range), it is one log power under PP and EP, 2 ((s + a) log k
+    + s log(j / k)) at the eigenvalue's index k (j - 1 at a paired sine, else
+    j), which no inf - inf can reach, and +inf under PE, where exp(k^(2a))
+    outgrows j^(2s)."""
+    with np.errstate(invalid="ignore"):
+        ratio = log_omega - log_lam  # NaN exactly where both are -inf
+    both = np.isnan(ratio)
+    if spec.regime == "PE":
+        ratio[both] = np.inf
+    elif both.any():
+        length = start + ratio.size - 1
+        j, k = spec._indices(length, start)[both], spec._eigen_indices(length, start)[both]
+        with np.errstate(over="ignore"):
+            ratio[both] = 2.0 * ((spec.s + spec.a) * np.log(k) + spec.s * np.log(j / k))
+    return ratio
+
+
 def delta_factor(log_kappa: np.ndarray, start: int = 1) -> np.ndarray:
     """|log(kappa_m v (m+2)) / log(m+2)| for m = start..start+len(log_kappa)-1, from
     log kappa_m (the larger of the two logs, so log_kappa = -inf gives the factor 1)."""
@@ -209,27 +231,20 @@ def intrinsic_scales(spec: SequenceSpec, length: int, start: int = 1,
     log_lam = spec.log_eigenvalues(length, start)
     last = lambda field: None if before is None else getattr(before, field)[-1]
 
-    log_Delta = accumulate(np.maximum, log_omega - log_lam, last("log_Delta"))
+    log_Delta = accumulate(np.maximum, _log_ratio(spec, log_omega, log_lam, start),
+                           last("log_Delta"))
     log_kappa = accumulate(np.maximum, np.maximum(log_omega, 0.0) - log_lam, last("log_kappa"))
     factor = delta_factor(log_kappa, start)
     log_delta = np.log(np.arange(start, length + 1, dtype=float)) + log_Delta + np.log(factor)
     return PenaltyScales(log_delta, log_Delta, log_kappa)
 
 
-def index_blocks(length: int):
-    """(lo, hi) of the blocks that split 1..length for every upward scan: they
-    end at 64, 128, 256, ..., BLOCK, then every BLOCK indices, and at length."""
-    lo, hi = 1, 64
-    while lo <= length:
-        yield lo, min(hi, length)
-        lo, hi = hi + 1, hi + min(hi, BLOCK)
-
-
 def scale_blocks(spec: SequenceSpec, length: int):
-    """(lo, hi, intrinsic_scales over lo..hi) for the blocks of
-    :func:`index_blocks` covering 1..length."""
+    """(lo, hi, intrinsic_scales over lo..hi) for the blocks of BLOCK indices
+    covering 1..length, the last one shorter."""
     block = None
-    for lo, hi in index_blocks(length):
+    for lo in range(1, length + 1, BLOCK):
+        hi = min(lo + BLOCK - 1, length)
         block = intrinsic_scales(spec, hi, lo, block)
         yield lo, hi, block
 
@@ -333,12 +348,16 @@ def balance_m_star(spec: SequenceSpec, n: int) -> int:
 
     def crits():
         carry = None
-        for lo, hi in index_blocks(n):
+        for lo in range(1, n + 1, BLOCK):
+            hi = min(lo + BLOCK - 1, n)
             log_omega = spec.log_risk_weights(hi, lo)
-            log_cumsum = accumulate(np.logaddexp, log_omega - spec.log_eigenvalues(hi, lo), carry)
+            log_ratio = _log_ratio(spec, log_omega, spec.log_eigenvalues(hi, lo), lo)
+            log_cumsum = accumulate(np.logaddexp, log_ratio, carry)
             carry = log_cumsum[-1]
-            yield lo, hi, np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega
-                                 + log_cumsum)
+            with np.errstate(over="ignore"):  # a sum past float range is +-inf
+                crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega
+                              + log_cumsum)
+            yield lo, hi, crit
 
     return _argmin_scan(spec, n, crits(), lambda m: _at(spec.log_smoothness_weights, m)
                         - _at(spec.log_eigenvalues, m) - math.log(n))
@@ -358,8 +377,10 @@ def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
 
     def crits():
         for lo, hi, block in scale_blocks(spec, n):
-            yield lo, hi, np.abs(spec.log_smoothness_weights(hi, lo) + block.log_delta - log_n
-                             - spec.log_risk_weights(hi, lo))
+            with np.errstate(over="ignore"):  # a sum past float range is +-inf
+                crit = np.abs(spec.log_smoothness_weights(hi, lo) + block.log_delta - log_n
+                              - spec.log_risk_weights(hi, lo))
+            yield lo, hi, crit
 
     return _argmin_scan(spec, n, crits(), lambda m: _at(spec.log_smoothness_weights, m)
                         + math.log(m / n) - _at(spec.log_eigenvalues, m))

@@ -85,6 +85,7 @@ class TestWeightedOps:
         # shorter vector behaves as if padded with zeros
         f = CoefVector([1.0, 2.0, 5.0])
         w = WeightVector([1.0, 4.0])
+        assert len(f) == 3 and len(w) == 2
         assert weighted_norm_sq(f, w) == 17.0
         assert weighted_inner(f, CoefVector([1.0]), w) == 1.0
 

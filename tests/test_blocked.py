@@ -33,7 +33,6 @@ from circfreg.sequences import (
     bound_M,
     bound_N,
     first_false,
-    index_blocks,
     intrinsic_scales,
     scale_blocks,
     series_sum,
@@ -41,9 +40,9 @@ from circfreg.sequences import (
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# sizes on both sides of block boundaries (the scans' blocks end at 64, 128,
-# 256, ..., 4096, then every 4096 indices; 4160 ends one block 64 past 4096),
-# and perfect squares and cubes (where N_n = n^(1/(2s)) exactly at s = 1 and 1.5)
+# sizes on both sides of powers of two, among them the ends of the scans'
+# blocks (every BLOCK = 4096 indices; 4160 ends one block 64 past 4096), and
+# perfect squares and cubes (where N_n = n^(1/(2s)) exactly at s = 1 and 1.5)
 SIZES = (2, 3, 4, 8, 9, 63, 64, 65, 127, 128, 129, 256, 257, 512, 513, 4095, 4096, 4097,
          4160, 8191, 8193, 9216, 15625, 16384, 46656, 65536)
 
@@ -243,25 +242,16 @@ def test_bounds_and_balancing_match_full_scans(spec, n):
                               getattr(full, field), equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [65, 1000])
+@pytest.mark.parametrize("n", [65, 1000, BLOCK + 1, 10 * BLOCK])
 @pytest.mark.parametrize("enforce_pair", [False, True])
 @pytest.mark.parametrize("regime, a, p", [("EP", 1.0, 1e300), ("PE", 1e300, 2.0)])
 def test_scans_stop_at_an_infinite_lower_bound(regime, a, p, enforce_pair, n):
-    # gamma_m or 1/lambda_m is inf from m = 2 on, so past the first block of 64
-    # the scans' lower bound is inf and each scan stops on it
+    # gamma_m or 1/lambda_m is inf from m = 2 on: within one block the scans
+    # end at n, and past it their lower bound is inf and each scan stops on it
     spec = SequenceSpec(regime, a=a, p=p, enforce_pair=enforce_pair)
     assert bound_M(spec, n) == ref_bound_M(spec, n)
     assert balance_m_dagger(spec, n) == ref_m_dagger(spec, n)
     assert balance_m_star(spec, n) == ref_m_star(spec, n)
-
-
-def test_index_blocks_double_up_to_BLOCK_then_step_by_it():
-    ends = [hi for _, hi in index_blocks(5 * BLOCK)]
-    assert ends == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 12288, 16384, 20480]
-    for n in SIZES:
-        blocks = list(index_blocks(n))
-        assert blocks[0][0] == 1 and blocks[-1][1] == n
-        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
 
 
 def test_closed_form_N_at_perfect_powers():
@@ -341,7 +331,7 @@ def test_plans_match_full_array_plans(spec, grid, j_max):
         beta = ref_beta(slope, length)
         omega, lam = spec.risk_weights(length), spec.eigenvalues(length)
         assert plan.window == window
-        assert plan.m_bound == min(ref_bound_M(spec, n), window)
+        assert len(plan.scales) == min(ref_bound_M(spec, n), window)
         assert np.array_equal(plan.beta_window, beta[:window])
         assert np.array_equal(plan.weights_window, omega[:window])
         assert np.array_equal(plan.lam, lam[:window])

@@ -109,6 +109,21 @@ def test_unwritable_out_dir_exits_2(config_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["mc-risk", "simulate"])
+def test_out_dir_without_write_access_exits_2(config_file, tmp_path, monkeypatch, capsys,
+                                              command):
+    # root may write to any directory, so the access check is denied directly
+    import circfreg.cli as cli_module
+
+    monkeypatch.setattr(cli_module.os, "access", lambda path, mode: False)
+    out = tmp_path / "o"
+    code = main([command, "--config", str(config_file), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: output directory is not writable: {out}\n"
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command, override", [("rates", "n_grid=100000000000"),
                                                ("mc-risk", "n_grid=100000000000"),
                                                ("mc-risk", "j_max=1000000000")])
@@ -339,20 +354,30 @@ def test_huge_p_or_negative_s_exits_0_with_finite_outputs(config_file, tmp_path,
     assert _nonfinite_outputs(out, one_point_grid=False) == []
 
 
-@pytest.mark.parametrize("override", ["a=1e308", f"a={sys.float_info.max!r}", "p=1e308",
-                                      f"p={sys.float_info.max!r}", "s=-1e308", "rho=1e308"])
+@pytest.mark.parametrize("override", [
+    "a=1e308", f"a={sys.float_info.max!r}", "p=1e308", f"p={sys.float_info.max!r}", "s=-1e308",
+    "rho=1e308",
+    *(pair for v in ("1e308", repr(sys.float_info.max))
+      for pair in (f"a={v} s=-{v}", f"a={v} p={v}", f"p={v} s=-{v}")),
+])
 @pytest.mark.parametrize("regime", ["PP", "EP", "PE"])
 @pytest.mark.parametrize("command", ["rates", "estimate", "mc-risk", "simulate"])
 def test_huge_finite_input_exits_0_2_or_3_without_warning(config_file, tmp_path, command,
                                                           regime, override):
     # 2a, 2p, -2s or the slope's scale past float range: log powers are 2 (c log j),
-    # 0 at j = 1, and a scale past float range names rho
+    # 0 at j = 1, and a scale past float range names rho.  A pair runs both
+    # selectors, and simulate without j_max, so that the scales and every scan
+    # read it: where log omega_j and log lambda_j are both -inf, their ratio is
+    # one log power, and the scans' criteria may reach +-inf
+    overrides = [f"regime={regime}", *override.split()]
+    if len(overrides) > 2:
+        overrides += ["variant=both", *(["j_max=none"] if command == "simulate" else [])]
     out = tmp_path / "o"
     with (warnings.catch_warnings(record=True) as caught,
           contextlib.redirect_stderr(io.StringIO()) as err):
         warnings.simplefilter("always")
         code = main([command, "--config", str(config_file), "--out", str(out),
-                     "--override", f"regime={regime}", "--override", override])
+                     *(arg for item in overrides for arg in ("--override", item))])
     assert code in (0, 2, 3)
     assert [str(w.message) for w in caught] == []
     assert err.getvalue().count("\n") == (code != 0)

@@ -428,15 +428,14 @@ class TestReplicateEngine:
         # the draw check reads only factor_shape, so a plan whose window it
         # refuses never sums its series or builds its O(J) arrays
         plan = experiment_plans(tiny_config())[0]
-        lazy = {"tau", "tail", "beta_window", "weights_window", "lam", "bias", "m_bound",
-                "scales"}
+        lazy = {"tau", "tail", "beta_window", "weights_window", "lam", "bias", "scales"}
         assert not lazy & set(vars(plan))
         assert plan.factor_shape[0] == plan.window + 1
         assert not lazy & set(vars(plan))
         replicate_moments(plan, 0)
         assert set(vars(plan)) >= {"tau", "beta_window", "lam"}
-        # only the known-degree selector reads M_n and its scales
-        assert not {"m_bound", "scales"} & set(vars(plan))
+        # only the known-degree selector reads the scales over 1..min(M_n, J)
+        assert "scales" not in vars(plan)
 
     def test_plans_without_j_max_use_no_truncation(self, monkeypatch):
         # the engine simulates every coordinate: no plan, read in full, scans
@@ -459,15 +458,16 @@ class TestReplicateEngine:
 
     def test_plan_depends_on_its_n_alone(self, monkeypatch):
         # the n = 500 plan of golden PE is the same built alone or beside
-        # n = 8000, and its scales run over its own 1..m_bound
+        # n = 8000, and its scales run over its own 1..min(M_n, J)
         cfg = cf.parse_config((CONFIG_DIR / "golden_pe.cfg").read_text())
         alone = experiment_plans(replace(cfg, n_grid=(500,)))[0]
         inside = experiment_plans(replace(cfg, n_grid=(500, 8000)))[0]
-        for name in ("window", "tau", "tail", "m_bound"):
+        for name in ("window", "tau", "tail"):
             assert getattr(alone, name) == getattr(inside, name), name
         for name in ("beta_window", "weights_window", "lam", "bias"):
             assert np.array_equal(getattr(alone, name), getattr(inside, name)), name
-        assert len(alone.scales) == len(inside.scales) == inside.m_bound
+        known_bound = min(cf.bound_M(inside.seq, 500), inside.window)
+        assert len(alone.scales) == len(inside.scales) == known_bound
         # the slope window of golden PP's n = 500 plan shapes its own J
         # indices, not the more of the plan beside it, and the slope's scale
         # one more, the probe that finds its support
@@ -500,7 +500,8 @@ class TestReplicateEngine:
                 unpaired.append(SequenceSpec(regime, a=a, p=max(s_exp, 0.0) + 1.0, s=s_exp))
         for cfg in cfgs:
             for plan in experiment_plans(cfg):
-                assert plan.m_bound == cf.bound_M(plan.seq, plan.n) <= plan.window, (cfg, plan.n)
+                assert len(plan.scales) == cf.bound_M(plan.seq, plan.n) <= plan.window, \
+                    (cfg, plan.n)
         # a run always pairs; the bound holds of the unpaired sequences too
         for seq in unpaired:
             for n in (2, 7, 60, 500):
