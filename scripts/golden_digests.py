@@ -99,6 +99,10 @@ RUNS = (
      BOTH + _overrides("a=1e308", "s=-1e308", "replications=1", "n_grid=250,1000")),
     # finite log terms whose sum, in the m_star_n and m_dagger_n criteria, is +-inf
     ("pp_rates_a_p_huge", "rates", "golden_pp.cfg", _overrides("a=1e308", "p=1e308")),
+    # 2s and 2p past float range: the m_star_n and m_dagger_n criteria meet inf - inf,
+    # a NaN, which np.argmin takes as the minimum
+    ("pp_rates_s_p_huge", "rates", "golden_pp.cfg",
+     _overrides("s=1e308", f"p={sys.float_info.max!r}")),
     ("pe_rates", "rates", "golden_pe.cfg", ()),
     ("pe_rates_p_s_huge", "rates", "golden_pe.cfg", _overrides("p=1e308", "s=-1e308")),
     ("pe_mc", "mc-risk", "golden_pe.cfg", ()),
@@ -115,6 +119,12 @@ RUNS = (
     ("pe_mc_1e8", "mc-risk", "golden_pe.cfg",
      BOTH + _overrides("n_grid=500,100000000", "replications=20")),
     ("ep_rates", "rates", "golden_pp.cfg", _overrides("regime=EP", "p=1")),
+    # 2s past float range: simulate's default truncation reads m_dagger_n's inf - inf
+    ("ep_sim_s_huge", "simulate", "golden_pp.cfg",
+     _overrides("regime=EP", "s=1e308", "n_grid=10,20")),
+    # 2a and 2s past float range: log omega_2 - log lambda_2 overflows to its limit, +inf
+    ("ep_est_a_s_huge", "estimate", "golden_pp.cfg",
+     BOTH + _overrides("regime=EP", "a=1e308", "s=1e308", "replications=1")),
     ("ep_mc", "mc-risk", "golden_pp.cfg",
      BOTH + _overrides("regime=EP", "p=1", "replications=50")),
     ("ep_est", "estimate", "golden_pp.cfg",
@@ -162,6 +172,9 @@ FAILS = (
     # the slope's scale sqrt(rho / norm) past float range names rho
     ("ep_rho_huge", "simulate", "golden_pp.cfg",
      _overrides("regime=EP", "rho=1e308", "n_grid=10,20"), 3),
+    # omega_j = inf weighs a nonzero slope coefficient: the oracle risk is inf
+    ("ep_mc_a_s_huge", "mc-risk", "golden_pp.cfg",
+     BOTH + _overrides("regime=EP", "a=1e308", "s=1e308"), 3),
 )
 
 

@@ -19,8 +19,6 @@ import numpy as np
 
 __all__ = [
     "CoefVector",
-    "WeightVector",
-    "basis_eval",
     "design_matrix",
     "function_eval",
     "weighted_norm_sq",
@@ -53,34 +51,10 @@ class CoefVector:
         return int(self.coefs.size)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Strictly positive weights w_1..w_J with the normalization w_1 = 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = _validated_array(self.weights, "weights")
-        if np.any(arr <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if arr[0] != 1.0:
-            raise ValueError(f"weights must satisfy w_1 = 1, got w_1 = {arr[0]!r}")
-        object.__setattr__(self, "weights", arr)
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
-
 def _coef_array(f) -> np.ndarray:
     if isinstance(f, CoefVector):
         return f.coefs
     return np.asarray(f, dtype=float)
-
-
-def _weight_array(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.weights
-    return np.asarray(w, dtype=float)
 
 
 def _check_unit_interval(t: np.ndarray):
@@ -94,16 +68,6 @@ def _phi(j: int, t: np.ndarray) -> np.ndarray:
         return np.ones_like(t)
     trig = np.cos if j % 2 == 0 else np.sin
     return _SQRT2 * trig(2.0 * np.pi * (t * (j // 2)))
-
-
-def basis_eval(j: int, t):
-    """Evaluate the j-th basis function at t (scalar or array) in [0, 1]."""
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
-    t_arr = np.asarray(t, dtype=float)
-    _check_unit_interval(t_arr)
-    out = _phi(j, t_arr)
-    return float(out) if out.ndim == 0 else out
 
 
 def design_matrix(n_basis: int, t) -> np.ndarray:
@@ -142,6 +106,6 @@ def weighted_inner(f, g, w) -> float:
     """Weighted inner product sum_j w_j f_j g_j (zero-padding semantics)."""
     fc = _coef_array(f)
     gc = _coef_array(g)
-    weights = _weight_array(w)
+    weights = np.asarray(w, dtype=float)
     m = min(fc.size, gc.size, weights.size)
     return float(np.sum(_weighted(weights[:m], fc[:m] * gc[:m])))

@@ -121,7 +121,8 @@ class SlopeSpec:
         runs to its early stop, within 2^24 terms."""
         def terms(lo, hi):
             log_shape = _log_slope_shape(self, np.arange(lo, hi, dtype=float))
-            with np.errstate(over="ignore"):  # a term past float range: the sum is inf
+            # a term past float range: the sum is inf; inf - inf where the shape is 0
+            with np.errstate(over="ignore", invalid="ignore"):
                 values = np.exp(log_weights(hi - 1, lo) + 2.0 * log_shape)
             return np.where(np.exp(log_shape) >= _TINY, values, 0.0)
 

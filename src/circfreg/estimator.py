@@ -13,10 +13,11 @@ degree of ill-posedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import CoefVector, _weight_array, _weighted
+from .basis import CoefVector, _weighted
 from .config import RunConfig, write_csv
 from .sequences import PenaltyScales, delta_factor, weight_cap
 
@@ -28,7 +29,6 @@ __all__ = [
     "contrast",
     "contrast_curve",
     "penalty_known",
-    "estimated_scales",
     "estimated_scale_curves",
     "penalty_hat",
     "bound_M_hat",
@@ -58,6 +58,14 @@ class SampleMoments:
     @property
     def n_coef(self) -> int:
         return int(self.ghat.size)
+
+    @cached_property
+    def bhat(self) -> np.ndarray:
+        """The thresholded estimate ghat_j / lhat_j 1{lhat_j >= 1/n} of every
+        coordinate, formed on first read; read-only."""
+        bhat = _thresholded_ratio(self, self.ghat)
+        bhat.flags.writeable = False
+        return bhat
 
 
 def moments(sample) -> SampleMoments:
@@ -89,14 +97,15 @@ def _thresholded_ratio(mom: SampleMoments, numer: np.ndarray) -> np.ndarray:
 def estimate_beta(mom: SampleMoments, m: int) -> CoefVector:
     """Series estimator coefficients for model dimension m (length m)."""
     _check_dim(mom, m)
-    return CoefVector(_thresholded_ratio(mom, mom.ghat[:m]))
+    return CoefVector(mom.bhat[:m])
 
 
 def contrast_curve(mom: SampleMoments, w, m_max: int) -> np.ndarray:
     """Contrast values for every m = 1..m_max (non-increasing in m)."""
     _check_dim(mom, m_max)
-    weights = _weight_array(w)
-    return -np.cumsum(_weighted(weights[:m_max], _thresholded_ratio(mom, mom.ghat[:m_max]) ** 2))
+    weights = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore"):  # a contrast past float range makes replicate_traces exit 3
+        return -np.cumsum(_weighted(weights[:m_max], mom.bhat[:m_max] ** 2))
 
 
 def contrast(mom: SampleMoments, w, m: int) -> float:
@@ -128,7 +137,7 @@ def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
     coordinate is dead all three values are 0.
     """
     _check_dim(mom, m_max)
-    weights = _weight_array(w)[:m_max]
+    weights = np.asarray(w, dtype=float)[:m_max]
     Delta_hat = np.maximum.accumulate(_thresholded_ratio(mom, weights))
     kappa_hat = np.maximum.accumulate(_thresholded_ratio(mom, np.maximum(weights, 1.0)))
     with np.errstate(divide="ignore"):
@@ -137,16 +146,10 @@ def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
     return Delta_hat, kappa_hat, delta_hat
 
 
-def estimated_scales(mom: SampleMoments, w, m: int):
-    """Plug-in (Delta_hat_m, kappa_hat_m, delta_hat_m) at a single dimension m."""
-    Delta_hat, kappa_hat, delta_hat = estimated_scale_curves(mom, w, m)
-    return float(Delta_hat[m - 1]), float(kappa_hat[m - 1]), float(delta_hat[m - 1])
-
-
 def penalty_hat(mom: SampleMoments, w, m: int,
                 const: float = RunConfig.pen_const_unknown) -> float:
     """Random penalty const * sigma_y2 * ETA * delta_hat_m / n."""
-    _, _, delta_hat = estimated_scales(mom, w, m)
+    delta_hat = float(estimated_scale_curves(mom, w, m)[2][m - 1])
     return float(_penalty(const, mom.sigma_y2, delta_hat, mom.n))
 
 
@@ -160,7 +163,7 @@ def bound_M_hat(mom: SampleMoments, w) -> int:
     n = mom.n
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    weights = _weight_array(w)
+    weights = np.asarray(w, dtype=float)
     cap = weight_cap(weights[: min(n, mom.n_coef)], n)
     m = np.arange(1, cap + 1, dtype=float)
     cond = mom.lhat[:cap] / (m * np.maximum(weights[:cap], 1.0)) >= np.log(n) / n
@@ -181,17 +184,14 @@ class SelectionTrace:
     m_hat: int
     pen_const: float
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.contrast + self.penalty
-
 
 def _select(variant: str, mom: SampleMoments, w, m_max: int, delta: np.ndarray,
             pen_const: float) -> SelectionTrace:
     """Minimize contrast + pen_const sigma_y2 ETA delta_m / n over m = 1..m_max."""
     crv = contrast_curve(mom, w, m_max)
     pen = _penalty(pen_const, mom.sigma_y2, delta, mom.n)
-    m_hat = int(np.argmin(crv + pen)) + 1  # first minimum = smallest m
+    with np.errstate(invalid="ignore"):  # -inf + inf, which makes replicate_traces exit 3
+        m_hat = int(np.argmin(crv + pen)) + 1  # first minimum = smallest m
     return SelectionTrace(
         variant=variant, admissible_max=m_max, contrast=crv, penalty=pen,
         delta_used=delta, m_hat=m_hat, pen_const=float(pen_const),

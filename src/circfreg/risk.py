@@ -59,17 +59,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import _coef_array, _weight_array, _weighted, weighted_norm_sq
+from .basis import _coef_array, _weighted, weighted_norm_sq
 from .config import RunConfig, write_csv
 # default_truncation, make_slope and slope_tail_bias: for perfbench/traced_cli.py
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
-from .estimator import (
-    SampleMoments,
-    _thresholded_ratio,
-    moments,
-    select_data_driven,
-    select_known,
-)
+from .estimator import SampleMoments, moments, select_data_driven, select_known
 from .sequences import (
     BLOCK,
     INDEX_MAX,
@@ -127,7 +121,7 @@ def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.n
     coefficient ratio.  beta and w have one length, at least mom.n_coef;
     coordinates past that length enter only through ``tail``.
     """
-    b, weights, m = _coef_array(beta), _weight_array(w), mom.n_coef
+    b, weights, m = _coef_array(beta), np.asarray(w, dtype=float), mom.n_coef
     if b.size != weights.size or b.size < m:
         raise ValueError(f"beta (length {b.size}) and w (length {weights.size}) must have "
                          f"one length, at least the {m} moments")
@@ -147,8 +141,7 @@ def _bias_beyond(weights: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
     """fixed_dim_risk_curve from its replicate-free part ``bias`` (length mom.n_coef)."""
     m = mom.n_coef
-    err = _thresholded_ratio(mom, mom.ghat) - b[:m]
-    return np.cumsum(_weighted(weights[:m], err ** 2)) + bias + tail
+    return np.cumsum(_weighted(weights[:m], (mom.bhat - b[:m]) ** 2)) + bias + tail
 
 
 def oracle_risk(samples, beta, w):

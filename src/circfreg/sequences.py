@@ -160,13 +160,6 @@ class SequenceSpec:
         with np.errstate(over="ignore"):  # omega_j = inf is the exact limit
             return self._indices(length, start) ** (2.0 * self.s)
 
-    def smoothness_weights(self, length: int) -> np.ndarray:
-        """gamma_j for j = 1..length (may overflow to inf in regime EP)."""
-        if self.regime == "EP":
-            with np.errstate(over="ignore"):  # gamma_j = inf is the exact limit
-                return np.exp(self.log_smoothness_weights(length))
-        return self._indices(length) ** (2.0 * self.p)
-
     def eigenvalues(self, length: int, start: int = 1) -> np.ndarray:
         """lambda_j for j = start..length (may underflow to 0 in regime PE)."""
         if self.regime == "PE":
@@ -199,8 +192,8 @@ def _log_ratio(spec: SequenceSpec, log_omega: np.ndarray, log_lam: np.ndarray,
     past float range), it is one log power under PP and EP, 2 ((s + a) log k
     + s log(j / k)) at the eigenvalue's index k (j - 1 at a paired sine, else
     j), which no inf - inf can reach, and +inf under PE, where exp(k^(2a))
-    outgrows j^(2s)."""
-    with np.errstate(invalid="ignore"):
+    outgrows j^(2s).  A finite difference past float range is +inf, its limit."""
+    with np.errstate(over="ignore", invalid="ignore"):
         ratio = log_omega - log_lam  # NaN exactly where both are -inf
     both = np.isnan(ratio)
     if spec.regime == "PE":
@@ -233,7 +226,9 @@ def intrinsic_scales(spec: SequenceSpec, length: int, start: int = 1,
 
     log_Delta = accumulate(np.maximum, _log_ratio(spec, log_omega, log_lam, start),
                            last("log_Delta"))
-    log_kappa = accumulate(np.maximum, np.maximum(log_omega, 0.0) - log_lam, last("log_kappa"))
+    with np.errstate(over="ignore"):  # +inf past float range, the limit
+        log_kappa = accumulate(np.maximum, np.maximum(log_omega, 0.0) - log_lam,
+                               last("log_kappa"))
     factor = delta_factor(log_kappa, start)
     log_delta = np.log(np.arange(start, length + 1, dtype=float)) + log_Delta + np.log(factor)
     return PenaltyScales(log_delta, log_Delta, log_kappa)
@@ -354,7 +349,8 @@ def balance_m_star(spec: SequenceSpec, n: int) -> int:
             log_ratio = _log_ratio(spec, log_omega, spec.log_eigenvalues(hi, lo), lo)
             log_cumsum = accumulate(np.logaddexp, log_ratio, carry)
             carry = log_cumsum[-1]
-            with np.errstate(over="ignore"):  # a sum past float range is +-inf
+            # a sum past float range is +-inf, and inf - inf is NaN, the minimum
+            with np.errstate(over="ignore", invalid="ignore"):
                 crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega
                               + log_cumsum)
             yield lo, hi, crit
@@ -377,7 +373,8 @@ def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
 
     def crits():
         for lo, hi, block in scale_blocks(spec, n):
-            with np.errstate(over="ignore"):  # a sum past float range is +-inf
+            # a sum past float range is +-inf, and inf - inf is NaN, the minimum
+            with np.errstate(over="ignore", invalid="ignore"):
                 crit = np.abs(spec.log_smoothness_weights(hi, lo) + block.log_delta - log_n
                               - spec.log_risk_weights(hi, lo))
             yield lo, hi, crit

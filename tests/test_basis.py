@@ -3,8 +3,6 @@ import pytest
 
 from circfreg import (
     CoefVector,
-    WeightVector,
-    basis_eval,
     design_matrix,
     function_eval,
     weighted_inner,
@@ -14,36 +12,34 @@ from circfreg import (
 SQRT2 = np.sqrt(2.0)
 
 
-class TestBasisEval:
+class TestDesignMatrix:
+    # column j - 1 of design_matrix holds phi_j
     def test_constant_function(self):
-        assert basis_eval(1, 0.37) == 1.0
+        assert design_matrix(1, 0.37)[0, 0] == 1.0
 
     def test_cosine_at_zero(self):
-        assert basis_eval(2, 0.0) == pytest.approx(SQRT2, abs=1e-15)
+        assert design_matrix(2, 0.0)[0, 1] == pytest.approx(SQRT2, abs=1e-15)
 
     def test_sine_quarter_period(self):
-        assert basis_eval(3, 0.25) == pytest.approx(SQRT2, abs=1e-15)
-
-    def test_index_zero_rejected(self):
-        with pytest.raises(ValueError):
-            basis_eval(0, 0.5)
+        assert design_matrix(3, 0.25)[0, 2] == pytest.approx(SQRT2, abs=1e-15)
 
     def test_point_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            basis_eval(2, 1.5)
+            design_matrix(2, 1.5)
 
     def test_vectorized_matches_scalar(self):
+        # a scalar t gives one row, that of t in the vectorized matrix
         t = np.linspace(0.0, 1.0, 11)
-        for j in (1, 2, 3, 6, 9):
-            vals = basis_eval(j, t)
-            assert np.allclose(vals, [basis_eval(j, ti) for ti in t], atol=1e-15)
+        rows = [design_matrix(9, ti) for ti in t]
+        assert all(row.shape == (1, 9) for row in rows)
+        assert np.allclose(design_matrix(9, t), np.vstack(rows), atol=1e-15)
 
 
 class TestFunctionEval:
     def test_single_constant_coefficient(self):
         assert function_eval(CoefVector([1.0]), 0.9) == 1.0
 
-    def test_reduces_to_basis_eval(self):
+    def test_reduces_to_one_basis_function(self):
         assert function_eval(CoefVector([0.0, 1.0, 0.0]), 0.0) == pytest.approx(SQRT2)
 
     def test_hand_evaluation(self):
@@ -58,33 +54,33 @@ class TestFunctionEval:
 
 class TestWeightedOps:
     def test_norm_of_zero_vector(self):
-        assert weighted_norm_sq(CoefVector([0.0, 0.0, 0.0]), WeightVector([1.0, 2.0, 3.0])) == 0.0
+        assert weighted_norm_sq(CoefVector([0.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0])) == 0.0
 
     def test_norm_hand_sum(self):
-        assert weighted_norm_sq(CoefVector([1.0, 2.0]), WeightVector([1.0, 4.0])) == 17.0
+        assert weighted_norm_sq(CoefVector([1.0, 2.0]), np.array([1.0, 4.0])) == 17.0
         # a zero coefficient adds 0 even where its weight overflowed to inf
         assert weighted_norm_sq(CoefVector([1.0, 0.0]), np.array([1.0, np.inf])) == 1.0
 
     def test_norm_single_term(self):
-        assert weighted_norm_sq(CoefVector([3.0]), WeightVector([1.0])) == 9.0
+        assert weighted_norm_sq(CoefVector([3.0]), np.array([1.0])) == 9.0
 
     def test_inner_hand_sum(self):
         f = CoefVector([1.0, 1.0])
-        assert weighted_inner(f, f, WeightVector([1.0, 1.0])) == 2.0
+        assert weighted_inner(f, f, np.array([1.0, 1.0])) == 2.0
         f = CoefVector([1.0, 0.0])
         assert weighted_inner(f, f, np.array([1.0, np.inf])) == 1.0
 
     def test_inner_disjoint_support(self):
         assert weighted_inner(CoefVector([1.0, 0.0]), CoefVector([0.0, 1.0]),
-                              WeightVector([1.0, 5.0])) == 0.0
+                              np.array([1.0, 5.0])) == 0.0
 
     def test_inner_single_product(self):
-        assert weighted_inner(CoefVector([2.0]), CoefVector([3.0]), WeightVector([1.0])) == 6.0
+        assert weighted_inner(CoefVector([2.0]), CoefVector([3.0]), np.array([1.0])) == 6.0
 
     def test_zero_padding_mismatched_lengths(self):
         # shorter vector behaves as if padded with zeros
         f = CoefVector([1.0, 2.0, 5.0])
-        w = WeightVector([1.0, 4.0])
+        w = np.array([1.0, 4.0])
         assert len(f) == 3 and len(w) == 2
         assert weighted_norm_sq(f, w) == 17.0
         assert weighted_inner(f, CoefVector([1.0]), w) == 1.0
@@ -106,7 +102,7 @@ class TestProperties:
         for _ in range(20):
             size = int(rng.integers(1, 40))
             f = CoefVector(rng.normal(size=size))
-            ones = WeightVector(np.ones(size))
+            ones = np.ones(size)
             quad = float(np.mean(function_eval(f, t) ** 2))
             norm = weighted_norm_sq(f, ones)
             assert norm == pytest.approx(quad, rel=1e-6)
@@ -148,14 +144,6 @@ class TestValidation:
     def test_coef_vector_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CoefVector([1.0, np.nan])
-
-    def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
-            WeightVector([1.0, 0.0])
-
-    def test_first_weight_normalized(self):
-        with pytest.raises(ValueError):
-            WeightVector([2.0, 1.0])
 
     def test_design_matrix_needs_a_basis_function(self):
         with pytest.raises(ValueError, match="n_basis must be >= 1, got 0"):

@@ -356,21 +356,25 @@ def test_huge_p_or_negative_s_exits_0_with_finite_outputs(config_file, tmp_path,
 
 @pytest.mark.parametrize("override", [
     "a=1e308", f"a={sys.float_info.max!r}", "p=1e308", f"p={sys.float_info.max!r}", "s=-1e308",
-    "rho=1e308",
+    "rho=1e308", "s=1e308",
     *(pair for v in ("1e308", repr(sys.float_info.max))
       for pair in (f"a={v} s=-{v}", f"a={v} p={v}", f"p={v} s=-{v}")),
+    f"s=1e308 p={sys.float_info.max!r}", "a=1e308 s=1e308", "sigma=1e154 a=1e-300",
 ])
 @pytest.mark.parametrize("regime", ["PP", "EP", "PE"])
 @pytest.mark.parametrize("command", ["rates", "estimate", "mc-risk", "simulate"])
 def test_huge_finite_input_exits_0_2_or_3_without_warning(config_file, tmp_path, command,
                                                           regime, override):
     # 2a, 2p, -2s or the slope's scale past float range: log powers are 2 (c log j),
-    # 0 at j = 1, and a scale past float range names rho.  A pair runs both
-    # selectors, and simulate without j_max, so that the scales and every scan
-    # read it: where log omega_j and log lambda_j are both -inf, their ratio is
-    # one log power, and the scans' criteria may reach +-inf
+    # 0 at j = 1, and a scale past float range names rho.  A pair, or a huge
+    # positive s, runs both selectors, and simulate without j_max, so that the
+    # scales and every scan read it: where log omega_j and log lambda_j are both
+    # -inf, their ratio is one log power, a finite difference of them past float
+    # range is +inf, and the scans' criteria may reach +-inf or inf - inf.  A
+    # contrast past float range (sigma = 1e154 with every PE coordinate alive at
+    # a = 1e-300) exits 3 with its one line
     overrides = [f"regime={regime}", *override.split()]
-    if len(overrides) > 2:
+    if len(overrides) > 2 or override == "s=1e308":
         overrides += ["variant=both", *(["j_max=none"] if command == "simulate" else [])]
     out = tmp_path / "o"
     with (warnings.catch_warnings(record=True) as caught,

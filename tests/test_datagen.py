@@ -42,7 +42,7 @@ class TestMakeSlope:
 
         spec = SlopeSpec(PP, radius=1.0)
         slope = make_slope(spec, 200)
-        norm = weighted_norm_sq(slope, PP.smoothness_weights(200))
+        norm = weighted_norm_sq(slope, np.exp(PP.log_smoothness_weights(200)))
         assert norm + spec.scale**2 * zeta(3.0, 201) == pytest.approx(1.0, rel=1e-12)
 
     def test_ellipsoid_equality_ep_logspace(self):
@@ -58,7 +58,7 @@ class TestMakeSlope:
         norms = []
         for rho in (0.5, 1.0, 2.0, 4.0):
             slope = make_slope(SlopeSpec(PP, radius=rho), 100)
-            norms.append(weighted_norm_sq(slope, PP.smoothness_weights(100)))
+            norms.append(weighted_norm_sq(slope, np.exp(PP.log_smoothness_weights(100))))
         assert np.all(np.diff(norms) > 0)
 
     def test_nonpositive_radius_rejected(self):

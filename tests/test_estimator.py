@@ -11,7 +11,7 @@ from circfreg import (
     contrast,
     contrast_curve,
     estimate_beta,
-    estimated_scales,
+    estimated_scale_curves,
     intrinsic_scales,
     make_slope,
     moments,
@@ -67,6 +67,14 @@ class TestMoments:
                         sigma=0.0, seed=0)
         mom = moments(sample)
         assert mom.ghat[0] == 0.0 and mom.lhat[0] == 1.0
+
+    def test_bhat_is_the_thresholded_ratio_formed_once(self):
+        mom = SampleMoments(ghat=np.array([0.5, 0.3, -0.6]), lhat=np.array([0.25, 0.005, 0.01]),
+                            sigma_y2=1.0, n=100)
+        assert np.array_equal(mom.bhat, [2.0, 0.0, -60.0])
+        assert mom.bhat is mom.bhat
+        with pytest.raises(ValueError):
+            mom.bhat[0] = 1.0
 
     def test_single_observation_rejected(self):
         from circfreg.datagen import Sample
@@ -180,19 +188,19 @@ class TestPenalties:
         with pytest.raises(ValueError, match=f"m = {m} must lie in 1..2"):
             penalty_known(sc, 1.0, 100, m)
 
-    def test_estimated_scales_all_dead(self):
+    def test_estimated_scale_curves_all_dead(self):
         mom = SampleMoments(ghat=np.ones(4), lhat=np.full(4, 1e-6), sigma_y2=1.0, n=100)
-        assert estimated_scales(mom, np.ones(4), 4) == (0.0, 0.0, 0.0)
+        assert [c[3] for c in estimated_scale_curves(mom, np.ones(4), 4)] == [0.0, 0.0, 0.0]
 
-    def test_estimated_scales_hand_value(self):
+    def test_estimated_scale_curves_hand_value(self):
         mom = SampleMoments(ghat=np.zeros(2), lhat=np.array([0.25, 0.1]), sigma_y2=1.0, n=100)
-        d, k, dh = estimated_scales(mom, np.ones(2), 2)
+        d, k, dh = (c[1] for c in estimated_scale_curves(mom, np.ones(2), 2))
         assert d == 10.0 and k == 10.0
         assert dh == pytest.approx(2 * 10 * np.log(10.0) / np.log(4.0), rel=1e-12)
 
-    def test_estimated_scales_single(self):
+    def test_estimated_scale_curves_single(self):
         mom = SampleMoments(ghat=np.zeros(1), lhat=np.ones(1), sigma_y2=1.0, n=100)
-        assert estimated_scales(mom, np.ones(1), 1) == (1.0, 1.0, 1.0)
+        assert [c[0] for c in estimated_scale_curves(mom, np.ones(1), 1)] == [1.0, 1.0, 1.0]
 
     def test_penalty_hat_hand_value(self):
         mom = SampleMoments(ghat=np.zeros(2), lhat=np.array([0.25, 0.1]), sigma_y2=1.0, n=100)
@@ -222,7 +230,7 @@ class TestPenalties:
             w = np.ones(size)
             w[1:] = rng.uniform(0.2, 3.0, size - 1)
             m = int(rng.integers(1, size + 1))
-            _, _, dh = estimated_scales(mom, w, m)
+            dh = estimated_scale_curves(mom, w, m)[2][m - 1]
             assert dh == pytest.approx(naive_delta_hat(mom, w, m), rel=1e-13, abs=0.0)
 
 
@@ -316,7 +324,7 @@ class TestSelection:
             assert np.all(np.diff(trace.contrast) <= 0)
             assert np.all(np.diff(trace.penalty) >= 0)
             assert np.all(np.diff(trace.delta_used) >= 0)
-            total = trace.total
+            total = trace.contrast + trace.penalty
             assert np.all(total[trace.m_hat - 1] <= total)
 
     def test_scale_invariance_of_data_driven_choice(self):
@@ -400,7 +408,7 @@ class TestDeltaHatConsistency:
             mom = moments(sample)
             ok = True
             for m in range(1, 6):
-                _, _, dh = estimated_scales(mom, w, m)
+                dh = estimated_scale_curves(mom, w, m)[2][m - 1]
                 ratio = dh / delta[m - 1]
                 ok = ok and (0.1 <= ratio <= 3.0)
             hits += ok

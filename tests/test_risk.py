@@ -218,7 +218,7 @@ def test_median_is_numpy_median_bit_for_bit(size, monkeypatch):
 
 
 @pytest.mark.parametrize("cls", [
-    CoefVector, cf.WeightVector, cf.Sample, SampleMoments, cf.SelectionTrace,
+    CoefVector, cf.Sample, SampleMoments, cf.SelectionTrace,
     cf.PenaltyScales, cf.RiskReport, _GridPlan,
 ])
 def test_array_records_compare_by_identity(cls):

@@ -58,7 +58,7 @@ class TestSequenceValues:
         assert PE.eigenvalues(4)[3] == pytest.approx(np.exp(-4.0), rel=1e-15)
 
     def test_ep_gamma_normalized(self):
-        gam = EP.smoothness_weights(3)
+        gam = np.exp(EP.log_smoothness_weights(3))
         assert gam[0] == 1.0
         assert gam[1] == pytest.approx(np.exp(3.0), rel=1e-14)
 
