@@ -218,20 +218,20 @@ def alive_window(seq: SequenceSpec, n: int, j_max: int | None = None) -> int:
     not), and stays exactly 0 once it reaches 0.  So the tail sums start at the
     last nonzero bound, found by :func:`first_false`, and run down in blocks,
     as the reversed np.cumsum over all bounds adds them, until a block holds a
-    tail over ALIVE_EPS."""
+    tail over ALIVE_EPS.  J >= 1: the bound at j = 1 is 1 where lambda_1 = 1
+    (PP, EP) and over 0.69 where lambda_1 = exp(-1) (PE), for every n >= 1."""
     def bound(lo, hi):
         return np.exp(log_chi2_tail_bound(n, -np.log(n) - seq.log_eigenvalues(hi - 1, lo)))
 
     stop = INDEX_MAX if j_max is None else j_max + 1
     hi, tail = first_false(lambda lo, hi: bound(lo, hi) > 0.0, 1, stop), None
-    while hi > 1:
+    while True:
         lo = max(1, hi - BLOCK)
         tail = accumulate(np.add, bound(lo, hi)[::-1], tail)  # j = hi-1 down to lo
         alive = int(np.count_nonzero(tail > ALIVE_EPS))  # the tail grows as j falls
         if alive:
             return lo - 1 + alive
         hi, tail = lo, tail[-1]
-    return 0
 
 
 @dataclass(frozen=True, eq=False)

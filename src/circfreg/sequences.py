@@ -26,12 +26,12 @@ Every sequence method also evaluates a range j = start..length, so no pass
 over n indices needs an array of length n:
 
 * N_n has a closed form, checked against omega over a few indices.
-* M_n, m_dagger_n and m_star_n scan m upward a block of BLOCK indices at a
-  time, each carrying its state, and stop once a lower bound on their
-  criterion, which does not decrease with m, shows that no later index can
-  win.  M_n and m_dagger_n read the scales, which carry their running maxima
-  from block to block (:func:`scale_blocks`); m_star_n carries its running
-  log-sum.
+* M_n, m_star_n and m_dagger_n scan m upward a block of BLOCK indices at a
+  time and stop once a lower bound on their criterion, which does not
+  decrease with m, shows that no later index can win.  M_n reads the scales,
+  which carry their running maxima from block to block (:func:`scale_blocks`);
+  m_star_n and m_dagger_n are one balancing scan (:func:`_balance`), each
+  carrying its own aggregate: the log-sum of omega_j/lambda_j, or the scales.
 * :func:`accumulate` carries a running sum or maximum from block to block;
   :func:`series_sum` adds a slope series a block at a time, stopping early.
 """
@@ -314,15 +314,25 @@ def bound_N(spec: SequenceSpec, n: int) -> int:
     return lo - 1 + weight_cap(spec.risk_weights(hi, lo), n)
 
 
-def _argmin_scan(spec: SequenceSpec, n: int, crits, lower) -> int:
-    """Smallest m in 1..n minimizing a criterion that ``crits`` yields a block
-    at a time as (lo, hi, values); a NaN is the minimum, as in np.argmin.  Stops
-    once lower(m), a lower bound on the criterion at m past the scan that
-    never decreases with m, clears the best value so far."""
-    best, value = 1, np.inf
-    for lo, hi, crit in crits:
+def _balance(spec: SequenceSpec, n: int, aggregate, lower) -> int:
+    """Smallest m in 1..n minimizing |log gamma_m - log n - log omega_m + A_m|;
+    a NaN is the minimum, as in np.argmin.  aggregate(lo, hi, log omega over
+    lo..hi, carry) gives A_m over lo..hi and the carry for the next block (None
+    before the first).  Stops once lower(m), a lower bound on the criterion at
+    m past the scan that never decreases with m, clears the best value so far."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    log_n = np.log(n)
+    best, value, carry = 1, np.inf, None
+    for lo in range(1, n + 1, BLOCK):
+        hi = min(lo + BLOCK - 1, n)
+        log_omega = spec.log_risk_weights(hi, lo)
+        agg, carry = aggregate(lo, hi, log_omega, carry)
+        # a sum past float range is +-inf, and inf - inf is NaN, the minimum
+        with np.errstate(over="ignore", invalid="ignore"):
+            crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega + agg)
         i = int(np.argmin(crit))  # np.argmin takes the first NaN, else the first minimum
-        if crit[i] < value or np.isnan(crit[i]) and not np.isnan(value):
+        if np.isnan(crit[i]) or crit[i] < value:
             best, value = lo + i, crit[i]
         if np.isnan(value) or _settles(spec, n, hi, lower, value):
             return best
@@ -337,26 +347,13 @@ def balance_m_star(spec: SequenceSpec, n: int) -> int:
     lower bound on the criterion (the sum holds omega_m/lambda_m), clears the
     best value so far.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    log_n = np.log(n)
+    def log_sum(lo, hi, log_omega, carry):
+        log_ratio = _log_ratio(spec, log_omega, spec.log_eigenvalues(hi, lo), lo)
+        log_cumsum = accumulate(np.logaddexp, log_ratio, carry)
+        return log_cumsum, log_cumsum[-1]
 
-    def crits():
-        carry = None
-        for lo in range(1, n + 1, BLOCK):
-            hi = min(lo + BLOCK - 1, n)
-            log_omega = spec.log_risk_weights(hi, lo)
-            log_ratio = _log_ratio(spec, log_omega, spec.log_eigenvalues(hi, lo), lo)
-            log_cumsum = accumulate(np.logaddexp, log_ratio, carry)
-            carry = log_cumsum[-1]
-            # a sum past float range is +-inf, and inf - inf is NaN, the minimum
-            with np.errstate(over="ignore", invalid="ignore"):
-                crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega
-                              + log_cumsum)
-            yield lo, hi, crit
-
-    return _argmin_scan(spec, n, crits(), lambda m: _at(spec.log_smoothness_weights, m)
-                        - _at(spec.log_eigenvalues, m) - math.log(n))
+    return _balance(spec, n, log_sum, lambda m: _at(spec.log_smoothness_weights, m)
+                    - _at(spec.log_eigenvalues, m) - math.log(n))
 
 
 def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
@@ -367,20 +364,12 @@ def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
     log gamma_m + log m - log lambda_m - log n, a lower bound on the criterion
     (see :func:`bound_M`), clears the best value so far.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    log_n = np.log(n)
+    def log_delta(lo, hi, _, before):
+        scales = intrinsic_scales(spec, hi, lo, before)
+        return scales.log_delta, scales
 
-    def crits():
-        for lo, hi, block in scale_blocks(spec, n):
-            # a sum past float range is +-inf, and inf - inf is NaN, the minimum
-            with np.errstate(over="ignore", invalid="ignore"):
-                crit = np.abs(spec.log_smoothness_weights(hi, lo) + block.log_delta - log_n
-                              - spec.log_risk_weights(hi, lo))
-            yield lo, hi, crit
-
-    return _argmin_scan(spec, n, crits(), lambda m: _at(spec.log_smoothness_weights, m)
-                        + math.log(m / n) - _at(spec.log_eigenvalues, m))
+    return _balance(spec, n, log_delta, lambda m: _at(spec.log_smoothness_weights, m)
+                    + math.log(m / n) - _at(spec.log_eigenvalues, m))
 
 
 # -- reductions in blocks of indices -------------------------------------------

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 import types
 import warnings
 import weakref
@@ -455,6 +457,22 @@ class TestReplicateEngine:
                 assert np.isfinite([plan.tau, plan.tail, len(plan.scales), plan.bias[0]]).all()
                 _run_replicate(plan, 0)
             run_experiment(cfg)
+
+    def test_law_audit_runs_on_its_first_config(self, monkeypatch):
+        # scripts/law_audit.py reads _run_replicate and the plans' scales, window
+        # and seq; a short run keeps it working.  Not a statistical gate: the
+        # script keeps its own levels
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
+        path = CONFIG_DIR.parent / "scripts" / "law_audit.py"
+        spec = importlib.util.spec_from_file_location("law_audit", path)
+        law_audit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(law_audit)
+        label, cfg, n_coef = next(law_audit.configs(seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tests, events = law_audit.audit(label, replace(cfg, replications=300), n_coef)
+        assert events == 0
+        assert tests and all(0.0 <= p <= 1.0 for _, p in tests), tests
 
     def test_plan_depends_on_its_n_alone(self, monkeypatch):
         # the n = 500 plan of golden PE is the same built alone or beside
