@@ -1,9 +1,11 @@
-"""Flat key-value run configuration: parsing, validation, serialization.
+"""Flat key-value run configuration: parsing, validation, config echo.
 
 The configuration format is one ``key = value`` assignment per line, ``#``
 comments allowed, no nesting.  Unknown keys are errors (never silently
-ignored), every violated constraint is reported with its field name and
-bound, and ``parse_config(serialize_config(cfg))`` round-trips exactly.
+ignored), and every violated constraint is reported with its field name and
+bound.  The echo that heads every output CSV, ``config_echo(cfg)``, holds
+every key as ``key=value``; one such pair per line parses back to ``cfg``
+exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .sequences import SequenceSpec, regime_violations
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_echo"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "config_echo"]
 
 _VARIANTS = ("known", "data_driven", "both")
 
@@ -173,12 +175,6 @@ def _format(key: str, value) -> str:
     if key == "j_max" and value is None:
         return "none"
     return repr(value) if isinstance(value, float) else str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical document form; parse_config(serialize_config(cfg)) == cfg."""
-    lines = [f"{key} = {_format(key, getattr(cfg, key))}" for key in _TYPES]
-    return "\n".join(lines) + "\n"
 
 
 def config_echo(cfg: RunConfig) -> str:

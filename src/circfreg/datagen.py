@@ -54,7 +54,6 @@ __all__ = [
     "default_truncation",
     "substream",
     "simulate",
-    "covariance_kernel",
     "write_sample_csv",
 ]
 
@@ -243,25 +242,6 @@ def simulate(
     y = np.einsum("ij,j->i", x[:, : len(slope)], slope.coefs) + sigma * noise
     replicate_key = rep_keys[0] if len(rep_keys) == 1 else rep_keys
     return Sample(y=y, xcoef=x, sigma=float(sigma), seed=int(seed), replicate=replicate_key)
-
-
-def covariance_kernel(spec: SequenceSpec, n_coef: int, u) -> float:
-    """Stationary covariance kernel c(u) implied by the first n_coef eigenvalues.
-
-    c(u) = lambda_1 + sum over complete cosine/sine pairs of
-    2 lambda_{2k} cos(2 pi k u); defined only under enforced pairing.
-    """
-    if not spec.enforce_pair:
-        raise ValueError("covariance kernel requires enforce_pair=True")
-    u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < -1.0) | (u_arr > 1.0)):
-        raise ValueError("lag u must lie in [-1, 1]")
-    lam = spec.eigenvalues(n_coef)
-    out = np.full_like(u_arr, lam[0], dtype=float)
-    k_max = (n_coef - 1) // 2  # pairs (2k, 2k+1) fully inside 1..n_coef
-    for k in range(1, k_max + 1):
-        out = out + 2.0 * lam[2 * k - 1] * np.cos(2.0 * np.pi * k * u_arr)
-    return float(out) if out.ndim == 0 else out
 
 
 # values formatted at a time.  A chunk of 2^13 makes vectors of 64 KB and

@@ -30,7 +30,6 @@ __all__ = [
     "contrast_curve",
     "penalty_known",
     "estimated_scale_curves",
-    "penalty_hat",
     "bound_M_hat",
     "select_known",
     "select_data_driven",
@@ -144,13 +143,6 @@ def estimated_scale_curves(mom: SampleMoments, w, m_max: int):
         factor = delta_factor(np.log(kappa_hat))
     delta_hat = np.arange(1, m_max + 1, dtype=float) * Delta_hat * factor
     return Delta_hat, kappa_hat, delta_hat
-
-
-def penalty_hat(mom: SampleMoments, w, m: int,
-                const: float = RunConfig.pen_const_unknown) -> float:
-    """Random penalty const * sigma_y2 * ETA * delta_hat_m / n."""
-    delta_hat = float(estimated_scale_curves(mom, w, m)[2][m - 1])
-    return float(_penalty(const, mom.sigma_y2, delta_hat, mom.n))
 
 
 def bound_M_hat(mom: SampleMoments, w) -> int:

@@ -59,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import _coef_array, _weighted, weighted_norm_sq
+from .basis import _coef_array, _weighted
 from .config import RunConfig, write_csv
 # default_truncation, make_slope and slope_tail_bias: for perfbench/traced_cli.py
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
@@ -79,7 +79,6 @@ from .sequences import (
 __all__ = [
     "NumericError",
     "RiskReport",
-    "loss",
     "fixed_dim_risk_curve",
     "oracle_risk",
     "fit_slope",
@@ -101,16 +100,6 @@ _LOG_T_CAP = 600.0
 
 class NumericError(RuntimeError):
     """A numeric contract failed (e.g. nonpositive risks in a log-log fit)."""
-
-
-def loss(beta_hat, beta, w) -> float:
-    """Weighted squared-norm loss of beta_hat against beta (zero-padding)."""
-    fc = _coef_array(beta_hat)
-    gc = _coef_array(beta)
-    diff = np.zeros(max(fc.size, gc.size))
-    diff[: fc.size] = fc
-    diff[: gc.size] -= gc
-    return weighted_norm_sq(diff, w)
 
 
 def fixed_dim_risk_curve(mom: SampleMoments, beta, w, tail: float = 0.0) -> np.ndarray:

@@ -459,14 +459,15 @@ def test_fresh_process_imports_no_scipy_multiprocessing_or_numpy_ma(config_file,
     # scipy is a test-only reference, no command starts a worker process (the
     # 1400 x 51 sample spans nine of the sample writer's chunks), numpy.ma comes
     # with np.median and np.unique, and only simulate formats floats with
-    # circfreg.floatfmt
+    # circfreg.floatfmt; rates draws nothing, so it never imports numpy.random
     report = ("sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
-              " or m.split('.')[:2] in (['numpy', 'ma'], ['circfreg', 'floatfmt']))")
+              " or m.split('.')[:2] in (['numpy', 'ma'], ['circfreg', 'floatfmt'])),"
+              " any(m.split('.')[:2] == ['numpy', 'random'] for m in sys.modules)")
     result = _fresh_run(command, "--config", str(config_file), "--out", str(tmp_path / "o"),
                         "--override", f"variant={variant}", "--override", "n_grid=40,1400",
                         report=report)
     loaded = "['circfreg.floatfmt']" if command == "simulate" else "[]"
-    assert result.stdout.split() == ["0", loaded], result.stderr
+    assert result.stdout.split() == ["0", loaded, str(command != "rates")], result.stderr
 
 
 def test_entry_point_freezes_the_import_time_heap(config_file, tmp_path):

@@ -10,7 +10,6 @@ from circfreg import (
     CoefVector,
     SequenceSpec,
     SlopeSpec,
-    covariance_kernel,
     default_truncation,
     make_slope,
     simulate,
@@ -21,7 +20,6 @@ from circfreg import (
 )
 
 PP = SequenceSpec("PP", a=1.0, p=2.0, s=0.0)
-PP_PAIRED = SequenceSpec("PP", a=1.0, p=2.0, s=0.0, enforce_pair=True)
 
 
 class TestMakeSlope:
@@ -189,31 +187,6 @@ class TestCoefficientMoments:
             for j in range(i + 1, 4):
                 cov = float(np.mean(z[:, i] * z[:, j]))
                 assert abs(cov) < 3.0 / np.sqrt(n)
-
-
-class TestCovarianceKernel:
-    def test_constant_kernel(self):
-        assert covariance_kernel(PP_PAIRED, 1, 0.73) == 1.0
-
-    def test_variance_at_zero_lag(self):
-        # with an odd truncation the kernel at 0 equals the eigenvalue sum
-        for n_coef in (5, 9):
-            lam_sum = float(np.sum(PP_PAIRED.eigenvalues(n_coef)))
-            assert covariance_kernel(PP_PAIRED, n_coef, 0.0) == pytest.approx(lam_sum, rel=1e-14)
-
-    def test_half_lag_values(self):
-        # complete pairs only: J = 4 has the single pair (2, 3)
-        assert covariance_kernel(PP_PAIRED, 4, 0.5) == pytest.approx(0.5, rel=1e-14)
-        # J = 5 adds the (4, 5) pair with cos(2 pi) = 1
-        assert covariance_kernel(PP_PAIRED, 5, 0.5) == pytest.approx(0.625, rel=1e-14)
-
-    def test_requires_pairing(self):
-        with pytest.raises(ValueError):
-            covariance_kernel(PP, 5, 0.0)
-
-    def test_lag_domain(self):
-        with pytest.raises(ValueError):
-            covariance_kernel(PP_PAIRED, 5, 1.5)
 
 
 class TestSubstreamAndCsv:

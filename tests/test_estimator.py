@@ -15,7 +15,6 @@ from circfreg import (
     intrinsic_scales,
     make_slope,
     moments,
-    penalty_hat,
     penalty_known,
     select_data_driven,
     select_known,
@@ -202,23 +201,25 @@ class TestPenalties:
         mom = SampleMoments(ghat=np.zeros(1), lhat=np.ones(1), sigma_y2=1.0, n=100)
         assert [c[0] for c in estimated_scale_curves(mom, np.ones(1), 1)] == [1.0, 1.0, 1.0]
 
-    def test_penalty_hat_hand_value(self):
+    def test_random_penalty_hand_value(self):
         mom = SampleMoments(ghat=np.zeros(2), lhat=np.array([0.25, 0.1]), sigma_y2=1.0, n=100)
         expected = 1920.0 * 3.0 * (20.0 * np.log(10.0) / np.log(4.0)) / 100.0
-        assert penalty_hat(mom, np.ones(2), 2) == pytest.approx(expected, rel=1e-12)
+        assert select_data_driven(mom, np.ones(2)).penalty[1] == pytest.approx(expected, rel=1e-12)
 
-    def test_penalty_hat_zero_when_dead(self):
+    def test_random_penalty_zero_when_dead(self):
+        # no coordinate qualifies, so the random bound falls back to M_hat = 1
         mom = SampleMoments(ghat=np.ones(2), lhat=np.full(2, 1e-9), sigma_y2=1.0, n=100)
-        assert penalty_hat(mom, np.ones(2), 2) == 0.0
+        assert select_data_driven(mom, np.ones(2)).penalty[0] == 0.0
 
-    def test_penalty_hat_quadratic_in_scale(self):
+    def test_random_penalty_quadratic_in_scale(self):
         # scaling Y by a power of two scales the penalty exactly
         mom = SampleMoments(ghat=np.array([0.5, 0.1]), lhat=np.array([0.5, 0.2]),
                             sigma_y2=1.3, n=100)
         scaled = SampleMoments(ghat=4.0 * mom.ghat, lhat=mom.lhat,
                                sigma_y2=16.0 * mom.sigma_y2, n=100)
         w = np.ones(2)
-        assert penalty_hat(scaled, w, 2) == 16.0 * penalty_hat(mom, w, 2)
+        pen, pen_scaled = (select_data_driven(m, w).penalty for m in (mom, scaled))
+        assert pen_scaled[1] == 16.0 * pen[1]
 
     def test_naive_delta_hat_agrees(self):
         rng = np.random.default_rng(14)

@@ -21,12 +21,12 @@ from circfreg import (
     SlopeSpec,
     fit_slope,
     fixed_dim_risk_curve,
-    loss,
     make_slope,
     moments,
     oracle_risk,
     run_experiment,
     simulate,
+    weighted_norm_sq,
     write_risk_csv,
 )
 from circfreg.risk import (
@@ -50,26 +50,6 @@ def test_risk_names_the_module_however_imported():
     assert isinstance(m, types.ModuleType) and cf.risk is risk is m
 
 
-class TestRiskLoss:
-    def test_zero_at_truth(self):
-        beta = CoefVector([1.0, -2.0, 0.5])
-        assert loss(beta, beta, np.ones(3)) == 0.0
-
-    def test_hand_sum(self):
-        assert loss(CoefVector([0.0, 0.0]), CoefVector([1.0, 1.0]), [1.0, 4.0]) == 5.0
-        # an EP weight overflows to inf where the slope is 0: that term adds 0
-        assert loss(CoefVector([2.0, 0.0]), CoefVector([1.0, 0.0]), [1.0, np.inf]) == 1.0
-
-    def test_padding_semantics(self):
-        assert loss(CoefVector([2.0]), CoefVector([1.0, 1.0]), np.ones(2)) == 2.0
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(2)
-        f, g = rng.normal(size=6), rng.normal(size=6)
-        w = np.ones(6)
-        assert loss(f, g, w) == loss(g, f, w)
-
-
 class TestFixedDimCurve:
     def test_matches_direct_risk(self):
         rng = np.random.default_rng(5)
@@ -77,14 +57,19 @@ class TestFixedDimCurve:
                             sigma_y2=1.0, n=100)
         cases = [(mom, CoefVector(rng.normal(size=8)), np.ones(8))]
         # coordinate 2 is thresholded (lhat_2 < 1/n) and beta_2 = 0: at weight
-        # inf both the curve and the loss add 0 for it
+        # inf both the curve and the direct sum add 0 for it
         mom = SampleMoments(ghat=np.array([2.0, 0.0]), lhat=np.array([1.0, 0.0]),
                             sigma_y2=1.0, n=10)
         cases.append((mom, np.array([1.0, 0.0]), np.array([1.0, np.inf])))
         for mom, beta, w in cases:
             curve = fixed_dim_risk_curve(mom, beta, w)
+            b = beta.coefs if isinstance(beta, CoefVector) else beta
             for m in range(1, mom.n_coef + 1):
-                direct = loss(cf.estimate_beta(mom, m), beta, w)
+                # bhat zero-padded to beta's length, minus beta
+                diff = np.zeros(max(m, b.size))
+                diff[:m] = cf.estimate_beta(mom, m).coefs
+                diff[: b.size] -= b
+                direct = weighted_norm_sq(diff, w)
                 assert curve[m - 1] == pytest.approx(direct, rel=1e-12)
 
     def test_tail_added_to_every_entry(self):
