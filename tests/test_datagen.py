@@ -11,6 +11,7 @@ from circfreg import (
     SequenceSpec,
     SlopeSpec,
     default_truncation,
+    design_matrix,
     make_slope,
     simulate,
     slope_tail_bias,
@@ -20,6 +21,7 @@ from circfreg import (
 )
 
 PP = SequenceSpec("PP", a=1.0, p=2.0, s=0.0)
+PP_PAIRED = SequenceSpec("PP", a=1.0, p=2.0, s=0.0, enforce_pair=True)
 
 
 class TestMakeSlope:
@@ -187,6 +189,53 @@ class TestCoefficientMoments:
             for j in range(i + 1, 4):
                 cov = float(np.mean(z[:, i] * z[:, j]))
                 assert abs(cov) < 3.0 / np.sqrt(n)
+
+
+def _covariance(spec, n_coef, s, t):
+    # Cov(X(s), X(t)) = sum_j lambda_j phi_j(s) phi_j(t) for the first n_coef terms
+    return float(design_matrix(n_coef, s)[0] * spec.eigenvalues(n_coef)
+                 @ design_matrix(n_coef, t)[0])
+
+
+class TestCovariateCovariance:
+    # with paired eigenvalues and complete cosine/sine pairs the covariate is
+    # stationary on the circle: c(u) = lambda_1 + sum_k 2 lambda_{2k} cos(2 pi k u)
+    def test_constant_kernel(self):
+        assert _covariance(PP_PAIRED, 1, 0.1, 0.73) == 1.0
+
+    def test_variance_at_zero_lag(self):
+        # with an odd truncation the variance is the eigenvalue sum at every t
+        for n_coef in (5, 9):
+            lam_sum = float(np.sum(PP_PAIRED.eigenvalues(n_coef)))
+            for t in (0.0, 0.2, 0.5, 0.9):
+                assert _covariance(PP_PAIRED, n_coef, t, t) == pytest.approx(lam_sum, rel=1e-14)
+
+    def test_half_lag_values(self):
+        # 1 - 2 lambda_2 + 2 lambda_4 = 1 - 1/2 + 1/8 at lag 1/2, from any origin
+        for s in (0.0, 0.25, 0.4):
+            assert _covariance(PP_PAIRED, 5, s, s + 0.5) == pytest.approx(0.625, rel=1e-14)
+
+    def test_paired_kernel_depends_only_on_lag(self):
+        rng = np.random.default_rng(3)
+        for s, t, h in rng.uniform(size=(5, 3)):
+            shifted = _covariance(PP_PAIRED, 9, (s + h) % 1.0, (t + h) % 1.0)
+            assert shifted == pytest.approx(_covariance(PP_PAIRED, 9, s, t), abs=1e-14)
+
+    def test_unpaired_kernel_is_not_stationary(self):
+        # lambda_2 = 1/4 != lambda_3 = 1/9: the cosine peak and the sine peak differ
+        assert _covariance(PP, 3, 0.0, 0.0) == pytest.approx(1.5, rel=1e-14)
+        assert _covariance(PP, 3, 0.25, 0.25) == pytest.approx(1.0 + 2.0 / 9.0, rel=1e-14)
+
+    def test_simulated_covariate_matches_kernel(self):
+        # the empirical Cov(X(s), X(t)) of simulate's draws, within 3 standard errors
+        n = 10**5
+        sample = simulate(PP_PAIRED, CoefVector([0.0]), n=n, sigma=0.0, seed=79, n_coef=5)
+        for s, t in ((0.0, 0.0), (0.1, 0.35), (0.3, 0.8)):
+            xs, xt = (sample.xcoef @ design_matrix(5, u)[0] for u in (s, t))
+            c_st = _covariance(PP_PAIRED, 5, s, t)
+            se = np.sqrt((_covariance(PP_PAIRED, 5, s, s) * _covariance(PP_PAIRED, 5, t, t)
+                          + c_st**2) / n)
+            assert abs(float(np.mean(xs * xt)) - c_st) < 3.0 * se
 
 
 class TestSubstreamAndCsv:

@@ -72,6 +72,34 @@ class TestFixedDimCurve:
                 direct = weighted_norm_sq(diff, w)
                 assert curve[m - 1] == pytest.approx(direct, rel=1e-12)
 
+    def test_zero_at_the_truth(self):
+        # exact dyadic moments recover beta, so only the truncation bias is left
+        lhat = np.array([1.0, 0.25, 0.0625])
+        beta, w = np.array([1.0, -2.0, 0.5]), np.array([1.0, 2.0, 4.0])
+        mom = SampleMoments(ghat=lhat * beta, lhat=lhat, sigma_y2=1.0, n=100)
+        assert fixed_dim_risk_curve(mom, beta, w).tolist() == [9.0, 1.0, 0.0]
+
+    def test_hand_sum(self):
+        mom = SampleMoments(ghat=np.zeros(2), lhat=np.ones(2), sigma_y2=1.0, n=100)
+        assert fixed_dim_risk_curve(mom, np.ones(2), np.array([1.0, 4.0])).tolist() == [5.0, 5.0]
+
+    def test_inf_weight_where_the_slope_vanishes(self):
+        # an EP weight overflows to inf where the slope is 0: estimated as 0
+        # or left to the bias, that coordinate adds 0, never nan
+        mom = SampleMoments(ghat=np.array([2.0, 0.0]), lhat=np.ones(2), sigma_y2=1.0, n=100)
+        curve = fixed_dim_risk_curve(mom, np.array([1.0, 0.0]), np.array([1.0, np.inf]))
+        assert curve.tolist() == [1.0, 1.0]
+
+    def test_steps_by_one_coordinate(self):
+        # entry m trades coordinate m's squared bias for its squared error
+        rng = np.random.default_rng(6)
+        mom = SampleMoments(ghat=rng.normal(size=7), lhat=rng.uniform(0.5, 2.0, size=7),
+                            sigma_y2=1.0, n=100)
+        beta, w = rng.normal(size=7), rng.uniform(0.5, 3.0, size=7)
+        steps = np.diff(fixed_dim_risk_curve(mom, beta, w))
+        expected = w[1:] * ((mom.bhat[1:] - beta[1:]) ** 2 - beta[1:] ** 2)
+        assert np.allclose(steps, expected, rtol=1e-12, atol=1e-12)
+
     def test_tail_added_to_every_entry(self):
         mom = SampleMoments(ghat=np.zeros(3), lhat=np.ones(3), sigma_y2=1.0, n=100)
         beta = CoefVector(np.zeros(3))
