@@ -63,7 +63,7 @@ from .basis import _coef_array, _weighted
 from .config import RunConfig, write_csv
 # default_truncation, make_slope and slope_tail_bias: for perfbench/traced_cli.py
 from .datagen import SlopeSpec, default_truncation, make_slope, slope_tail_bias, substream
-from .estimator import SampleMoments, moments, select_data_driven, select_known
+from .estimator import SampleMoments, select_data_driven, select_known
 from .sequences import (
     BLOCK,
     INDEX_MAX,
@@ -80,7 +80,6 @@ __all__ = [
     "NumericError",
     "RiskReport",
     "fixed_dim_risk_curve",
-    "oracle_risk",
     "fit_slope",
     "run_experiment",
     "write_risk_csv",
@@ -131,33 +130,6 @@ def _risk_curve(mom: SampleMoments, b, weights, bias, tail) -> np.ndarray:
     """fixed_dim_risk_curve from its replicate-free part ``bias`` (length mom.n_coef)."""
     m = mom.n_coef
     return np.cumsum(_weighted(weights[:m], (mom.bhat - b[:m]) ** 2)) + bias + tail
-
-
-def oracle_risk(samples, beta, w):
-    """Best fixed dimension in hindsight: (best_m, mean risk at best_m).
-
-    ``samples`` is an iterable of Sample or SampleMoments of one length; their
-    mean risk is minimized over fixed m with smallest-m tie-break.
-    """
-    return _best_fixed_dim(
-        fixed_dim_risk_curve(s if isinstance(s, SampleMoments) else moments(s), beta, w)
-        for s in samples)
-
-
-def _best_fixed_dim(curves) -> tuple:
-    """Smallest m minimizing the mean of the risk curves, and that mean.  A
-    running sum from the first curve adds them as np.mean over the stacked
-    curves does, so the mean is the same bit for bit and no curve is kept."""
-    total, count = None, 0
-    for count, curve in enumerate(curves, start=1):
-        if total is not None and curve.size != total.size:  # a length-1 curve would broadcast
-            raise ValueError(f"risk curves of lengths {total.size} and {curve.size}")
-        total = curve if total is None else total + curve
-    if total is None:
-        raise ValueError("need at least one replicate")
-    mean_curve = total / count
-    best = int(np.argmin(mean_curve)) + 1
-    return best, float(mean_curve[best - 1])
 
 
 def fit_slope(pairs) -> float:
@@ -352,18 +324,21 @@ def run_experiment(config, plans=None):
     # picks[n, variant, field, r]: per variant, replicate r's risk at m_hat, m_hat
     # and M_hat; C-contiguous with r last, so a mean along r sums as np.mean does
     picks = np.empty((len(grid), len(config.variant_names()), 3, config.replications))
-    oracle = []  # per n: the variant-independent best fixed m and its mean risk
-
-    def curves(plan, per_n):  # each replicate's risk curve, once its picks are in place
-        for r in range(config.replications):
-            curve, per_n[:, :, r] = _run_replicate(plan, r)
-            yield curve
+    # per n: the variant-independent best fixed m and its mean risk
+    oracle_m, oracle_val = np.empty(len(grid), dtype=int), np.empty(len(grid))
 
     if plans is None:
         plans = experiment_plans(config)
-    for plan, per_n in zip(plans, picks):
-        oracle.append(_best_fixed_dim(curves(plan, per_n)))
-    oracle_m, oracle_val = (np.array(col) for col in zip(*oracle))
+    for gi, (plan, per_n) in enumerate(zip(plans, picks)):
+        # a running sum adds the curves as np.mean over the stacked curves does
+        # (0.0 + curve is curve: every entry is >= +0), and keeps no curve
+        total = 0.0
+        for r in range(config.replications):
+            curve, per_n[:, :, r] = _run_replicate(plan, r)
+            total = total + curve
+        mean = total / config.replications
+        best = np.argmin(mean)  # the first minimum: ties go to the smallest m
+        oracle_m[gi], oracle_val[gi] = best + 1, mean[best]
     at_n = lambda gi: f"n = {grid[gi]}"
     _require_finite(at_n, oracle_risk=oracle_val)
     theoretical = np.array([theoretical_rate_or_nan(seq, n) for n in grid])
