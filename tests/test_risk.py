@@ -295,6 +295,31 @@ class TestRunExperiment:
         for rep in run_experiment(tiny_config()):
             assert rep.oracle_m.tolist() == [1, 1] and rep.oracle_risk.tolist() == [1.0, 1.0]
 
+    def test_oracle_takes_the_first_of_several_minima(self, monkeypatch):
+        def two_minima(plan, r):
+            curve = np.full(plan.window, 3.0)
+            curve[[1, -1]] = 1.0
+            return curve, [(1.0, 1, 1)] * 2
+
+        monkeypatch.setattr(risk_module, "_run_replicate", two_minima)
+        for rep in run_experiment(tiny_config()):
+            assert rep.oracle_m.tolist() == [2, 2] and rep.oracle_risk.tolist() == [1.0, 1.0]
+
+    def test_oracle_minimizes_the_mean_curve(self, monkeypatch):
+        # over three replicates the mean curve starts (2, 1.5, 3, ...): its
+        # argmin is m = 2, while the median curve's is m = 1 and the mean of
+        # each replicate's own minimum is 1/3
+        heads = [(0.0, 2.0), (6.0, 1.0), (0.0, 1.5)]
+
+        def varying(plan, r):
+            curve = np.full(plan.window, 3.0)
+            curve[:2] = heads[r]
+            return curve, [(1.0, 1, 1)] * 2
+
+        monkeypatch.setattr(risk_module, "_run_replicate", varying)
+        for rep in run_experiment(tiny_config(replications=3)):
+            assert rep.oracle_m.tolist() == [2, 2] and rep.oracle_risk.tolist() == [1.5, 1.5]
+
     def test_keeps_no_list_of_curves(self, monkeypatch):
         # each curve joins the oracle's running sum and is then dropped, so at
         # any call only the last curve or two may still be referenced
