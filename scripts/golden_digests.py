@@ -97,10 +97,10 @@ RUNS = (
     ("pp_rates_a_s_huge", "rates", "golden_pp.cfg", _overrides("a=1e308", "s=-1e308")),
     ("pp_est_a_s_huge", "estimate", "golden_pp.cfg",
      BOTH + _overrides("a=1e308", "s=-1e308", "replications=1", "n_grid=250,1000")),
-    # finite log terms whose sum, in the m_star_n and m_dagger_n criteria, is +-inf
+    # finite log terms whose sum, in the m_star_n and m_dagger_n criteria, is +inf
     ("pp_rates_a_p_huge", "rates", "golden_pp.cfg", _overrides("a=1e308", "p=1e308")),
-    # 2s and 2p past float range: the m_star_n and m_dagger_n criteria meet inf - inf,
-    # a NaN, which np.argmin takes as the minimum
+    # 2s and 2p past float range: a running aggregate less c_m in the m_star_n and
+    # m_dagger_n criteria is inf - inf, taken as 0, so both are 1, their limit
     ("pp_rates_s_p_huge", "rates", "golden_pp.cfg",
      _overrides("s=1e308", f"p={sys.float_info.max!r}")),
     ("pe_rates", "rates", "golden_pe.cfg", ()),
@@ -119,7 +119,7 @@ RUNS = (
     ("pe_mc_1e8", "mc-risk", "golden_pe.cfg",
      BOTH + _overrides("n_grid=500,100000000", "replications=20")),
     ("ep_rates", "rates", "golden_pp.cfg", _overrides("regime=EP", "p=1")),
-    # 2s past float range: simulate's default truncation reads m_dagger_n's inf - inf
+    # 2s past float range: simulate's default truncation reads m_dagger_n at inf - inf
     ("ep_sim_s_huge", "simulate", "golden_pp.cfg",
      _overrides("regime=EP", "s=1e308", "n_grid=10,20")),
     # 2a and 2s past float range: log omega_2 - log lambda_2 overflows to its limit, +inf

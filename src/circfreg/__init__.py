@@ -5,7 +5,7 @@ behavior.
 Each module's ``__all__`` is its public API; the package re-exports them all.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from . import basis, config, datagen, estimator, risk, sequences
 

@@ -25,7 +25,9 @@ _DEFAULT_GRID = {
     "EP": (250, 500, 1000, 2000, 4000),
     "PE": (500, 2000, 8000),
 }
-_N_MAX = 10**8  # the largest n and j_max the per-n plans are sized for
+_N_MAX = 10**8  # largest n and j_max; ROADMAP item 19 raises it for n
+# No plan is sized by n: a plan holds its window J, which cli._check_draws bounds.
+# The bound keeps n within the sizes whose draws are tested, and the noise sum to j_max short.
 
 
 class ConfigError(ValueError):

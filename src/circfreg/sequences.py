@@ -27,11 +27,11 @@ over n indices needs an array of length n:
 
 * N_n has a closed form, checked against omega over a few indices.
 * M_n, m_star_n and m_dagger_n scan m upward a block of BLOCK indices at a
-  time and stop once a lower bound on their criterion, which does not
-  decrease with m, shows that no later index can win.  M_n reads the scales,
-  which carry their running maxima from block to block (:func:`scale_blocks`);
-  m_star_n and m_dagger_n are one balancing scan (:func:`_balance`), each
-  carrying its own aggregate: the log-sum of omega_j/lambda_j, or the scales.
+  time, forming log omega_j, log lambda_j and c_j = log(omega_j / lambda_j)
+  once a block (:func:`_logs`), and stop once a nondecreasing lower bound on
+  their criterion shows that no later index can win.  M_n reads the scales,
+  which carry their running maxima; m_star_n and m_dagger_n are one balancing
+  scan (:func:`_balance`), each carrying an aggregate of c_j: its log-sum or the scales.
 * :func:`accumulate` carries a running sum or maximum from block to block;
   :func:`series_sum` adds a slope series a block at a time, stopping early.
 """
@@ -185,25 +185,32 @@ class PenaltyScales:
         return int(self.log_delta.size)
 
 
-def _log_ratio(spec: SequenceSpec, log_omega: np.ndarray, log_lam: np.ndarray,
-               start: int) -> np.ndarray:
-    """log(omega_j / lambda_j) for j = start, start + 1, ... from log omega_j
-    and log lambda_j.  Where both are -inf (2s and the eigenvalue's exponent
-    past float range), it is one log power under PP and EP, 2 ((s + a) log k
+def _logs(spec: SequenceSpec, length: int, start: int = 1) -> tuple:
+    """log omega_j, log lambda_j and c_j = log(omega_j / lambda_j) for j =
+    start..length, the one pass over a block that every scan reads.  Where log
+    omega_j and log lambda_j are both -inf (2s and the eigenvalue's exponent
+    past float range), c_j is one log power under PP and EP, 2 ((s + a) log k
     + s log(j / k)) at the eigenvalue's index k (j - 1 at a paired sine, else
     j), which no inf - inf can reach, and +inf under PE, where exp(k^(2a))
     outgrows j^(2s).  A finite difference past float range is +inf, its limit."""
+    log_omega, log_lam = spec.log_risk_weights(length, start), spec.log_eigenvalues(length, start)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = log_omega - log_lam  # NaN exactly where both are -inf
     both = np.isnan(ratio)
     if spec.regime == "PE":
         ratio[both] = np.inf
     elif both.any():
-        length = start + ratio.size - 1
         j, k = spec._indices(length, start)[both], spec._eigen_indices(length, start)[both]
         with np.errstate(over="ignore"):
             ratio[both] = 2.0 * ((spec.s + spec.a) * np.log(k) + spec.s * np.log(j / k))
-    return ratio
+    return log_omega, log_lam, ratio
+
+
+def _excess(running: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    """running - c_j for a running aggregate of c_j never below it: exactly 0 where
+    the two are equal, inf - inf included (np.fmax drops its NaN), +inf past float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmax(running - log_ratio, 0.0)
 
 
 def delta_factor(log_kappa: np.ndarray, start: int = 1) -> np.ndarray:
@@ -220,18 +227,20 @@ def intrinsic_scales(spec: SequenceSpec, length: int, start: int = 1,
     ``before`` holds the scales of some indices ending at start - 1: the running
     maxima go on from its last entries, so consecutive ranges give the scales
     of their union bit for bit."""
-    log_omega = spec.log_risk_weights(length, start)
-    log_lam = spec.log_eigenvalues(length, start)
-    last = lambda field: None if before is None else getattr(before, field)[-1]
+    return _scales(_logs(spec, length, start), start, before)[0]
 
-    log_Delta = accumulate(np.maximum, _log_ratio(spec, log_omega, log_lam, start),
-                           last("log_Delta"))
+
+def _scales(logs: tuple, start: int, before: PenaltyScales | None) -> tuple:
+    """intrinsic_scales from :func:`_logs`, with log m and log factor_m beside them."""
+    log_omega, log_lam, log_ratio = logs
+    last = lambda field: None if before is None else getattr(before, field)[-1]
+    log_Delta = accumulate(np.maximum, log_ratio, last("log_Delta"))
     with np.errstate(over="ignore"):  # +inf past float range, the limit
         log_kappa = accumulate(np.maximum, np.maximum(log_omega, 0.0) - log_lam,
                                last("log_kappa"))
-    factor = delta_factor(log_kappa, start)
-    log_delta = np.log(np.arange(start, length + 1, dtype=float)) + log_Delta + np.log(factor)
-    return PenaltyScales(log_delta, log_Delta, log_kappa)
+    log_m = np.log(np.arange(start, start + log_ratio.size, dtype=float))
+    log_factor = np.log(delta_factor(log_kappa, start))
+    return PenaltyScales(log_m + log_Delta + log_factor, log_Delta, log_kappa), log_m, log_factor
 
 
 def scale_blocks(spec: SequenceSpec, length: int):
@@ -249,21 +258,20 @@ def _at(values, m: int) -> float:
     return float(values(m, m)[0])
 
 
-def _settles(spec: SequenceSpec, n: int, hi: int, lower, level) -> bool:
+def _settles(n: int, hi: int, lower, level, size=lambda m: 0.0) -> bool:
     """Whether a scan over 1..hi fixes a criterion over 1..n: hi = n, or at
     m = hi + 1 the lower bound lower(m), which never decreases with m, exceeds
     ``level`` by a margin that float rounding cannot close: 1 plus 1e-9 of
-    |lower| + |level| + |log omega_m|, log omega_m being one more log-scale
-    term of the criterion.  An inf bound exceeds any finite level, and a NaN
-    exceeds nothing."""
+    |lower| + |level| + |size(m)|, size(m) being one more log-scale term of
+    the criterion (log omega_m for M_n).  An inf bound exceeds any finite
+    level, and a NaN exceeds nothing."""
     m = hi + 1
     if m > n:
         return True
     bound, level = float(lower(m)), float(level)  # Python floats never warn
     if bound == math.inf:
         return level < math.inf
-    size = _at(spec.log_risk_weights, m)
-    return bound - level > 1.0 + 1e-9 * (abs(bound) + abs(level) + abs(size))
+    return bound - level > 1.0 + 1e-9 * (abs(bound) + abs(level) + abs(size(m)))
 
 
 def bound_M(spec: SequenceSpec, n: int) -> int:
@@ -279,15 +287,17 @@ def bound_M(spec: SequenceSpec, n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lower = lambda m: math.log(m) - _at(spec.log_eigenvalues, m)
-    best = 1
-    for lo, hi, block in scale_blocks(spec, n):
+    best, block = 1, None
+    for lo in range(1, n + 1, BLOCK):
+        hi = min(lo + BLOCK - 1, n)
+        logs = _logs(spec, hi, lo)
+        block = _scales(logs, lo, block)[0]
         if lo == 1:
             level = block.log_delta[0] + np.log(n)
-        log_omega = spec.log_risk_weights(hi, lo)
-        ok = np.nonzero(block.log_delta <= level + np.minimum(log_omega, 0.0))[0]
+        ok = np.nonzero(block.log_delta <= level + np.minimum(logs[0], 0.0))[0]
         if ok.size:
             best = lo + int(ok[-1])
-        if _settles(spec, n, hi, lower, level):
+        if _settles(n, hi, lower, level, lambda m: _at(spec.log_risk_weights, m)):
             return best
 
 
@@ -314,27 +324,28 @@ def bound_N(spec: SequenceSpec, n: int) -> int:
     return lo - 1 + weight_cap(spec.risk_weights(hi, lo), n)
 
 
-def _balance(spec: SequenceSpec, n: int, aggregate, lower) -> int:
-    """Smallest m in 1..n minimizing |log gamma_m - log n - log omega_m + A_m|;
-    a NaN is the minimum, as in np.argmin.  aggregate(lo, hi, log omega over
-    lo..hi, carry) gives A_m over lo..hi and the carry for the next block (None
-    before the first).  Stops once lower(m), a lower bound on the criterion at
-    m past the scan that never decreases with m, clears the best value so far."""
+def _balance(spec: SequenceSpec, n: int, excess, floor) -> int:
+    """Smallest m in 1..n minimizing |log gamma_m - log lambda_m - log n + X_m|,
+    whose terms but -log n are >= 0, so it is never NaN.  excess(lo, _logs over
+    lo..hi, carry) gives X_m over lo..hi and the carry for the next block (None
+    before the first).  X_m >= floor(m), so the scan stops once the criterion at
+    X_m = floor(m), which never decreases with m, clears the best value so far."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     log_n = np.log(n)
+    lower = lambda m: (_at(spec.log_smoothness_weights, m) - _at(spec.log_eigenvalues, m)
+                       - math.log(n) + floor(m))
     best, value, carry = 1, np.inf, None
     for lo in range(1, n + 1, BLOCK):
         hi = min(lo + BLOCK - 1, n)
-        log_omega = spec.log_risk_weights(hi, lo)
-        agg, carry = aggregate(lo, hi, log_omega, carry)
-        # a sum past float range is +-inf, and inf - inf is NaN, the minimum
-        with np.errstate(over="ignore", invalid="ignore"):
-            crit = np.abs(spec.log_smoothness_weights(hi, lo) - log_n - log_omega + agg)
-        i = int(np.argmin(crit))  # np.argmin takes the first NaN, else the first minimum
-        if np.isnan(crit[i]) or crit[i] < value:
+        logs = _logs(spec, hi, lo)
+        x, carry = excess(lo, logs, carry)
+        with np.errstate(over="ignore"):  # +inf past float range, the limit
+            crit = np.abs(spec.log_smoothness_weights(hi, lo) - logs[1] - log_n + x)
+        i = int(np.argmin(crit))  # the first minimum
+        if crit[i] < value:
             best, value = lo + i, crit[i]
-        if np.isnan(value) or _settles(spec, n, hi, lower, value):
+        if _settles(n, hi, lower, value):
             return best
 
 
@@ -342,34 +353,28 @@ def balance_m_star(spec: SequenceSpec, n: int) -> int:
     """Dimension balancing bias and variance orders.
 
     Minimizes |log( (gamma_m / (n omega_m)) * sum_{j<=m} omega_j/lambda_j )|
-    over m = 1..n, ties broken toward the smallest m.  Scans upward carrying
-    the running log-sum, and stops once log gamma_m - log lambda_m - log n, a
-    lower bound on the criterion (the sum holds omega_m/lambda_m), clears the
-    best value so far.
+    over m = 1..n, ties broken toward the smallest m, as |log gamma_m -
+    log lambda_m - log n + X_m| with X_m = log sum_{j<=m} e^(c_j) - c_m >= 0.
     """
-    def log_sum(lo, hi, log_omega, carry):
-        log_ratio = _log_ratio(spec, log_omega, spec.log_eigenvalues(hi, lo), lo)
-        log_cumsum = accumulate(np.logaddexp, log_ratio, carry)
-        return log_cumsum, log_cumsum[-1]
+    def log_sum(lo, logs, carry):
+        log_cumsum = accumulate(np.logaddexp, logs[2], carry)
+        return _excess(log_cumsum, logs[2]), log_cumsum[-1]
 
-    return _balance(spec, n, log_sum, lambda m: _at(spec.log_smoothness_weights, m)
-                    - _at(spec.log_eigenvalues, m) - math.log(n))
+    return _balance(spec, n, log_sum, lambda m: 0.0)
 
 
 def balance_m_dagger(spec: SequenceSpec, n: int) -> int:
     """Dimension balancing the penalty against the bias order.
 
     Minimizes |log( gamma_m * delta_m / (n omega_m) )| over m = 1..n, ties
-    broken toward the smallest m.  Scans the scales upward and stops once
-    log gamma_m + log m - log lambda_m - log n, a lower bound on the criterion
-    (see :func:`bound_M`), clears the best value so far.
+    broken toward the smallest m, as |log gamma_m - log lambda_m - log n +
+    X_m| with X_m = log m + log factor_m + (log Delta_m - c_m) >= log m.
     """
-    def log_delta(lo, hi, _, before):
-        scales = intrinsic_scales(spec, hi, lo, before)
-        return scales.log_delta, scales
+    def log_delta(lo, logs, before):
+        scales, log_m, log_factor = _scales(logs, lo, before)
+        return log_m + log_factor + _excess(scales.log_Delta, logs[2]), scales
 
-    return _balance(spec, n, log_delta, lambda m: _at(spec.log_smoothness_weights, m)
-                    + math.log(m / n) - _at(spec.log_eigenvalues, m))
+    return _balance(spec, n, log_delta, math.log)
 
 
 # -- reductions in blocks of indices -------------------------------------------

@@ -370,7 +370,8 @@ def test_huge_finite_input_exits_0_2_or_3_without_warning(config_file, tmp_path,
     # positive s, runs both selectors, and simulate without j_max, so that the
     # scales and every scan read it: where log omega_j and log lambda_j are both
     # -inf, their ratio is one log power, a finite difference of them past float
-    # range is +inf, and the scans' criteria may reach +-inf or inf - inf.  A
+    # range is +inf, the scans' criteria may reach +inf, and a running aggregate
+    # less c_m may be inf - inf, which the balancing criterion takes as 0.  A
     # contrast past float range (sigma = 1e154 with every PE coordinate alive at
     # a = 1e-300) exits 3 with its one line
     overrides = [f"regime={regime}", *override.split()]

@@ -1,3 +1,7 @@
+import csv
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,9 @@ from circfreg import (
     summability_check,
     theoretical_rate,
 )
+from circfreg.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 PP = SequenceSpec("PP", a=1.0, p=2.0, s=0.0)
 PE = SequenceSpec("PE", a=0.5, p=1.0, s=0.0)
@@ -218,6 +225,26 @@ class TestBalancing:
                 if best_val is None or val < best_val - 1e-12:
                     best_val, best_m = val, m
             assert balance_m_dagger(spec, n) == best_m
+
+    @pytest.mark.parametrize("s", [300.0, 1e300, 1e308])
+    def test_huge_s_reaches_the_limit(self, s):
+        # sum_{j<=m} omega_j/lambda_j / omega_m -> 1/lambda_m and delta_m / omega_m
+        # -> m factor_m / lambda_m as s grows, so both criteria are smallest at
+        # m = 1; formed as differences of logs near 2 s log m they gave 2 and 3
+        spec = SequenceSpec("EP", a=1.0, p=2.0, s=s, enforce_pair=True)
+        assert balance_m_star(spec, 40) == 1
+        assert balance_m_dagger(spec, 40) == 1
+
+    def test_rates_at_huge_s_and_p_reach_the_limit(self, tmp_path):
+        # the overrides of the pp_rates_s_p_huge digest run
+        code = main(["rates", "--config", str(CONFIG_DIR / "golden_pp.cfg"), "--out",
+                     str(tmp_path), "--override", "s=1e308",
+                     "--override", f"p={sys.float_info.max!r}"])
+        assert code == 0
+        with open(tmp_path / "rates.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 5
+        assert all(row["m_star"] == row["m_dagger"] == "1" for row in rows)
 
 
 class TestTheoreticalRate:
